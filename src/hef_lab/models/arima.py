@@ -26,7 +26,8 @@ def _css_residuals(w: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray) 
     e = np.zeros(T)
     for t in range(p, T):
         ar = float(phi @ w[t - p : t][::-1]) if p else 0.0
-        ma = float(theta @ e[t - q : t][::-1]) if q else 0.0
+        lo = max(t - q, 0)  # shocks before the first observation are zero
+        ma = float(theta[: t - lo] @ e[lo:t][::-1]) if q else 0.0
         e[t] = w[t] - c - ar - ma
     return e
 

@@ -333,6 +333,22 @@ def _execute_task(
         return key, label, None, f"{type(exc).__name__}: {exc}"
 
 
+# The dataset and config a worker process runs its tasks against, set once
+# per worker by the pool initializer so that tasks carry only their key.
+_worker_inputs: tuple[Dataset, ExperimentConfig] | None = None
+
+
+def _init_worker(dataset: Dataset, config: ExperimentConfig) -> None:
+    global _worker_inputs
+    _worker_inputs = (dataset, config)
+
+
+def _execute_worker_task(key: TaskKey) -> tuple[TaskKey, str, dict[str, float] | None, str | None]:
+    # looks _execute_task up by its global name at call time, so a wrapper
+    # installed on the module is what the worker runs
+    return _execute_task(key, *_worker_inputs)
+
+
 def run_experiment(
     dataset: Dataset,
     config: ExperimentConfig,
@@ -343,7 +359,9 @@ def run_experiment(
     """Execute the full sweep into a results store, resuming if it exists.
 
     Per-task failures are recorded and excluded; they never abort the sweep.
-    The store is written by this process only, in deterministic task order.
+    With ``jobs > 1`` each of the ``jobs`` worker processes receives the
+    dataset and config once, and every task sends only its key. The store is
+    written by this process only, in deterministic task order.
     """
     for name in config.models:  # stub or unknown names fail before any work
         model_class(name)
@@ -371,11 +389,10 @@ def run_experiment(
             progress(done, len(pending))
 
     if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for done, result in enumerate(
-                pool.map(_execute_task, pending, [dataset] * len(pending), [config] * len(pending)),
-                start=1,
-            ):
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(dataset, config)
+        ) as pool:
+            for done, result in enumerate(pool.map(_execute_worker_task, pending), start=1):
                 handle(result, done)
     else:
         for done, key in enumerate(pending, start=1):

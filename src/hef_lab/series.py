@@ -108,6 +108,7 @@ class Dataset:
             raise InvalidParameterError(f"strata reference unknown series ids: {sorted(extra)}")
         object.__setattr__(self, "series", series)
         object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "_by_id", {s.id: s for s in series})
 
     def __len__(self) -> int:
         return len(self.series)
@@ -116,10 +117,7 @@ class Dataset:
         return tuple(s.id for s in self.series)
 
     def get(self, series_id: str) -> TimeSeries:
-        for s in self.series:
-            if s.id == series_id:
-                return s
-        raise KeyError(series_id)
+        return self._by_id[series_id]
 
 
 class SplitRatio(Enum):

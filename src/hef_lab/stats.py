@@ -130,10 +130,14 @@ def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
         p = min(max(p, 0.0), 1.0)
     elif n <= 11:
         gamma = -2.273 + 0.459 * n
-        stat = -math.log(gamma - math.log1p(-w))
-        mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
-        sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)
-        p = float(ndtr(-(stat - mu) / sigma))
+        y = math.log1p(-w)
+        if y >= gamma:  # W below the approximation's domain: reject, as AS R94 does
+            p = 1e-99
+        else:
+            stat = -math.log(gamma - y)
+            mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
+            sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)
+            p = float(ndtr(-(stat - mu) / sigma))
     else:
         stat = math.log1p(-w)
         log_n = math.log(n)

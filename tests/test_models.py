@@ -8,11 +8,13 @@ from scipy.optimize import minimize
 
 from hef_lab import models
 from hef_lab.errors import (
+    HefLabError,
     InsufficientDataError,
     NotImplementedModelError,
     UnknownModelError,
 )
 from hef_lab.models import SearchKind, build_lag_matrix, create, lag_window_length
+from hef_lab.models.arima import _css_residuals
 from hef_lab.models.linear import coordinate_descent_enet
 
 ES_MODELS = {"arima", "knn", "dtr", "plr", "lr"}
@@ -144,6 +146,25 @@ class TestArima:
     def test_insufficient_data_for_order(self) -> None:
         with pytest.raises(InsufficientDataError):
             create("arima").fit([1.0, 2.0, 3.0], {"p": 3, "d": 2, "q": 3})
+
+    @pytest.mark.parametrize("p,d,q", [(0, 0, 1), (1, 1, 2)])
+    def test_ma_order_above_ar_order_completes(self, p, d, q) -> None:
+        # q > p reaches back before the first observation on the first steps
+        train = trend_series(48, seed=9)
+        try:
+            forecast = create("arima").fit(train, {"p": p, "d": d, "q": q}).predict(12)
+        except HefLabError:
+            return
+        assert np.isfinite(forecast).all()
+
+    def test_css_residuals_take_presample_shocks_as_zero(self) -> None:
+        w = trend_series(30, seed=6)
+        c, phi, theta = 1.5, np.array([0.4]), np.array([0.3, -0.2, 0.1])
+        e = np.zeros(len(w))
+        for t in range(1, len(w)):
+            ma = sum(theta[j - 1] * e[t - j] for j in range(1, 4) if t - j >= 0)
+            e[t] = w[t] - c - phi[0] * w[t - 1] - ma
+        assert np.allclose(_css_residuals(w, c, phi, theta), e, rtol=1e-12, atol=1e-12)
 
 
 class TestKnn:

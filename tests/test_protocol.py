@@ -161,14 +161,35 @@ class TestRunExperiment:
         assert len(store) == 4
 
     def test_parallel_matches_serial(self, tmp_path, small_dataset) -> None:
+        # the too-short series fails at the split, so failures must match too
+        short = make_series("short", [1.0, 2.0, 3.0])
+        dataset = Dataset("toy", small_dataset.series + (short,))
         config = tiny_config(models=("ses",), repetitions=2)
-        run_experiment(small_dataset, config, tmp_path / "serial.csv", jobs=1)
-        run_experiment(small_dataset, config, tmp_path / "pool.csv", jobs=2)
+        serial = run_experiment(dataset, config, tmp_path / "serial.csv", jobs=1)
+        pool = run_experiment(dataset, config, tmp_path / "pool.csv", jobs=2)
 
         def essence(path):
             return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
 
         assert essence(tmp_path / "serial.csv") == essence(tmp_path / "pool.csv")
+        assert len(serial.failures) == 4
+        assert all(f.key.series_id == "short" for f in serial.failures)
+        assert pool == serial
+
+    def test_dataset_sent_to_each_worker_at_most_once(self, tmp_path, small_dataset, monkeypatch) -> None:
+        pickled: list[str] = []
+        reduce_ex = Dataset.__reduce_ex__
+
+        def counting_reduce_ex(self, protocol):
+            pickled.append(self.name)
+            return reduce_ex(self, protocol)
+
+        monkeypatch.setattr(Dataset, "__reduce_ex__", counting_reduce_ex)
+        config = tiny_config(models=("ses",), repetitions=2)
+        summary = run_experiment(small_dataset, config, tmp_path / "r.csv", jobs=2)
+        assert summary.executed == 16 and not summary.failures
+        # none under fork, one per worker where workers unpickle their inputs
+        assert len(pickled) <= 2
 
     def test_stub_model_aborts_before_any_work(self, tmp_path, small_dataset) -> None:
         from hef_lab.errors import NotImplementedModelError

@@ -58,6 +58,9 @@ class TestTypes:
         b = make_series("b", [1, 2], Frequency.MONTHLY)
         ds = Dataset("d", (a, b))
         assert ds.strata == {"a": "daily", "b": "monthly"}
+        assert ds.get("b") is b
+        with pytest.raises(KeyError):
+            ds.get("ghost")
         with pytest.raises(InvalidParameterError):
             Dataset("d", (a, make_series("a", [5])))
         with pytest.raises(InvalidParameterError):

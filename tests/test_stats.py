@@ -54,6 +54,15 @@ class TestShapiroWilk:
         with pytest.raises(SampleTooLargeError):
             shapiro_wilk(np.arange(5001, dtype=float))
 
+    def test_w_below_small_sample_domain_rejects(self) -> None:
+        # four values equal up to the last bit: W comes from round-off and
+        # falls below the n <= 11 approximation's domain
+        b = 37.15819812
+        x = [b, b, b + math.ulp(b), b + math.ulp(b)]
+        result = shapiro_wilk(x)
+        assert result.p_value == 1e-99 and result.significant
+        compare_paired_runs(x, [b + 1.0, b + 2.0, b + 3.0, b + 5.0])
+
     def test_n3_exact_branch(self) -> None:
         x = [1.0, 2.0, 10.0]
         mine = shapiro_wilk(x)
