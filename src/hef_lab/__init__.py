@@ -2,20 +2,14 @@
 
 The package covers the full experimental loop: dataset ingestion and
 stratified sampling, temporal splits, classical forecasting models behind one
-fit/predict interface, three hyperparameter optimizers, two pluggable scoring
-functions (the hierarchical composite and the plain-MAE baseline), per-series
-significance testing, case counting, and two-proportion Z summaries.
+fit/predict interface, three hyperparameter optimizers, the two scoring
+functions ``hef_score`` (the hierarchical composite) and ``maef_score`` (the
+plain-MAE baseline), per-series significance testing, case counting, and
+two-proportion Z summaries.
 """
 
 from .errors import HefLabError
-from .evaluation import (
-    HierarchicalEvaluation,
-    MaeEvaluation,
-    MetricWeights,
-    PenaltySchedule,
-    hef_score,
-    maef_score,
-)
+from .evaluation import MetricWeights, PenaltySchedule, hef_score, maef_score
 from .metrics import MetricBundle, compute_bundle, gra, mae, mase, r2, rmse, rmsse
 from .series import (
     Dataset,
@@ -54,7 +48,5 @@ __all__ = [
     "PenaltySchedule",
     "hef_score",
     "maef_score",
-    "HierarchicalEvaluation",
-    "MaeEvaluation",
     "__version__",
 ]

@@ -10,6 +10,8 @@ Example::
     opt.pso.swarm_size = 12
     models.ses.space.alpha = {"min": 0.05, "max": 0.95}
 
+Every key must be one the configuration reads (``_DEFAULTS``) or a search
+space override ``models.<name>.space.<param>``; any other key is an error.
 Seed precedence: ``--seed`` flag > ``HEF_LAB_SEED`` env var > config file.
 """
 
@@ -35,6 +37,37 @@ __all__ = [
 ]
 
 SEED_ENV_VAR = "HEF_LAB_SEED"
+
+# Every key the configuration reads besides the search space overrides, with
+# the value a missing key takes.
+_DEFAULTS: dict[str, object] = {
+    "experiment.models": None,
+    "experiment.splits": ["80:20"],
+    "experiment.conditions": ["hef", "maef"],
+    "experiment.scs_optimizer": "pso",
+    "experiment.repetitions": 21,
+    "experiment.seed": 0,
+    "experiment.alpha": 0.05,
+    "opt.pso.swarm_size": 20,
+    "opt.pso.iterations": 50,
+    "opt.pso.inertia": 0.729,
+    "opt.pso.cognitive": 1.49445,
+    "opt.pso.social": 1.49445,
+    "opt.pso.velocity_clamp": 0.5,
+    "opt.tpe.trials": 60,
+    "opt.tpe.startup": 10,
+    "opt.tpe.gamma": 0.25,
+    "opt.tpe.candidates": 24,
+    "opt.tpe.bandwidth_factor": 1.06,
+    "opt.grid.cap": DEFAULT_GRID_CAP,
+    "hef.weights.r2": 1.0,
+    "hef.weights.mae": 1.0,
+    "hef.weights.rmse": 0.5,
+    "hef.penalties.l1": 1.2,
+    "hef.penalties.l2": 1.3,
+    "hef.penalties.l3": 1.5,
+    "hef.penalties.l4": 1.8,
+}
 
 
 def _parse_value(raw: str):
@@ -91,7 +124,8 @@ def _domain_from_value(key: str, value: object) -> Domain:
     raise ConfigError(f"{key}: needs either 'grid' or 'min'/'max'")
 
 
-def _get(flat: Mapping[str, object], key: str, default):
+def _get(flat: Mapping[str, object], key: str):
+    default = _DEFAULTS[key]
     value = flat.get(key, default)
     if default is not None and value is not None and not isinstance(value, type(default)):
         # ints are acceptable where floats are expected
@@ -105,11 +139,23 @@ def build_experiment_config(
     flat: Mapping[str, object], seed_override: int | None = None
 ) -> ExperimentConfig:
     """Assemble the experiment configuration from flat keys plus defaults."""
+    per_model_params: dict[str, dict[str, Domain]] = {}
+    unknown: list[str] = []
+    for key, value in flat.items():
+        parts = key.split(".")
+        if len(parts) == 4 and parts[0] == "models" and parts[2] == "space":
+            per_model_params.setdefault(parts[1], {})[parts[3]] = _domain_from_value(key, value)
+        elif key not in _DEFAULTS:
+            unknown.append(key)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    space_overrides = {name: HyperparameterSpace(params) for name, params in per_model_params.items()}
+
     models = flat.get("experiment.models")
     if not isinstance(models, Sequence) or isinstance(models, str) or not models:
         raise ConfigError("experiment.models must be a non-empty list of model names")
 
-    splits_raw = flat.get("experiment.splits", ["80:20"])
+    splits_raw = flat.get("experiment.splits", _DEFAULTS["experiment.splits"])
     if not isinstance(splits_raw, Sequence) or isinstance(splits_raw, str):
         raise ConfigError("experiment.splits must be a list of ratio labels")
     try:
@@ -117,7 +163,7 @@ def build_experiment_config(
     except Exception as exc:
         raise ConfigError(f"experiment.splits: {exc}") from exc
 
-    conditions_raw = flat.get("experiment.conditions", ["hef", "maef"])
+    conditions_raw = flat.get("experiment.conditions", _DEFAULTS["experiment.conditions"])
     if not isinstance(conditions_raw, Sequence) or isinstance(conditions_raw, str):
         raise ConfigError("experiment.conditions must be a list")
 
@@ -129,54 +175,44 @@ def build_experiment_config(
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from None
     else:
-        seed = int(_get(flat, "experiment.seed", 0))
-
-    space_overrides: dict[str, HyperparameterSpace] = {}
-    per_model_params: dict[str, dict[str, Domain]] = {}
-    for key, value in flat.items():
-        parts = key.split(".")
-        if len(parts) == 4 and parts[0] == "models" and parts[2] == "space":
-            per_model_params.setdefault(parts[1], {})[parts[3]] = _domain_from_value(key, value)
-    for model_name, params in per_model_params.items():
-        space_overrides[model_name] = HyperparameterSpace(params)
+        seed = int(_get(flat, "experiment.seed"))
 
     try:
         return ExperimentConfig(
             models=tuple(str(m) for m in models),
             splits=splits,
             conditions=tuple(str(c) for c in conditions_raw),
-            scs_optimizer=str(flat.get("experiment.scs_optimizer", "pso")),
-            repetitions=int(_get(flat, "experiment.repetitions", 21)),
+            scs_optimizer=_get(flat, "experiment.scs_optimizer"),
+            repetitions=int(_get(flat, "experiment.repetitions")),
             master_seed=seed,
-            alpha=float(_get(flat, "experiment.alpha", 0.05)),
+            alpha=float(_get(flat, "experiment.alpha")),
             pso=PsoConfig(
-                swarm_size=int(_get(flat, "opt.pso.swarm_size", 20)),
-                iterations=int(_get(flat, "opt.pso.iterations", 50)),
-                inertia=float(_get(flat, "opt.pso.inertia", 0.729)),
-                cognitive=float(_get(flat, "opt.pso.cognitive", 1.49445)),
-                social=float(_get(flat, "opt.pso.social", 1.49445)),
-                velocity_clamp=float(_get(flat, "opt.pso.velocity_clamp", 0.5)),
+                swarm_size=int(_get(flat, "opt.pso.swarm_size")),
+                iterations=int(_get(flat, "opt.pso.iterations")),
+                inertia=float(_get(flat, "opt.pso.inertia")),
+                cognitive=float(_get(flat, "opt.pso.cognitive")),
+                social=float(_get(flat, "opt.pso.social")),
+                velocity_clamp=float(_get(flat, "opt.pso.velocity_clamp")),
             ),
             tpe=TpeConfig(
-                trials=int(_get(flat, "opt.tpe.trials", 60)),
-                startup=int(_get(flat, "opt.tpe.startup", 10)),
-                gamma=float(_get(flat, "opt.tpe.gamma", 0.25)),
-                candidates=int(_get(flat, "opt.tpe.candidates", 24)),
-                bandwidth_factor=float(_get(flat, "opt.tpe.bandwidth_factor", 1.06)),
+                trials=int(_get(flat, "opt.tpe.trials")),
+                startup=int(_get(flat, "opt.tpe.startup")),
+                gamma=float(_get(flat, "opt.tpe.gamma")),
+                candidates=int(_get(flat, "opt.tpe.candidates")),
+                bandwidth_factor=float(_get(flat, "opt.tpe.bandwidth_factor")),
             ),
-            grid_cap=int(_get(flat, "opt.grid.cap", DEFAULT_GRID_CAP)),
+            grid_cap=int(_get(flat, "opt.grid.cap")),
             hef_weights=MetricWeights(
-                r2=float(_get(flat, "hef.weights.r2", 1.0)),
-                mae=float(_get(flat, "hef.weights.mae", 1.0)),
-                rmse=float(_get(flat, "hef.weights.rmse", 0.5)),
+                r2=float(_get(flat, "hef.weights.r2")),
+                mae=float(_get(flat, "hef.weights.mae")),
+                rmse=float(_get(flat, "hef.weights.rmse")),
             ),
             hef_penalties=PenaltySchedule(
-                level_1=float(_get(flat, "hef.penalties.l1", 1.2)),
-                level_2=float(_get(flat, "hef.penalties.l2", 1.3)),
-                level_3=float(_get(flat, "hef.penalties.l3", 1.5)),
-                level_4=float(_get(flat, "hef.penalties.l4", 1.8)),
+                level_1=float(_get(flat, "hef.penalties.l1")),
+                level_2=float(_get(flat, "hef.penalties.l2")),
+                level_3=float(_get(flat, "hef.penalties.l3")),
+                level_4=float(_get(flat, "hef.penalties.l4")),
             ),
-            hef_stack_level4=bool(flat.get("hef.stack_level4", False)),
             space_overrides=space_overrides,
         )
     except ConfigError:

@@ -73,12 +73,12 @@ class NonConvergenceError(HefLabError, RuntimeError):
     """An iterative fit hit its iteration cap without converging."""
 
 
-class NotImplementedModelError(HefLabError, NotImplementedError):
-    """The model name is reserved but intentionally not implemented here."""
-
-
 class UnknownModelError(HefLabError, KeyError):
     """The model name is not in the registry."""
+
+    def __str__(self) -> str:
+        # KeyError would show the message quoted, as a key
+        return str(self.args[0]) if self.args else ""
 
 
 # --- optimizers ------------------------------------------------------------

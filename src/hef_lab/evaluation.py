@@ -1,6 +1,6 @@
 """Scoring functions that guide hyperparameter search.
 
-Two interchangeable objectives, both minimized:
+Two objectives, both minimized:
 
 * the hierarchical composite score: weighted ``(1 - r2) + mae/mean + rmse/mean``
   with variability-adaptive tolerance thresholds and multiplicative penalties,
@@ -11,7 +11,6 @@ Two interchangeable objectives, both minimized:
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -33,10 +32,6 @@ __all__ = [
     "apply_penalty",
     "hef_score",
     "maef_score",
-    "EvaluationFunction",
-    "HierarchicalEvaluation",
-    "MaeEvaluation",
-    "make_evaluation_function",
 ]
 
 # Near-zero training means are replaced by this guard before normalizing.
@@ -106,32 +101,33 @@ def coefficient_of_variation(y_train: Sequence[float]) -> float:
     return float(y.std()) / mean
 
 
-def recommend_mae_tolerance(y_train: Sequence[float]) -> float:
-    """Adaptive MAE tolerance coefficient from the training variability.
+# Adaptive tolerance coefficients by band of the training CV, each band below
+# a strict upper bound: (CV upper bound, MAE coefficient, RMSE coefficient).
+# The RMSE coefficients are broader than the MAE ones below CV 1.
+_TOLERANCE_BANDS = (
+    (0.2, 0.1, 0.15),
+    (0.5, 0.2, 0.25),
+    (1.0, 0.3, 0.35),
+    (math.inf, 0.4, 0.4),
+)
 
-    Strict bands on the coefficient of variation: below 0.2 -> 0.1,
-    below 0.5 -> 0.2, below 1.0 -> 0.3, otherwise 0.4.
-    """
-    cv = coefficient_of_variation(y_train)
-    if cv < 0.2:
-        return 0.1
-    if cv < 0.5:
-        return 0.2
-    if cv < 1.0:
-        return 0.3
-    return 0.4
+
+def _tolerances(cv: float) -> tuple[float, float]:
+    """(MAE, RMSE) tolerance coefficients of the band holding ``cv``."""
+    for upper, mae_tolerance, rmse_tolerance in _TOLERANCE_BANDS:
+        if cv < upper:
+            return mae_tolerance, rmse_tolerance
+    return _TOLERANCE_BANDS[-1][1:]  # an infinite or NaN CV compares below no bound
+
+
+def recommend_mae_tolerance(y_train: Sequence[float]) -> float:
+    """Adaptive MAE tolerance coefficient of the training series' CV band."""
+    return _tolerances(coefficient_of_variation(y_train))[0]
 
 
 def recommend_rmse_tolerance(y_train: Sequence[float]) -> float:
-    """Adaptive RMSE tolerance coefficient; broader than the MAE bands."""
-    cv = coefficient_of_variation(y_train)
-    if cv < 0.2:
-        return 0.15
-    if cv < 0.5:
-        return 0.25
-    if cv < 1.0:
-        return 0.35
-    return 0.4
+    """Adaptive RMSE tolerance coefficient of the training series' CV band."""
+    return _tolerances(coefficient_of_variation(y_train))[1]
 
 
 def apply_penalty(
@@ -154,7 +150,6 @@ def hef_score(
     *,
     weights: MetricWeights = DEFAULT_WEIGHTS,
     penalties: PenaltySchedule = DEFAULT_PENALTIES,
-    stack_level4: bool = False,
 ) -> float:
     """Hierarchical composite score to minimize.
 
@@ -163,8 +158,7 @@ def hef_score(
     times m; missing one threshold inflates the base multiplicatively
     (mae under only -> level 1, rmse under only -> level 2, neither -> level 3).
     Any negative prediction overwrites the result with the level-4 inflation of
-    the base score; ``stack_level4=True`` stacks it on the branched score
-    instead. Non-finite metrics or predictions raise rather than score.
+    the base score. Non-finite metrics or predictions raise rather than score.
     """
     y = _train_vector(y_train)
     preds = np.asarray(predictions, dtype=float)
@@ -177,8 +171,9 @@ def hef_score(
     mean = float(y.mean())
     if abs(mean) < MEAN_GUARD:
         mean = MEAN_GUARD
-    mae_threshold = recommend_mae_tolerance(y) * mean
-    rmse_threshold = recommend_rmse_tolerance(y) * mean
+    mae_tolerance, rmse_tolerance = _tolerances(coefficient_of_variation(y))
+    mae_threshold = mae_tolerance * mean
+    rmse_threshold = rmse_tolerance * mean
 
     base = weights.r2 * (1.0 - r2) + weights.mae * (mae / mean) + weights.rmse * (rmse / mean)
 
@@ -192,7 +187,7 @@ def hef_score(
         score = apply_penalty(base, PenaltyLevel.LEVEL_3, penalties)
 
     if preds.size and bool((preds < 0).any()):
-        score = apply_penalty(score if stack_level4 else base, PenaltyLevel.LEVEL_4, penalties)
+        score = apply_penalty(base, PenaltyLevel.LEVEL_4, penalties)
     return float(score)
 
 
@@ -201,71 +196,3 @@ def maef_score(mae: float) -> float:
     if not math.isfinite(mae):
         raise NonFiniteInputError("mae is not finite")
     return float(mae)
-
-
-class EvaluationFunction(ABC):
-    """Scoring contract mapping (predictions, metrics, training series) to a scalar."""
-
-    name: str
-
-    @abstractmethod
-    def score(
-        self,
-        predictions: Sequence[float],
-        r2: float,
-        mae: float,
-        rmse: float,
-        y_train: Sequence[float],
-    ) -> float:
-        """Return the value to minimize."""
-
-
-class HierarchicalEvaluation(EvaluationFunction):
-    """The composite score with injectable weights and penalty schedule."""
-
-    name = "hef"
-
-    def __init__(
-        self,
-        weights: MetricWeights = DEFAULT_WEIGHTS,
-        penalties: PenaltySchedule = DEFAULT_PENALTIES,
-        stack_level4: bool = False,
-    ) -> None:
-        self.weights = weights
-        self.penalties = penalties
-        self.stack_level4 = stack_level4
-
-    def score(self, predictions, r2, mae, rmse, y_train) -> float:
-        return hef_score(
-            predictions,
-            r2,
-            mae,
-            rmse,
-            y_train,
-            weights=self.weights,
-            penalties=self.penalties,
-            stack_level4=self.stack_level4,
-        )
-
-
-class MaeEvaluation(EvaluationFunction):
-    """The identity-on-MAE baseline."""
-
-    name = "maef"
-
-    def score(self, predictions, r2, mae, rmse, y_train) -> float:
-        return maef_score(mae)
-
-
-def make_evaluation_function(
-    name: str,
-    weights: MetricWeights = DEFAULT_WEIGHTS,
-    penalties: PenaltySchedule = DEFAULT_PENALTIES,
-    stack_level4: bool = False,
-) -> EvaluationFunction:
-    """Factory keyed by the condition names used in experiment configs."""
-    if name == "hef":
-        return HierarchicalEvaluation(weights, penalties, stack_level4)
-    if name == "maef":
-        return MaeEvaluation()
-    raise InvalidParameterError(f"unknown evaluation function: {name!r}")

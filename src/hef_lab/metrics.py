@@ -8,7 +8,7 @@ one-step naive error, so values below 1 beat the naive forecast.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,57 +96,50 @@ def gra(actual: Sequence[float], predicted: Sequence[float]) -> float:
     return 1.0 - abs(float(np.sum(np.abs(yhat))) - total) / total
 
 
-def _naive_denominator(train: np.ndarray, *, squared: bool) -> float:
-    diffs = np.diff(train)
-    denom = float(np.mean(diffs**2)) if squared else float(np.mean(np.abs(diffs)))
+def _scaled_error(
+    train: Sequence[float],
+    actual_test: Sequence[float],
+    predicted_test: Sequence[float],
+    *,
+    squared: bool,
+) -> float:
+    """Mean test error over the mean one-step naive error of the training
+    series, both squared or both absolute."""
+    tr = _as_vector(train, "train")
+    if tr.size < 2:
+        raise SeriesTooShortError("train needs at least 2 observations")
+    y, yhat = _as_pair(actual_test, predicted_test)
+    magnitude = np.square if squared else np.abs
+    denom = float(np.mean(magnitude(np.diff(tr))))
     if denom == 0.0:
         raise FlatTrainingSeriesError("training series has no variation; naive error is zero")
-    return denom
+    return np.mean(magnitude(y - yhat)) / denom
 
 
 def rmsse(
     train: Sequence[float],
     actual_test: Sequence[float],
     predicted_test: Sequence[float],
-    denominator: Literal["train", "test"] = "train",
 ) -> float:
     """Root mean squared scaled error over the forecast horizon.
 
     The squared test error is scaled by the mean squared one-step naive error
-    of the training series (``denominator="test"`` scales by the test window's
-    own naive error instead).
+    of the training series.
     """
-    tr = _as_vector(train, "train")
-    if tr.size < 2:
-        raise SeriesTooShortError("train needs at least 2 observations")
-    y, yhat = _as_pair(actual_test, predicted_test)
-    ref = tr if denominator == "train" else y
-    if ref.size < 2:
-        raise SeriesTooShortError("denominator window needs at least 2 observations")
-    denom = _naive_denominator(ref, squared=True)
-    return float(np.sqrt(np.mean((y - yhat) ** 2) / denom))
+    return float(np.sqrt(_scaled_error(train, actual_test, predicted_test, squared=True)))
 
 
 def mase(
     train: Sequence[float],
     actual_test: Sequence[float],
     predicted_test: Sequence[float],
-    denominator: Literal["train", "test"] = "train",
 ) -> float:
     """Mean absolute scaled error over the forecast horizon.
 
     Values below 1 beat the one-step naive forecast measured on the training
-    series (or on the test window when ``denominator="test"``).
+    series.
     """
-    tr = _as_vector(train, "train")
-    if tr.size < 2:
-        raise SeriesTooShortError("train needs at least 2 observations")
-    y, yhat = _as_pair(actual_test, predicted_test)
-    ref = tr if denominator == "train" else y
-    if ref.size < 2:
-        raise SeriesTooShortError("denominator window needs at least 2 observations")
-    denom = _naive_denominator(ref, squared=False)
-    return float(np.mean(np.abs(y - yhat)) / denom)
+    return float(_scaled_error(train, actual_test, predicted_test, squared=False))
 
 
 @dataclass(frozen=True)

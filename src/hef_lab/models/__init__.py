@@ -14,12 +14,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from ..errors import (
-    InsufficientDataError,
-    NonConvergenceError,
-    NotImplementedModelError,
-    UnknownModelError,
-)
+from ..errors import InsufficientDataError, NonConvergenceError, UnknownModelError
 from ..spaces import HyperparameterSpace
 
 __all__ = [
@@ -33,7 +28,6 @@ __all__ = [
     "model_class",
     "available_models",
     "CLASSICAL_MODELS",
-    "STUB_MODELS",
 ]
 
 
@@ -122,19 +116,6 @@ def _validated_train(train: Sequence[float], minimum: int, model: str) -> np.nda
 
 _REGISTRY: dict[str, type[ForecastModel]] = {}
 
-# Named but intentionally out of scope; configs referencing them fail loudly.
-STUB_MODELS = (
-    "svr",
-    "gbr",
-    "rfr",
-    "xgboost",
-    "catboost",
-    "br",
-    "mlp",
-    "lstm",
-    "dnn-lstm",
-)
-
 
 def register(cls: type[ForecastModel]) -> type[ForecastModel]:
     _REGISTRY[cls.name] = cls
@@ -142,18 +123,16 @@ def register(cls: type[ForecastModel]) -> type[ForecastModel]:
 
 
 def model_class(name: str) -> type[ForecastModel]:
-    if name in STUB_MODELS:
-        raise NotImplementedModelError(
-            f"model {name!r} is registered but not implemented in this package"
-        )
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise UnknownModelError(name) from None
+        raise UnknownModelError(
+            f"unknown model {name!r}; available: {', '.join(available_models())}"
+        ) from None
 
 
 def create(name: str, season_length: int = 12) -> ForecastModel:
-    """Instantiate a registered model; stub names raise, unknown names raise."""
+    """Instantiate a registered model; unknown names raise ``UnknownModelError``."""
     return model_class(name)(season_length=season_length)
 
 

@@ -23,13 +23,9 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
+from . import evaluation
 from .errors import HefLabError, InvalidParameterError, ZeroVarianceError
-from .evaluation import (
-    EvaluationFunction,
-    MetricWeights,
-    PenaltySchedule,
-    make_evaluation_function,
-)
+from .evaluation import MetricWeights, PenaltySchedule
 from .metrics import HIGHER_BETTER, METRIC_NAMES, compute_bundle, mae, r2, rmse
 from .models import ForecastModel, SearchKind, create as create_model, model_class
 from .optimizers import (
@@ -99,7 +95,6 @@ class ExperimentConfig:
     grid_cap: int = DEFAULT_GRID_CAP
     hef_weights: MetricWeights = field(default_factory=MetricWeights)
     hef_penalties: PenaltySchedule = field(default_factory=PenaltySchedule)
-    hef_stack_level4: bool = False
     space_overrides: Mapping[str, HyperparameterSpace] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -183,7 +178,9 @@ class ResultsStore:
         self.path = Path(path)
         self._rows: list[dict] = []
         self._completed: set[tuple] = set()
-        if self.path.exists():
+        # an absent or zero-byte file still needs its header
+        self._needs_header = not self.path.exists() or self.path.stat().st_size == 0
+        if not self._needs_header:
             self._read()
 
     def _read(self) -> None:
@@ -217,12 +214,12 @@ class ResultsStore:
         return key.as_tuple() in self._completed
 
     def append(self, key: TaskKey, optimizer: str, values: Mapping[str, float]) -> None:
-        new_file = not self.path.exists()
         extras = tuple(n for n in TRACE_SUMMARY_NAMES if n in values)
         with self.path.open("a", newline="") as fh:
             writer = csv.writer(fh)
-            if new_file:
+            if self._needs_header:
                 writer.writerow(STORE_COLUMNS)
+                self._needs_header = False
             for metric in METRIC_NAMES + extras:
                 value = float(values[metric])
                 writer.writerow(
@@ -247,33 +244,40 @@ class ResultsStore:
 
 
 class _Objective:
-    """Wraps split -> fit -> predict -> metrics -> evaluation function."""
+    """Fit -> predict -> the condition's score: ``maef`` scores the MAE alone,
+    ``hef`` scores r2, MAE and RMSE with the configured weights and penalties."""
 
     def __init__(
         self,
         model: ForecastModel,
         train: np.ndarray,
         test: np.ndarray,
-        evaluation: EvaluationFunction,
+        condition: str,
+        config: ExperimentConfig,
     ) -> None:
         self._model = model
         self._train = train
         self._test = test
-        self._evaluation = evaluation
+        self._condition = condition
+        self._config = config
 
     def __call__(self, point: Mapping) -> float:
         fitted = self._model.fit(self._train, point)
         predicted = fitted.predict(len(self._test))
+        if self._condition == "maef":
+            return evaluation.maef_score(mae(self._test, predicted))
         try:
             r2_value = r2(self._test, predicted)
         except ZeroVarianceError:
-            r2_value = math.nan  # flat test window; composite scorers reject it
-        return self._evaluation.score(
+            r2_value = math.nan  # flat test window; hef_score rejects it
+        return evaluation.hef_score(
             predicted,
             r2_value,
             mae(self._test, predicted),
             rmse(self._test, predicted),
             self._train,
+            weights=self._config.hef_weights,
+            penalties=self._config.hef_penalties,
         )
 
 
@@ -307,15 +311,10 @@ def _execute_task(
         if key.condition == "baseline":
             point: Mapping = model.fixed_config()
         else:
-            evaluation = make_evaluation_function(
-                key.condition,
-                weights=config.hef_weights,
-                penalties=config.hef_penalties,
-                stack_level4=config.hef_stack_level4,
-            )
             space = config.space_overrides.get(key.model, model.space())
             seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
-            result = _run_search(model, space, _Objective(model, train, test, evaluation), config, seed)
+            objective = _Objective(model, train, test, key.condition, config)
+            result = _run_search(model, space, objective, config, seed)
             if not math.isfinite(result.best_score):
                 raise InvalidParameterError("every candidate configuration failed to score")
             point = result.best_point
@@ -363,7 +362,7 @@ def run_experiment(
     dataset and config once, and every task sends only its key. The store is
     written by this process only, in deterministic task order.
     """
-    for name in config.models:  # stub or unknown names fail before any work
+    for name in config.models:  # unknown names fail before any work
         model_class(name)
     store = ResultsStore(store_path)
     tasks = [

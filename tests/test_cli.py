@@ -112,6 +112,16 @@ class TestRun:
         )
         assert code == 1
 
+    def test_misspelled_override_exits_1(self, workdir, capsys) -> None:
+        code = run_cli(
+            "run", "--config", str(workdir / "exp.cfg"),
+            "--data", str(workdir / "data.csv"), "--out", str(workdir / "out"),
+            "--set", "opt.pso.swarmsize=3",
+        )
+        assert code == 1
+        assert "opt.pso.swarmsize" in capsys.readouterr().err
+        assert not (workdir / "out" / "results.csv").exists()
+
     def test_bad_dataset_exits_1(self, workdir) -> None:
         bad = workdir / "bad.csv"
         bad.write_text("series_id,frequency,t,value\na,monthly,1,oops\n")
@@ -210,6 +220,11 @@ class TestConfigModule:
         assert set(config.space_overrides) == {"ses", "knn"}
         assert config.space_overrides["ses"]["alpha"].upper == 0.5
         assert config.space_overrides["knn"]["n_neighbors"].values == (1, 2, 3)
+
+    def test_unknown_keys_rejected(self) -> None:
+        for key in ("opt.pso.swarmsize", "hef.stack_level4", "experiment.model", "models.ses.alpha"):
+            with pytest.raises(ConfigError, match=key):
+                build_experiment_config({"experiment.models": ["ses"], key: 3})
 
     def test_bad_space_override(self) -> None:
         flat = {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": "oops"}}

@@ -1,4 +1,5 @@
-"""Tolerance bands, penalty arithmetic, composite-score branch semantics."""
+"""Tolerance bands, penalty arithmetic, composite-score branch semantics,
+and the search objective's use of the two scoring functions."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ import pytest
 from hef_lab.errors import InvalidParameterError, NonFiniteInputError, SeriesTooShortError
 from hef_lab.evaluation import (
     DEFAULT_WEIGHTS,
-    HierarchicalEvaluation,
-    MaeEvaluation,
     MetricWeights,
     PenaltyLevel,
     PenaltySchedule,
@@ -19,10 +18,12 @@ from hef_lab.evaluation import (
     coefficient_of_variation,
     hef_score,
     maef_score,
-    make_evaluation_function,
     recommend_mae_tolerance,
     recommend_rmse_tolerance,
 )
+from hef_lab.metrics import mae, r2, rmse
+from hef_lab.models import create
+from hef_lab.protocol import ExperimentConfig, _Objective
 
 # mean 10, population std sigma, so CV = sigma/10 exactly in binary arithmetic
 
@@ -128,14 +129,6 @@ class TestHefScore:
     def test_perfect_fit_scores_zero(self) -> None:
         assert hef_score([1.0, 2.0], r2=1.0, mae=0.0, rmse=0.0, y_train=LOW_CV_TRAIN) == 0.0
 
-    def test_stacking_flag(self) -> None:
-        # mae and rmse both over threshold, plus a negative prediction
-        base = 0.1 + 1.2 / 10.0 + 0.5 * 1.6 / 10.0
-        overwrite = hef_score([-1.0], 0.9, 1.2, 1.6, LOW_CV_TRAIN)
-        stacked = hef_score([-1.0], 0.9, 1.2, 1.6, LOW_CV_TRAIN, stack_level4=True)
-        assert overwrite == pytest.approx(base * 1.8, abs=1e-12)
-        assert stacked == pytest.approx(base * 1.5 * 1.8, abs=1e-12)
-
     def test_monotone_within_branch(self) -> None:
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -196,19 +189,50 @@ class TestMaef:
 
 
 class TestInterface:
-    def test_factory(self) -> None:
-        assert isinstance(make_evaluation_function("hef"), HierarchicalEvaluation)
-        assert isinstance(make_evaluation_function("maef"), MaeEvaluation)
-        with pytest.raises(InvalidParameterError):
-            make_evaluation_function("rmsef")
+    """The search objective scores its own fit with ``hef_score`` or ``maef_score``."""
 
-    def test_interface_matches_functions(self) -> None:
-        hef = make_evaluation_function("hef")
-        maef = make_evaluation_function("maef")
-        assert hef.score([1.0], 0.9, 0.5, 0.8, LOW_CV_TRAIN) == hef_score(
-            [1.0], 0.9, 0.5, 0.8, LOW_CV_TRAIN
+    TRAIN = np.array([40.0, 44.0, 39.0, 47.0, 45.0, 50.0, 48.0, 53.0, 51.0, 55.0, 54.0, 58.0])
+    POINT = {"alpha": 0.4}
+
+    @staticmethod
+    def objective(condition: str, test: np.ndarray):
+        config = ExperimentConfig(
+            models=("ses",),
+            hef_weights=MetricWeights(r2=0.7, mae=1.1, rmse=0.3),
+            hef_penalties=PenaltySchedule(1.1, 1.4, 1.6, 2.0),
         )
-        assert maef.score([1.0], 0.9, 0.5, 0.8, LOW_CV_TRAIN) == 0.5
+        model = create("ses")
+        return _Objective(model, TestInterface.TRAIN, test, condition, config), model, config
+
+    def test_objective_matches_functions(self) -> None:
+        test = np.array([57.0, 61.0, 60.0])
+        hef, model, config = self.objective("hef", test)
+        maef, _, _ = self.objective("maef", test)
+        predicted = model.fit(self.TRAIN, self.POINT).predict(len(test))
+        expected_hef = hef_score(
+            predicted,
+            r2(test, predicted),
+            mae(test, predicted),
+            rmse(test, predicted),
+            self.TRAIN,
+            weights=config.hef_weights,
+            penalties=config.hef_penalties,
+        )
+        assert hef(self.POINT) == expected_hef
+        assert hef(self.POINT) != hef_score(  # the configured weights are used
+            predicted, r2(test, predicted), mae(test, predicted), rmse(test, predicted), self.TRAIN
+        )
+        assert maef(self.POINT) == maef_score(mae(test, predicted))
+
+    def test_flat_test_window(self) -> None:
+        # r2 is undefined on a constant test window: hef cannot score, maef can
+        test = np.array([60.0, 60.0, 60.0])
+        hef, model, _ = self.objective("hef", test)
+        maef, _, _ = self.objective("maef", test)
+        with pytest.raises(NonFiniteInputError):
+            hef(self.POINT)
+        predicted = model.fit(self.TRAIN, self.POINT).predict(len(test))
+        assert maef(self.POINT) == maef_score(mae(test, predicted))
 
 
 class TestRankingFlip:
@@ -220,8 +244,6 @@ class TestRankingFlip:
         pred_a = y_test.copy()
         pred_a[-1] += 9.0  # one extreme miss
         pred_b = y_test + 0.95  # uniformly mediocre
-
-        from hef_lab.metrics import mae, r2, rmse
 
         mae_a, rmse_a, r2_a = mae(y_test, pred_a), rmse(y_test, pred_a), r2(y_test, pred_a)
         mae_b, rmse_b, r2_b = mae(y_test, pred_b), rmse(y_test, pred_b), r2(y_test, pred_b)

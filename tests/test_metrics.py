@@ -92,13 +92,6 @@ class TestHandValues:
         assert mase([1, 2, 4], [5, 7], [5, 7]) == 0.0
         assert mase([1, 2, 4], [5, 7], [4, 8]) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_scaled_errors_with_test_denominator(self) -> None:
-        # same-window reading: the test window supplies the naive error
-        val = mase([1, 2, 4], [5, 7], [4, 8], denominator="test")
-        assert val == pytest.approx(1.0 / 2.0, abs=1e-12)  # num 1, naive |7-5|/1 = 2
-        val = rmsse([1, 2, 4], [5, 7], [4, 8], denominator="test")
-        assert val == pytest.approx(math.sqrt(1.0 / 4.0), abs=1e-12)
-
 
 class TestErrors:
     def test_length_mismatch(self) -> None:

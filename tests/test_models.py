@@ -7,12 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 from hef_lab import models
-from hef_lab.errors import (
-    HefLabError,
-    InsufficientDataError,
-    NotImplementedModelError,
-    UnknownModelError,
-)
+from hef_lab.errors import HefLabError, InsufficientDataError, UnknownModelError
 from hef_lab.models import SearchKind, build_lag_matrix, create, lag_window_length
 from hef_lab.models.arima import _css_residuals
 from hef_lab.models.linear import coordinate_descent_enet
@@ -37,9 +32,14 @@ class TestRegistry:
             assert create(name).search_kind is SearchKind.CONTINUOUS
 
     def test_stubs_fail_loudly(self) -> None:
-        for name in models.STUB_MODELS:
-            with pytest.raises(NotImplementedModelError):
+        # names once reserved as stubs are unknown like any other, and the
+        # error names the models that are available
+        for name in ("svr", "gbr", "rfr", "xgboost", "catboost", "br", "mlp", "lstm", "dnn-lstm"):
+            with pytest.raises(UnknownModelError) as info:
                 create(name)
+            assert str(info.value) == f"unknown model {name!r}; available: " + ", ".join(
+                models.CLASSICAL_MODELS
+            )
 
     def test_unknown_model(self) -> None:
         with pytest.raises(UnknownModelError):

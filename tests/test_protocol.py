@@ -147,6 +147,20 @@ class TestRunExperiment:
         ]
         assert strip(resumed_rows) == strip(full_rows)
 
+    def test_zero_byte_store_gets_its_header(self, tmp_path) -> None:
+        # a store file created but never written, e.g. by a crash before the
+        # first append, must resume like an absent one
+        rng = np.random.default_rng(1)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        config = tiny_config(models=("ses",), repetitions=2)
+        (tmp_path / "r.csv").touch()
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 4 and not summary.failures
+        run_experiment(dataset, config, tmp_path / "a.csv")
+        assert len(ResultsStore(tmp_path / "r.csv")) == 4
+        header = (tmp_path / "r.csv").read_text().splitlines()[0]
+        assert header == (tmp_path / "a.csv").read_text().splitlines()[0]
+
     def test_failures_recorded_not_fatal(self, tmp_path) -> None:
         rng = np.random.default_rng(2)
         short = make_series("tiny", [1.0, 2.0, 3.0, 4.0])  # splits fine, but knn window needs more
@@ -192,10 +206,10 @@ class TestRunExperiment:
         assert len(pickled) <= 2
 
     def test_stub_model_aborts_before_any_work(self, tmp_path, small_dataset) -> None:
-        from hef_lab.errors import NotImplementedModelError
+        from hef_lab.errors import UnknownModelError
 
         config = tiny_config(models=("ses", "mlp"))
-        with pytest.raises(NotImplementedModelError):
+        with pytest.raises(UnknownModelError):
             run_experiment(small_dataset, config, tmp_path / "r.csv")
         assert not (tmp_path / "r.csv").exists()
 
