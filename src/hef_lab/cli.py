@@ -18,6 +18,7 @@ from .errors import (
     DatasetFormatError,
     HefLabError,
     InvalidParameterError,
+    UnknownModelError,
 )
 from .metrics import METRIC_NAMES
 from .protocol import (
@@ -229,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, DatasetFormatError, InvalidParameterError) as exc:
+    except (ConfigError, DatasetFormatError, InvalidParameterError, UnknownModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (HefLabError, OSError) as exc:

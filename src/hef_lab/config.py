@@ -12,6 +12,9 @@ Example::
 
 Every key must be one the configuration reads (``_DEFAULTS``) or a search
 space override ``models.<name>.space.<param>``; any other key is an error.
+An override replaces the domain of the one parameter it names; the model's
+other parameters keep their declared domains. It must name a registered
+model and a parameter that model declares.
 Seed precedence: ``--seed`` flag > ``HEF_LAB_SEED`` env var > config file.
 """
 
@@ -22,8 +25,9 @@ import os
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError
+from .errors import ConfigError, UnknownModelError
 from .evaluation import MetricWeights, PenaltySchedule
+from .models import create as create_model
 from .optimizers import DEFAULT_GRID_CAP, PsoConfig, TpeConfig
 from .protocol import ExperimentConfig
 from .series import SplitRatio
@@ -109,19 +113,34 @@ def parse_override(text: str) -> tuple[str, object]:
 def _domain_from_value(key: str, value: object) -> Domain:
     if not isinstance(value, Mapping):
         raise ConfigError(f"{key}: expected a grid or interval object, got {value!r}")
-    if "grid" in value:
-        values = value["grid"]
-        if not isinstance(values, Sequence) or isinstance(values, str):
-            raise ConfigError(f"{key}: grid must be a list")
-        return GridDomain(tuple(values))
-    if "min" in value and "max" in value:
-        return IntervalDomain(
-            lower=float(value["min"]),
-            upper=float(value["max"]),
-            scale=str(value.get("scale", "linear")),
-            integer=bool(value.get("integer", False)),
-        )
+    try:
+        if "grid" in value:
+            values = value["grid"]
+            if not isinstance(values, Sequence) or isinstance(values, str):
+                raise TypeError("grid must be a list")
+            return GridDomain(tuple(values))
+        if "min" in value and "max" in value:
+            return IntervalDomain(
+                lower=float(value["min"]),
+                upper=float(value["max"]),
+                scale=str(value.get("scale", "linear")),
+                integer=bool(value.get("integer", False)),
+            )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}: needs either 'grid' or 'min'/'max'")
+
+
+def _merged_space(model: str, params: Mapping[str, Domain]) -> HyperparameterSpace:
+    """The model's declared space with the overridden parameters' domains replaced."""
+    try:
+        declared = create_model(model).space().params
+    except UnknownModelError as exc:
+        raise ConfigError(f"models.{model}.space: {exc}") from None
+    undeclared = ", ".join(sorted(set(params) - set(declared)))
+    if undeclared:
+        raise ConfigError(f"models.{model}.space: {model} declares no parameter {undeclared}")
+    return HyperparameterSpace({**declared, **params})
 
 
 def _get(flat: Mapping[str, object], key: str):
@@ -149,7 +168,7 @@ def build_experiment_config(
             unknown.append(key)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    space_overrides = {name: HyperparameterSpace(params) for name, params in per_model_params.items()}
+    space_overrides = {name: _merged_space(name, params) for name, params in per_model_params.items()}
 
     models = flat.get("experiment.models")
     if not isinstance(models, Sequence) or isinstance(models, str) or not models:

@@ -33,12 +33,10 @@ __all__ = [
     "compute_bundle",
     "METRIC_NAMES",
     "HIGHER_BETTER",
-    "LOWER_BETTER",
 ]
 
 METRIC_NAMES = ("r2", "mae", "rmse", "gra", "rmsse", "mase", "exec_time")
 HIGHER_BETTER = frozenset({"r2", "gra"})
-LOWER_BETTER = frozenset(METRIC_NAMES) - HIGHER_BETTER
 
 
 def _as_vector(values: Sequence[float], name: str) -> np.ndarray:

@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import InsufficientDataError, NonConvergenceError, UnknownModelError
 from ..spaces import HyperparameterSpace
@@ -21,6 +22,8 @@ __all__ = [
     "SearchKind",
     "FittedModel",
     "ForecastModel",
+    "FittedLagModel",
+    "LagModel",
     "lag_window_length",
     "build_lag_matrix",
     "register",
@@ -29,6 +32,9 @@ __all__ = [
     "available_models",
     "CLASSICAL_MODELS",
 ]
+
+
+Step = Callable[[np.ndarray], float]  # the last ``window`` values in, the next value out
 
 
 class SearchKind(Enum):
@@ -72,33 +78,31 @@ def lag_window_length(n_train: int, season_length: int) -> int:
 
 def build_lag_matrix(values: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack sliding windows into a design matrix with next-value targets."""
-    n = len(values)
-    rows = n - window
-    if rows < 1:
-        raise InsufficientDataError(f"need more than {window} observations, got {n}")
-    X = np.empty((rows, window), dtype=float)
-    for i in range(rows):
-        X[i] = values[i : i + window]
-    y = np.asarray(values[window:], dtype=float)
-    return X, y
+    if len(values) <= window:
+        raise InsufficientDataError(f"need more than {window} observations, got {len(values)}")
+    values = np.asarray(values, dtype=float)
+    return sliding_window_view(values[:-1], window).copy(), values[window:]
 
 
-def recursive_forecast(
-    history: np.ndarray,
-    window: int,
-    horizon: int,
-    step: Callable[[np.ndarray], float],
-) -> np.ndarray:
-    """Roll a one-step predictor forward, feeding forecasts back as inputs."""
-    buf = list(np.asarray(history, dtype=float))
-    out = np.empty(horizon, dtype=float)
-    with np.errstate(all="ignore"):
-        for k in range(horizon):
-            out[k] = step(np.asarray(buf[-window:], dtype=float))
-            buf.append(out[k])
-    if not np.isfinite(out).all():
-        raise NonConvergenceError("forecast diverged to non-finite values")
-    return out
+class FittedLagModel(FittedModel):
+    """A one-step predictor on the last ``window`` values, rolled forward by
+    feeding each forecast back in as the newest input."""
+
+    def __init__(self, history: np.ndarray, window: int, step: Step) -> None:
+        self._history = history
+        self._window = window
+        self._step = step
+
+    def predict(self, horizon: int) -> np.ndarray:
+        n, window = len(self._history), self._window
+        buf = np.concatenate([self._history, np.empty(horizon)])
+        with np.errstate(all="ignore"):
+            for t in range(n, n + horizon):
+                buf[t] = self._step(buf[t - window : t])
+        out = buf[n:]
+        if not np.isfinite(out).all():
+            raise NonConvergenceError("forecast diverged to non-finite values")
+        return out
 
 
 def _validated_train(train: Sequence[float], minimum: int, model: str) -> np.ndarray:
@@ -110,6 +114,20 @@ def _validated_train(train: Sequence[float], minimum: int, model: str) -> np.nda
     if not np.isfinite(y).all():
         raise InsufficientDataError(f"{model}: train contains non-finite values")
     return y
+
+
+class LagModel(ForecastModel):
+    """A model whose subclasses turn the lag matrix of the training series and
+    its next-value targets into the one-step predictor that ``fit`` rolls."""
+
+    def fit(self, train: Sequence[float], config: Mapping) -> FittedLagModel:
+        window = lag_window_length(len(train), self.season_length)
+        y = _validated_train(train, window + 2, self.name)
+        X, targets = build_lag_matrix(y, window)
+        return FittedLagModel(y, window, self._fit_step(X, targets, config))
+
+    @abstractmethod
+    def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step: ...
 
 
 # --- registry ---------------------------------------------------------------

@@ -8,22 +8,13 @@ space. Multi-step forecasts are produced recursively.
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from ..errors import NonConvergenceError, SingularDesignError
 from ..spaces import GridDomain, HyperparameterSpace, IntervalDomain
-from . import (
-    FittedModel,
-    ForecastModel,
-    SearchKind,
-    _validated_train,
-    build_lag_matrix,
-    lag_window_length,
-    recursive_forecast,
-    register,
-)
+from . import LagModel, SearchKind, Step, register
 
 _JITTER = 1e-8
 
@@ -77,48 +68,15 @@ def coordinate_descent_enet(
     return beta
 
 
-class FittedLagRegressor(FittedModel):
-    def __init__(
-        self,
-        history: np.ndarray,
-        window: int,
-        expand: Callable[[np.ndarray], np.ndarray],
-        mean: np.ndarray,
-        scale: np.ndarray,
-        beta: np.ndarray,
-        intercept: float,
-    ) -> None:
-        self._history = history
-        self._window = window
-        self._expand = expand
-        self._mean = mean
-        self._scale = scale
-        self._beta = beta
-        self._intercept = intercept
-
-    def _step(self, window: np.ndarray) -> float:
-        feats = (self._expand(window[None, :])[0] - self._mean) / self._scale
-        return float(feats @ self._beta + self._intercept)
-
-    def predict(self, horizon: int) -> np.ndarray:
-        return recursive_forecast(self._history, self._window, horizon, self._step)
-
-
-class _LagRegressionModel(ForecastModel):
-    """Shared lag-matrix fitting; subclasses provide the coefficient solver."""
+class _LagRegressionModel(LagModel):
+    """Shared lag-matrix fitting; subclasses provide the coefficient solver ``_solve``."""
 
     search_kind = SearchKind.CONTINUOUS
 
     def _expand(self, X: np.ndarray, config: Mapping) -> np.ndarray:
         return X
 
-    def _solve(self, Xs: np.ndarray, yc: np.ndarray, config: Mapping) -> np.ndarray:
-        raise NotImplementedError
-
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedLagRegressor:
-        window = lag_window_length(len(train), self.season_length)
-        y = _validated_train(train, window + 2, self.name)
-        X, targets = build_lag_matrix(y, window)
+    def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
         feats = self._expand(X, config)
         mean = feats.mean(axis=0)
         scale = feats.std(axis=0)
@@ -127,15 +85,12 @@ class _LagRegressionModel(ForecastModel):
         ybar = float(targets.mean())
         beta = self._solve(Xs, targets - ybar, config)
         cfg = dict(config)
-        return FittedLagRegressor(
-            history=y,
-            window=window,
-            expand=lambda W: self._expand(W, cfg),
-            mean=mean,
-            scale=scale,
-            beta=beta,
-            intercept=ybar,
-        )
+
+        def step(window: np.ndarray) -> float:
+            lagged = (self._expand(window[None, :], cfg)[0] - mean) / scale
+            return float(lagged @ beta + ybar)
+
+        return step
 
 
 @register

@@ -2,41 +2,16 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..spaces import GridDomain, HyperparameterSpace
-from . import (
-    FittedModel,
-    ForecastModel,
-    SearchKind,
-    _validated_train,
-    build_lag_matrix,
-    lag_window_length,
-    recursive_forecast,
-    register,
-)
-
-
-class FittedKnn(FittedModel):
-    def __init__(self, history: np.ndarray, windows: np.ndarray, targets: np.ndarray, k: int) -> None:
-        self._history = history
-        self._windows = windows
-        self._targets = targets
-        self._k = k
-
-    def _step(self, window: np.ndarray) -> float:
-        d2 = ((self._windows - window) ** 2).sum(axis=1)
-        nearest = np.argsort(d2, kind="stable")[: self._k]
-        return float(self._targets[nearest].mean())
-
-    def predict(self, horizon: int) -> np.ndarray:
-        return recursive_forecast(self._history, self._windows.shape[1], horizon, self._step)
+from . import LagModel, SearchKind, Step, register
 
 
 @register
-class KnnModel(ForecastModel):
+class KnnModel(LagModel):
     """Euclidean neighbors among training windows; forecast = mean of neighbor targets.
 
     ``n_neighbors`` is clamped to the number of available windows, so large k
@@ -52,9 +27,12 @@ class KnnModel(ForecastModel):
     def fixed_config(self) -> dict:
         return {"n_neighbors": 5}
 
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedKnn:
-        window = lag_window_length(len(train), self.season_length)
-        y = _validated_train(train, window + 2, self.name)
-        windows, targets = build_lag_matrix(y, window)
+    def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
         k = min(int(config["n_neighbors"]), len(targets))
-        return FittedKnn(y, windows, targets, k)
+
+        def step(window: np.ndarray) -> float:
+            d2 = ((X - window) ** 2).sum(axis=1)
+            nearest = np.argsort(d2, kind="stable")[:k]
+            return float(targets[nearest].mean())
+
+        return step

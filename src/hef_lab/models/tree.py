@@ -4,21 +4,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
 from ..spaces import GridDomain, HyperparameterSpace
-from . import (
-    FittedModel,
-    ForecastModel,
-    SearchKind,
-    _validated_train,
-    build_lag_matrix,
-    lag_window_length,
-    recursive_forecast,
-    register,
-)
+from . import LagModel, SearchKind, Step, register
 
 
 @dataclass(frozen=True)
@@ -78,24 +69,8 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, max_depth: float) -> _Node:
     )
 
 
-class FittedTree(FittedModel):
-    def __init__(self, history: np.ndarray, window: int, root: _Node) -> None:
-        self._history = history
-        self._window = window
-        self._root = root
-
-    def _step(self, window: np.ndarray) -> float:
-        node = self._root
-        while not node.is_leaf:
-            node = node.left if window[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def predict(self, horizon: int) -> np.ndarray:
-        return recursive_forecast(self._history, self._window, horizon, self._step)
-
-
 @register
-class TreeModel(ForecastModel):
+class TreeModel(LagModel):
     """Unlimited depth by default (``max_depth=None``); fully deterministic."""
 
     name = "dtr"
@@ -107,11 +82,15 @@ class TreeModel(ForecastModel):
     def fixed_config(self) -> dict:
         return {"max_depth": None}
 
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedTree:
-        window = lag_window_length(len(train), self.season_length)
-        y = _validated_train(train, window + 2, self.name)
-        X, targets = build_lag_matrix(y, window)
+    def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
         raw_depth = config["max_depth"]
         max_depth = math.inf if raw_depth is None else float(int(raw_depth))
         root = _grow(X, targets, depth=0, max_depth=max_depth)
-        return FittedTree(y, window, root)
+
+        def step(window: np.ndarray) -> float:
+            node = root
+            while not node.is_leaf:
+                node = node.left if window[node.feature] <= node.threshold else node.right
+            return node.value
+
+        return step

@@ -306,7 +306,7 @@ def _execute_task(
     label = optimizer_label(model, key.condition, config.scs_optimizer)
     try:
         split = temporal_split(series, SplitRatio.parse(key.split))
-        train, test = split.train_array(), split.test_array()
+        train, test = split.train, split.test
         trace_summary: dict[str, float] = {}
         if key.condition == "baseline":
             point: Mapping = model.fixed_config()

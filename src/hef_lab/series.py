@@ -58,29 +58,30 @@ class Frequency(Enum):
             raise InvalidParameterError(f"unknown frequency: {label!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """One identified, frequency-tagged sequence of demand observations."""
+    """One identified, frequency-tagged sequence of demand observations;
+    ``values`` is a private read-only float64 copy of the given sequence."""
 
     id: str
     frequency: Frequency
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
         if not self.id:
             raise InvalidParameterError("series id must be non-empty")
-        vals = tuple(float(v) for v in self.values)
-        if not vals:
+        vals = np.array(self.values, dtype=float)
+        if vals.ndim != 1:
+            raise InvalidParameterError(f"series {self.id!r} values must be one-dimensional")
+        if not len(vals):
             raise InvalidParameterError(f"series {self.id!r} has no values")
-        if not all(math.isfinite(v) for v in vals):
+        if not np.isfinite(vals).all():
             raise InvalidParameterError(f"series {self.id!r} contains non-finite values")
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -131,10 +132,6 @@ class SplitRatio(Enum):
         self.label = label
         self.test_fraction = test_fraction
 
-    @property
-    def train_fraction(self) -> float:
-        return 1.0 - self.test_fraction
-
     @classmethod
     def parse(cls, label: str) -> "SplitRatio":
         for ratio in cls:
@@ -143,24 +140,19 @@ class SplitRatio(Enum):
         raise InvalidParameterError(f"unknown split ratio: {label!r} (use 91:9, 80:20 or 70:30)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Split:
-    """Chronological prefix/suffix partition of one series."""
+    """Chronological prefix/suffix partition of one series; ``train`` and
+    ``test`` are read-only views of the series' values."""
 
     series_id: str
     ratio: SplitRatio
-    train: tuple[float, ...]
-    test: tuple[float, ...]
+    train: np.ndarray
+    test: np.ndarray
 
     @property
     def horizon(self) -> int:
         return len(self.test)
-
-    def train_array(self) -> np.ndarray:
-        return np.asarray(self.train, dtype=float)
-
-    def test_array(self) -> np.ndarray:
-        return np.asarray(self.test, dtype=float)
 
 
 def temporal_split(series: TimeSeries, ratio: SplitRatio) -> Split:
@@ -370,7 +362,7 @@ def scan_dataset_csv(path: str | Path) -> tuple[list[TimeSeries], list[Issue]]:
                 TimeSeries(
                     id=sid,
                     frequency=Frequency.parse(freq_by_series[sid]),
-                    values=tuple(v for _, _, v in rows),
+                    values=[v for _, _, v in rows],
                 )
             )
     return series, issues
@@ -395,5 +387,5 @@ def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(_HEADER)
         for s in dataset.series:
-            for t, value in enumerate(s.values, start=1):
+            for t, value in enumerate(s.values.tolist(), start=1):
                 writer.writerow([s.id, s.frequency.value, t, repr(value)])

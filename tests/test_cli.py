@@ -12,6 +12,7 @@ from hef_lab.cli import main
 from hef_lab.config import SEED_ENV_VAR, build_experiment_config, parse_config_file, parse_override
 from hef_lab.errors import ConfigError
 from hef_lab.metrics import METRIC_NAMES
+from hef_lab.models import create
 from hef_lab.series import Dataset, load_dataset_csv, write_dataset_csv
 
 from conftest import random_series
@@ -113,14 +114,56 @@ class TestRun:
         assert code == 1
 
     def test_misspelled_override_exits_1(self, workdir, capsys) -> None:
-        code = run_cli(
-            "run", "--config", str(workdir / "exp.cfg"),
-            "--data", str(workdir / "data.csv"), "--out", str(workdir / "out"),
-            "--set", "opt.pso.swarmsize=3",
-        )
-        assert code == 1
+        assert self._run_with(workdir, "opt.pso.swarmsize=3") == 1
         assert "opt.pso.swarmsize" in capsys.readouterr().err
         assert not (workdir / "out" / "results.csv").exists()
+
+    def _run_with(self, workdir, *overrides: str) -> int:
+        return run_cli(
+            "run", "--config", str(workdir / "exp.cfg"),
+            "--data", str(workdir / "data.csv"), "--out", str(workdir / "out"),
+            *(arg for o in overrides for arg in ("--set", o)),
+        )
+
+    def test_unknown_model_exits_1(self, workdir, capsys) -> None:
+        assert self._run_with(workdir, 'experiment.models=["ses", "prophet"]') == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "prophet" in err and "available" in err
+        assert not (workdir / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            'models.ses.space.alpha={"min": "x", "max": 1}',
+            'models.knn.space.n_neighbors={"grid": [[1], [2]]}',
+        ],
+    )
+    def test_malformed_domain_exits_1(self, workdir, capsys, override) -> None:
+        assert self._run_with(workdir, override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: models.") and err.count("\n") == 1
+        assert not (workdir / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override, named",
+        [
+            ('models.ses.space.alpah={"min": 0.1, "max": 0.5}', "alpah"),
+            ('models.prophet.space.x={"min": 0.1, "max": 0.5}', "prophet"),
+        ],
+    )
+    def test_override_of_undeclared_name_exits_1(self, workdir, capsys, override, named) -> None:
+        assert self._run_with(workdir, override) == 1
+        assert named in capsys.readouterr().err
+        assert not (workdir / "out" / "results.csv").exists()
+
+    def test_partial_override_keeps_other_params(self, workdir, capsys) -> None:
+        code = self._run_with(
+            workdir,
+            'experiment.models=["enr"]',
+            'models.enr.space.alpha={"min": 0.01, "max": 1.0, "scale": "log"}',
+        )
+        assert code == 0
+        assert "failed 0" in capsys.readouterr().out
 
     def test_bad_dataset_exits_1(self, workdir) -> None:
         bad = workdir / "bad.csv"
@@ -220,6 +263,16 @@ class TestConfigModule:
         assert set(config.space_overrides) == {"ses", "knn"}
         assert config.space_overrides["ses"]["alpha"].upper == 0.5
         assert config.space_overrides["knn"]["n_neighbors"].values == (1, 2, 3)
+
+    def test_partial_override_merges_into_declared_space(self) -> None:
+        flat = {
+            "experiment.models": ["enr"],
+            "models.enr.space.alpha": {"min": 0.01, "max": 1.0},
+        }
+        space = build_experiment_config(flat).space_overrides["enr"]
+        assert space.names == ("alpha", "l1_ratio")
+        assert space["alpha"].upper == 1.0
+        assert space["l1_ratio"] == create("enr").space()["l1_ratio"]
 
     def test_unknown_keys_rejected(self) -> None:
         for key in ("opt.pso.swarmsize", "hef.stack_level4", "experiment.model", "models.ses.alpha"):

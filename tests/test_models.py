@@ -7,8 +7,19 @@ import pytest
 from scipy.optimize import minimize
 
 from hef_lab import models
-from hef_lab.errors import HefLabError, InsufficientDataError, UnknownModelError
-from hef_lab.models import SearchKind, build_lag_matrix, create, lag_window_length
+from hef_lab.errors import (
+    HefLabError,
+    InsufficientDataError,
+    NonConvergenceError,
+    UnknownModelError,
+)
+from hef_lab.models import (
+    FittedLagModel,
+    SearchKind,
+    build_lag_matrix,
+    create,
+    lag_window_length,
+)
 from hef_lab.models.arima import _css_residuals
 from hef_lab.models.linear import coordinate_descent_enet
 
@@ -167,6 +178,34 @@ class TestArima:
         assert np.allclose(_css_residuals(w, c, phi, theta), e, rtol=1e-12, atol=1e-12)
 
 
+class TestLagModel:
+    def test_lag_matrix_rows_are_windows(self) -> None:
+        values = trend_series(30, seed=3)
+        for window in (2, 5, 29):
+            X, targets = build_lag_matrix(values, window)
+            assert X.shape == (30 - window, window) and X.flags.c_contiguous
+            for i in range(len(X)):
+                assert np.array_equal(X[i], values[i : i + window])
+                assert targets[i] == values[i + window]
+        with pytest.raises(InsufficientDataError):
+            build_lag_matrix(values, 30)
+
+    def test_rolled_forecast_matches_hand_recursion(self) -> None:
+        history = trend_series(20, seed=4)
+        kept = history.copy()
+        fc = FittedLagModel(history, 3, lambda w: float(w.mean())).predict(6)
+        buf = list(history)
+        for _ in range(6):
+            buf.append(float(np.mean(buf[-3:])))
+        assert np.array_equal(fc, buf[20:])
+        assert np.array_equal(history, kept)
+
+    def test_non_finite_step_raises(self) -> None:
+        fitted = FittedLagModel(trend_series(20, seed=5), 3, lambda w: float("inf"))
+        with pytest.raises(NonConvergenceError):
+            fitted.predict(2)
+
+
 class TestKnn:
     def test_k_equal_to_window_count_is_global_mean(self) -> None:
         train = trend_series(30, seed=6)
@@ -243,11 +282,14 @@ class TestLinearFamily:
 
     def test_lasso_shrinks_to_zero_at_huge_alpha(self) -> None:
         train = trend_series(48, seed=14)
-        fitted = create("lsr").fit(train, {"alpha": 10.0})
-        assert np.allclose(fitted._beta, 0.0)
-        # all-zero coefficients forecast the training-target mean
+        model = create("lsr")
         window = lag_window_length(len(train), 12)
-        _, targets = build_lag_matrix(train, window)
+        X, targets = build_lag_matrix(train, window)
+        Xs = (X - X.mean(axis=0)) / X.std(axis=0)
+        beta = model._solve(Xs, targets - targets.mean(), {"alpha": 10.0})
+        assert np.allclose(beta, 0.0)
+        # all-zero coefficients forecast the training-target mean
+        fitted = model.fit(train, {"alpha": 10.0})
         assert fitted.predict(1)[0] == pytest.approx(float(targets.mean()), rel=1e-12)
 
     def test_plr_continues_quadratic(self) -> None:

@@ -47,11 +47,30 @@ class TestTypes:
             TimeSeries("a", Frequency.DAILY, (1.0, math.nan))
         with pytest.raises(InvalidParameterError):
             TimeSeries("", Frequency.DAILY, (1.0,))
+        with pytest.raises(InvalidParameterError):
+            TimeSeries("a", Frequency.DAILY, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_series_preserves_order(self) -> None:
         s = make_series("a", [3, 1, 2])
-        assert s.values == (3.0, 1.0, 2.0)
+        assert np.array_equal(s.values, [3.0, 1.0, 2.0])
         assert len(s) == 3
+
+    def test_values_and_split_views_are_read_only(self) -> None:
+        s = make_series("a", range(10))
+        split = temporal_split(s, SplitRatio.R80_20)
+        for arr in (s.values, split.train, split.test):
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
+        assert np.shares_memory(split.train, s.values)
+        assert np.shares_memory(split.test, s.values)
+
+    def test_series_copies_the_callers_array(self) -> None:
+        raw = np.array([1.0, 2.0, 3.0])
+        s = TimeSeries("a", Frequency.DAILY, raw)
+        raw[0] = 50.0
+        assert np.array_equal(s.values, [1.0, 2.0, 3.0])
+        assert raw.flags.writeable
+        assert s.values.dtype == np.float64
 
     def test_dataset_unique_ids_and_default_strata(self) -> None:
         a = make_series("a", [1, 2], Frequency.DAILY)
@@ -72,7 +91,7 @@ class TestTemporalSplit:
         s = make_series("a", range(100))
         split = temporal_split(s, SplitRatio.R80_20)
         assert len(split.train) == 80 and len(split.test) == 20
-        assert split.train + split.test == s.values
+        assert np.array_equal(np.concatenate([split.train, split.test]), s.values)
 
     def test_rounding_small_series(self) -> None:
         # round(0.09 * 10) = 1 under half-up rounding
@@ -91,7 +110,7 @@ class TestTemporalSplit:
             s = make_series("a", rng.normal(size=n))
             for ratio in SplitRatio:
                 split = temporal_split(s, ratio)
-                assert split.train + split.test == s.values
+                assert np.array_equal(np.concatenate([split.train, split.test]), s.values)
                 assert len(split.test) >= 1
                 assert len(split.train) >= 3
                 expected_h = max(1, math.floor(ratio.test_fraction * n + 0.5))
@@ -201,7 +220,7 @@ class TestCsv:
         loaded = load_dataset_csv(path)
         assert loaded.ids() == small_dataset.ids()
         for mine, theirs in zip(loaded.series, small_dataset.series):
-            assert mine.values == theirs.values
+            assert np.array_equal(mine.values, theirs.values)
             assert mine.frequency is theirs.frequency
 
     def _write(self, tmp_path, text: str):
