@@ -146,9 +146,9 @@ def _merged_space(model: str, params: Mapping[str, Domain]) -> HyperparameterSpa
 def _get(flat: Mapping[str, object], key: str):
     default = _DEFAULTS[key]
     value = flat.get(key, default)
-    if default is not None and value is not None and not isinstance(value, type(default)):
-        # ints are acceptable where floats are expected
-        if isinstance(default, float) and isinstance(value, int):
+    # exact types, since JSON true/false are ints to isinstance; ints may stand for floats
+    if default is not None and value is not None and type(value) is not type(default):
+        if type(default) is float and type(value) is int:
             return float(value)
         raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
     return value

@@ -3,16 +3,13 @@
 Three strategies share one result shape: exhaustive grid search over finite
 spaces, particle swarm optimization over continuous boxes, and a simplified
 tree-structured Parzen estimator for boxes or mixed spaces. Failed objective
-evaluations are scored +inf, recorded in the trace, and never abort a run.
+evaluations are scored +inf, counted, and never abort a run.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
@@ -27,14 +24,12 @@ from .spaces import GridDomain, HyperparameterSpace
 
 __all__ = [
     "Objective",
-    "TrialRecord",
     "OptimizationResult",
     "PsoConfig",
     "TpeConfig",
     "grid_search",
     "pso_minimize",
     "tpe_minimize",
-    "write_trace_csv",
 ]
 
 Objective = Callable[[Mapping], float]
@@ -43,21 +38,13 @@ DEFAULT_GRID_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One objective evaluation: the point, its score, and bookkeeping."""
-
-    point: dict
-    score: float
-    eval_index: int
-    wall_time: float
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class OptimizationResult:
+    """The best point and its score, and how many evaluations ran and failed."""
+
     best_point: dict
     best_score: float
-    trace: tuple[TrialRecord, ...]
+    evals: int
+    failed_evals: int
 
 
 @dataclass(frozen=True)
@@ -109,44 +96,36 @@ class TpeConfig:
             raise InvalidParameterError("bandwidth_factor must be > 0")
 
 
-def _evaluate(objective: Objective, point: Mapping, index: int) -> TrialRecord:
-    start = time.perf_counter()
-    try:
-        score = float(objective(dict(point)))
-        error = None
+@dataclass
+class _Tally:
+    """Scores points for one search, counts them and keeps the running best.
+
+    A failed evaluation (a ``HefLabError`` or a non-finite score) scores +inf.
+    The first evaluation sets the best and only a strictly lower score
+    replaces it, so ties go to the earliest point.
+    """
+
+    objective: Objective
+    evals: int = 0
+    failed_evals: int = 0
+    best_point: dict = field(default_factory=dict)
+    best_score: float = math.inf
+
+    def score(self, point: dict) -> float:
+        try:
+            score = float(self.objective(dict(point)))
+        except HefLabError:
+            score = math.inf
         if not math.isfinite(score):
-            score, error = math.inf, "objective returned a non-finite score"
-    except HefLabError as exc:
-        score, error = math.inf, f"{type(exc).__name__}: {exc}"
-    return TrialRecord(
-        point=dict(point),
-        score=score,
-        eval_index=index,
-        wall_time=time.perf_counter() - start,
-        error=error,
-    )
+            score = math.inf
+            self.failed_evals += 1
+        if self.evals == 0 or score < self.best_score:
+            self.best_point, self.best_score = point, score
+        self.evals += 1
+        return score
 
-
-def _finish(trace: list[TrialRecord]) -> OptimizationResult:
-    best = min(trace, key=lambda rec: (rec.score, rec.eval_index))
-    return OptimizationResult(best_point=dict(best.point), best_score=best.score, trace=tuple(trace))
-
-
-def write_trace_csv(trace, path) -> None:
-    """Export a trace as ``eval_index,<params in point order>,score,wall_time``."""
-    trace = tuple(trace)
-    names: list[str] = []
-    for rec in trace:
-        for name in rec.point:
-            if name not in names:
-                names.append(name)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["eval_index", *names, "score", "wall_time"])
-        for rec in trace:
-            writer.writerow(
-                [rec.eval_index, *[rec.point.get(n, "") for n in names], rec.score, rec.wall_time]
-            )
+    def result(self) -> OptimizationResult:
+        return OptimizationResult(self.best_point, self.best_score, self.evals, self.failed_evals)
 
 
 def grid_search(
@@ -163,8 +142,10 @@ def grid_search(
     size = space.grid_size()
     if size > cap:
         raise GridTooLargeError(f"grid has {size} points, cap is {cap}")
-    trace = [_evaluate(objective, point, i) for i, point in enumerate(space.grid_points())]
-    return _finish(trace)
+    tally = _Tally(objective)
+    for point in space.grid_points():
+        tally.score(point)
+    return tally.result()
 
 
 def pso_minimize(
@@ -176,8 +157,8 @@ def pso_minimize(
 
     Velocities follow ``v <- w v + c1 r1 (pbest - x) + c2 r2 (gbest - x)``,
     clamped to a fraction of the box width; positions are clipped to the box.
-    The trace holds exactly swarm_size * iterations evaluations and the
-    running global best never worsens.
+    It makes exactly swarm_size * iterations evaluations and the running
+    global best never worsens.
     """
     if len(space) == 0 or len(space.interval_names()) != len(space):
         raise EmptySpaceError("pso_minimize needs a space of interval domains only")
@@ -189,15 +170,10 @@ def pso_minimize(
 
     positions = rng.uniform(lo, hi, size=(S, D))
     velocities = np.zeros((S, D))
-    trace: list[TrialRecord] = []
+    tally = _Tally(objective)
 
     def evaluate_swarm() -> np.ndarray:
-        scores = np.empty(S)
-        for i in range(S):
-            rec = _evaluate(objective, space.decode_vector(positions[i]), len(trace))
-            trace.append(rec)
-            scores[i] = rec.score
-        return scores
+        return np.array([tally.score(space.decode_vector(x)) for x in positions])
 
     pbest_pos = positions.copy()
     pbest_score = evaluate_swarm()
@@ -222,7 +198,7 @@ def pso_minimize(
         if pbest_score[g] < gbest_score:
             gbest_pos, gbest_score = pbest_pos[g].copy(), float(pbest_score[g])
 
-    return _finish(trace)
+    return tally.result()
 
 
 # --- TPE internals ----------------------------------------------------------
@@ -341,16 +317,19 @@ def tpe_minimize(
     if len(space) == 0:
         raise EmptySpaceError("tpe_minimize needs at least one parameter")
     rng = np.random.default_rng(config.seed)
-    trace: list[TrialRecord] = []
+    tally = _Tally(objective)
+    points: list[dict] = []
+    scores: list[float] = []
 
     for t in range(config.trials):
         if t < config.startup:
             point = space.sample(rng)
         else:
-            history = sorted(trace, key=lambda rec: (rec.score, rec.eval_index))
-            n_good = max(1, math.ceil(config.gamma * len(history)))
-            good = [rec.point for rec in history[:n_good]]
-            bad = [rec.point for rec in history[n_good:]] or good
+            # a stable sort, so equal scores keep evaluation order
+            history = [points[i] for i in sorted(range(t), key=scores.__getitem__)]
+            n_good = max(1, math.ceil(config.gamma * t))
+            good = history[:n_good]
+            bad = history[n_good:] or good
             l_est = _fit_parzen(space, good, config.bandwidth_factor)
             g_est = _fit_parzen(space, bad, config.bandwidth_factor)
             candidates = [_parzen_sample(l_est, rng) for _ in range(config.candidates)]
@@ -358,6 +337,7 @@ def tpe_minimize(
                 _parzen_log_density(l_est, c) - _parzen_log_density(g_est, c) for c in candidates
             ]
             point = candidates[int(np.argmax(ratios))]
-        trace.append(_evaluate(objective, point, t))
+        points.append(point)
+        scores.append(tally.score(point))
 
-    return _finish(trace)
+    return tally.result()

@@ -39,7 +39,7 @@ from .optimizers import (
 )
 from .series import Dataset, SplitRatio, temporal_split
 from .spaces import HyperparameterSpace
-from .stats import TestResult, compare_paired_runs, two_proportion_z
+from .stats import MIN_REPETITIONS, TestResult, compare_paired_runs, two_proportion_z
 
 __all__ = [
     "CONDITIONS",
@@ -107,8 +107,8 @@ class ExperimentConfig:
         unknown = set(self.conditions) - set(CONDITIONS)
         if unknown:
             raise InvalidParameterError(f"unknown conditions: {sorted(unknown)}")
-        if self.repetitions < 2:
-            raise InvalidParameterError("repetitions must be >= 2")
+        if self.repetitions < MIN_REPETITIONS:
+            raise InvalidParameterError(f"repetitions must be >= {MIN_REPETITIONS} for compare to test them")
         if self.scs_optimizer not in ("pso", "tpe"):
             raise InvalidParameterError(f"scs_optimizer must be pso or tpe, got {self.scs_optimizer!r}")
         if not (0.0 < self.alpha < 1.0):
@@ -169,7 +169,7 @@ class ResultsStore:
     """Append-only long-format CSV of metric values, one writer at a time.
 
     Rows: ``series_id,model,condition,optimizer,split,rep,metric,value``.
-    Optimizer-guided tasks carry two extra rows summarizing the search trace
+    Optimizer-guided tasks carry two extra rows summarizing the search
     (``opt_evals``, ``opt_best_score``). A task is complete once all its rows
     are present; completed tasks are skipped on rerun.
     """
@@ -208,6 +208,7 @@ class ResultsStore:
 
     @property
     def rows(self) -> tuple[dict, ...]:
+        """The rows read when the store was opened; ``append`` writes the file only."""
         return tuple(self._rows)
 
     def is_complete(self, key: TaskKey) -> bool:
@@ -224,18 +225,6 @@ class ResultsStore:
                 value = float(values[metric])
                 writer.writerow(
                     [key.series_id, key.model, key.condition, optimizer, key.split, key.rep, metric, repr(value)]
-                )
-                self._rows.append(
-                    {
-                        "series_id": key.series_id,
-                        "model": key.model,
-                        "condition": key.condition,
-                        "optimizer": optimizer,
-                        "split": key.split,
-                        "rep": key.rep,
-                        "metric": metric,
-                        "value": value,
-                    }
                 )
         self._completed.add(key.as_tuple())
 
@@ -319,7 +308,7 @@ def _execute_task(
                 raise InvalidParameterError("every candidate configuration failed to score")
             point = result.best_point
             trace_summary = {
-                "opt_evals": float(len(result.trace)),
+                "opt_evals": float(result.evals),
                 "opt_best_score": result.best_score,
             }
         started = time.perf_counter()

@@ -24,6 +24,7 @@ from .errors import (
 )
 
 __all__ = [
+    "MIN_REPETITIONS",
     "TestResult",
     "ComparisonResult",
     "shapiro_wilk",
@@ -31,6 +32,9 @@ __all__ = [
     "two_proportion_z",
     "zvalue_to_pvalue",
 ]
+
+# the fewest repetitions per group that compare_paired_runs accepts
+MIN_REPETITIONS = 3
 
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
@@ -213,8 +217,8 @@ def compare_paired_runs(
     y = np.asarray(b, dtype=float)
     if x.size != y.size:
         raise LengthMismatchError(f"groups differ in size: {x.size} vs {y.size}")
-    if x.size < 3:
-        raise SampleTooSmallError(f"need at least 3 repetitions per group, got {x.size}")
+    if x.size < MIN_REPETITIONS:
+        raise SampleTooSmallError(f"need at least {MIN_REPETITIONS} repetitions per group, got {x.size}")
     if np.array_equal(x, y):
         return ComparisonResult(
             test_name="identical",

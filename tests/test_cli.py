@@ -156,6 +156,12 @@ class TestRun:
         assert named in capsys.readouterr().err
         assert not (workdir / "out" / "results.csv").exists()
 
+    def test_too_few_repetitions_exits_1(self, workdir, capsys) -> None:
+        # compare needs 3 repetitions per group, so 2 must fail before any work
+        assert self._run_with(workdir, "experiment.repetitions=2") == 1
+        assert "repetitions" in capsys.readouterr().err
+        assert not (workdir / "out" / "results.csv").exists()
+
     def test_partial_override_keeps_other_params(self, workdir, capsys) -> None:
         code = self._run_with(
             workdir,
@@ -278,6 +284,13 @@ class TestConfigModule:
         for key in ("opt.pso.swarmsize", "hef.stack_level4", "experiment.model", "models.ses.alpha"):
             with pytest.raises(ConfigError, match=key):
                 build_experiment_config({"experiment.models": ["ses"], key: 3})
+
+    @pytest.mark.parametrize(
+        "key", ["opt.grid.cap", "hef.weights.r2", "opt.pso.iterations", "experiment.seed"]
+    )
+    def test_booleans_are_not_numbers(self, key) -> None:
+        with pytest.raises(ConfigError, match=key):
+            build_experiment_config({"experiment.models": ["ses"], key: True})
 
     def test_bad_space_override(self) -> None:
         flat = {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": "oops"}}

@@ -280,6 +280,18 @@ class TestLinearFamily:
             reference = minimize(objective, np.zeros(p), method="Powell").fun
             assert objective(beta_cd) <= reference + 1e-8
 
+    def test_coordinate_descent_raises_at_its_cap(self) -> None:
+        rng = np.random.default_rng(15)
+        base = rng.normal(size=60)
+        X = np.column_stack([base, base + rng.normal(0, 0.1, 60), rng.normal(size=60)])
+        X = (X - X.mean(0)) / X.std(0)
+        y = X @ np.array([1.0, 1.0, -0.5])
+        y = y - y.mean()
+        # one sweep cannot settle two nearly collinear columns
+        with pytest.raises(NonConvergenceError):
+            coordinate_descent_enet(X, y, 0.01, 0.5, max_iter=1)
+        coordinate_descent_enet(X, y, 0.01, 0.5)  # the default cap is enough
+
     def test_lasso_shrinks_to_zero_at_huge_alpha(self) -> None:
         train = trend_series(48, seed=14)
         model = create("lsr")

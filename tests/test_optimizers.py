@@ -20,7 +20,6 @@ from hef_lab.optimizers import (
     grid_search,
     pso_minimize,
     tpe_minimize,
-    write_trace_csv,
 )
 from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain
 
@@ -35,6 +34,21 @@ def table_objective(seed: int):
     return fn
 
 
+class Recording:
+    """An objective that records the points it is called with, in order."""
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.points: list[dict] = []
+        self.scores: list[float] = []
+
+    def __call__(self, point):
+        self.points.append(dict(point))
+        score = self.fn(point)
+        self.scores.append(score)
+        return score
+
+
 class TestGridSearch:
     def test_single_point(self) -> None:
         space = HyperparameterSpace({"a": GridDomain((3,))})
@@ -43,7 +57,7 @@ class TestGridSearch:
 
     def test_empty_space_is_one_evaluation(self) -> None:
         result = grid_search(HyperparameterSpace({}), lambda p: 1.5)
-        assert result.best_point == {} and len(result.trace) == 1
+        assert result.best_point == {} and result.evals == 1
 
     def test_matches_brute_force(self) -> None:
         space = HyperparameterSpace(
@@ -61,7 +75,7 @@ class TestGridSearch:
                 for a, b, c in itertools.product((0, 1, 2, 3), ("x", "y", "z"), (0.5, 1.5))
             )
             assert result.best_score == brute
-            assert len(result.trace) == space.grid_size()
+            assert result.evals == space.grid_size() and result.failed_evals == 0
 
     def test_tie_breaks_to_first_declared(self) -> None:
         space = HyperparameterSpace({"a": GridDomain((1, 2, 3, 4))})
@@ -88,8 +102,24 @@ class TestGridSearch:
 
         result = grid_search(space, objective)
         assert result.best_point == {"a": 2}
-        failed = [rec for rec in result.trace if rec.error]
-        assert len(failed) == 1 and math.isinf(failed[0].score)
+        assert result.evals == 3 and result.failed_evals == 1
+
+    def test_non_finite_scores_count_as_failed(self) -> None:
+        space = HyperparameterSpace({"a": GridDomain((1, 2, 3, 4))})
+        scores = {1: math.nan, 2: 5.0, 3: -math.inf, 4: 6.0}
+        result = grid_search(space, lambda p: scores[p["a"]])
+        assert result.best_point == {"a": 2} and result.best_score == 5.0
+        assert result.evals == 4 and result.failed_evals == 2
+
+    def test_all_failed_keeps_first_point(self) -> None:
+        space = HyperparameterSpace({"a": GridDomain((1, 2, 3))})
+
+        def objective(point):
+            raise InsufficientDataError("boom")
+
+        result = grid_search(space, objective)
+        assert result.best_point == {"a": 1} and math.isinf(result.best_score)
+        assert result.evals == result.failed_evals == 3
 
 
 SPHERE_SPACE = HyperparameterSpace(
@@ -108,9 +138,13 @@ class TestPso:
 
     def test_budget_exact(self) -> None:
         config = PsoConfig(swarm_size=7, iterations=9, seed=1)
-        result = pso_minimize(SPHERE_SPACE, sphere, config)
-        assert len(result.trace) == 7 * 9
-        assert [rec.eval_index for rec in result.trace] == list(range(63))
+        objective = Recording(sphere)
+        result = pso_minimize(SPHERE_SPACE, objective, config)
+        assert result.evals == len(objective.points) == 7 * 9
+        assert result.failed_evals == 0
+        # the swarm is seeded by a uniform draw, evaluated particle by particle
+        first = np.random.default_rng(1).uniform(-5.0, 5.0, size=(7, 2))
+        assert objective.points[:7] == [{"x": x, "y": y} for x, y in first]
 
     def test_constant_objective(self) -> None:
         result = pso_minimize(SPHERE_SPACE, lambda p: 0.0, PsoConfig(swarm_size=4, iterations=3))
@@ -118,32 +152,38 @@ class TestPso:
         assert SPHERE_SPACE.contains(result.best_point)
 
     def test_determinism(self) -> None:
-        a = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=11))
-        b = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=11))
-        assert a.best_score == b.best_score
-        assert all(ra.point == rb.point for ra, rb in zip(a.trace, b.trace))
-        c = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=12))
-        assert any(ra.point != rc.point for ra, rc in zip(a.trace, c.trace))
+        a, b, c = Recording(sphere), Recording(sphere), Recording(sphere)
+        ra = pso_minimize(SPHERE_SPACE, a, PsoConfig(seed=11))
+        rb = pso_minimize(SPHERE_SPACE, b, PsoConfig(seed=11))
+        assert ra == rb
+        assert a.points == b.points
+        pso_minimize(SPHERE_SPACE, c, PsoConfig(seed=12))
+        assert a.points != c.points
 
     def test_best_equals_trace_minimum(self) -> None:
-        result = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=3, iterations=10))
-        assert result.best_score == min(rec.score for rec in result.trace)
-        grid_result = grid_search(
-            HyperparameterSpace({"a": GridDomain((1, 2, 3))}), lambda p: -p["a"]
-        )
-        assert grid_result.best_score == min(rec.score for rec in grid_result.trace)
-        tpe_result = tpe_minimize(
+        def check(result, objective) -> None:
+            best = min(range(len(objective.scores)), key=objective.scores.__getitem__)
+            assert result.best_score == objective.scores[best]
+            assert result.best_point == objective.points[best]
+
+        objective = Recording(sphere)
+        check(pso_minimize(SPHERE_SPACE, objective, PsoConfig(seed=3, iterations=10)), objective)
+        objective = Recording(lambda p: -p["a"])
+        check(grid_search(HyperparameterSpace({"a": GridDomain((1, 2, 3))}), objective), objective)
+        objective = Recording(lambda p: p["x"])
+        result = tpe_minimize(
             HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)}),
-            lambda p: p["x"],
+            objective,
             TpeConfig(trials=25, startup=5, seed=8),
         )
-        assert tpe_result.best_score == min(rec.score for rec in tpe_result.trace)
+        check(result, objective)
 
     def test_positions_stay_in_box(self) -> None:
-        result = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=5, iterations=5))
-        for rec in result.trace:
-            assert -5.0 <= rec.point["x"] <= 5.0
-            assert -5.0 <= rec.point["y"] <= 5.0
+        objective = Recording(sphere)
+        pso_minimize(SPHERE_SPACE, objective, PsoConfig(seed=5, iterations=5))
+        for point in objective.points:
+            assert -5.0 <= point["x"] <= 5.0
+            assert -5.0 <= point["y"] <= 5.0
 
     def test_integer_and_log_dimensions(self) -> None:
         space = HyperparameterSpace(
@@ -178,23 +218,26 @@ class TestTpe:
     def test_budget_and_determinism(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 10.0)})
         fn = lambda p: (p["x"] - 7.0) ** 2
-        a = tpe_minimize(space, fn, TpeConfig(seed=21))
-        b = tpe_minimize(space, fn, TpeConfig(seed=21))
-        assert len(a.trace) == 60
-        assert all(ra.point == rb.point for ra, rb in zip(a.trace, b.trace))
+        a, b = Recording(fn), Recording(fn)
+        ra = tpe_minimize(space, a, TpeConfig(seed=21))
+        rb = tpe_minimize(space, b, TpeConfig(seed=21))
+        assert ra.evals == len(a.points) == 60
+        assert ra == rb
+        assert a.points == b.points
 
     def test_trials_equal_startup_is_pure_random(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)})
         config = TpeConfig(trials=15, startup=15, seed=4)
-        result = tpe_minimize(space, lambda p: p["x"], config)
+        objective = Recording(lambda p: p["x"])
+        tpe_minimize(space, objective, config)
         rng = np.random.default_rng(4)
         expected = [space.sample(rng)["x"] for _ in range(15)]
-        assert [rec.point["x"] for rec in result.trace] == expected
+        assert [point["x"] for point in objective.points] == expected
 
     def test_constant_objective(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)})
         result = tpe_minimize(space, lambda p: 1.0, TpeConfig(trials=20, startup=5, seed=9))
-        assert len(result.trace) == 20
+        assert result.evals == 20
         assert result.best_score == 1.0
 
     def test_refines_smooth_objective(self) -> None:
@@ -226,10 +269,12 @@ class TestTpe:
                 raise InsufficientDataError("left half fails")
             return point["x"]
 
-        result = tpe_minimize(space, objective, TpeConfig(trials=30, startup=8, seed=7))
+        recording = Recording(objective)
+        result = tpe_minimize(space, recording, TpeConfig(trials=30, startup=8, seed=7))
         assert math.isfinite(result.best_score)
         assert result.best_score >= 0.5
-        assert any(rec.error for rec in result.trace)
+        assert result.evals == 30
+        assert result.failed_evals == sum(1 for p in recording.points if p["x"] < 0.5) > 0
 
     def test_config_validation(self) -> None:
         with pytest.raises(InvalidParameterError):
@@ -237,14 +282,3 @@ class TestTpe:
         with pytest.raises(InvalidParameterError):
             TpeConfig(gamma=1.0)
 
-
-class TestTraceExport:
-    def test_trace_csv_columns_and_rows(self, tmp_path) -> None:
-        space = HyperparameterSpace({"a": GridDomain((1, 2)), "b": GridDomain((5,))})
-        result = grid_search(space, lambda p: float(p["a"]))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(result.trace, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "eval_index,a,b,score,wall_time"
-        assert len(lines) == 1 + len(result.trace)
-        assert lines[1].startswith("0,1,5,1.0,")

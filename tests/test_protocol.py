@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from hef_lab.errors import InvalidParameterError
+from hef_lab import protocol
+from hef_lab.errors import InsufficientDataError, InvalidParameterError
 from hef_lab.metrics import METRIC_NAMES
 from hef_lab.models import SearchKind, create
-from hef_lab.optimizers import PsoConfig
+from hef_lab.optimizers import PsoConfig, TpeConfig
 from hef_lab.protocol import (
     VERDICT_A,
     required_rows,
@@ -45,8 +46,9 @@ def tiny_config(**overrides) -> ExperimentConfig:
 
 class TestConfig:
     def test_validation(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            tiny_config(repetitions=1)
+        for repetitions in (1, 2):  # compare_paired_runs needs 3 per group
+            with pytest.raises(InvalidParameterError):
+                tiny_config(repetitions=repetitions)
         with pytest.raises(InvalidParameterError):
             tiny_config(conditions=("hef",))
         with pytest.raises(InvalidParameterError):
@@ -152,12 +154,12 @@ class TestRunExperiment:
         # first append, must resume like an absent one
         rng = np.random.default_rng(1)
         dataset = Dataset("d", (random_series(rng, "s0"),))
-        config = tiny_config(models=("ses",), repetitions=2)
+        config = tiny_config(models=("ses",))
         (tmp_path / "r.csv").touch()
         summary = run_experiment(dataset, config, tmp_path / "r.csv")
-        assert summary.executed == 4 and not summary.failures
+        assert summary.executed == 6 and not summary.failures
         run_experiment(dataset, config, tmp_path / "a.csv")
-        assert len(ResultsStore(tmp_path / "r.csv")) == 4
+        assert len(ResultsStore(tmp_path / "r.csv")) == 6
         header = (tmp_path / "r.csv").read_text().splitlines()[0]
         assert header == (tmp_path / "a.csv").read_text().splitlines()[0]
 
@@ -166,19 +168,19 @@ class TestRunExperiment:
         short = make_series("tiny", [1.0, 2.0, 3.0, 4.0])  # splits fine, but knn window needs more
         good = random_series(rng, "ok")
         dataset = Dataset("d", (short, good))
-        config = tiny_config(models=("knn",), repetitions=2)
+        config = tiny_config(models=("knn",))
         summary = run_experiment(dataset, config, tmp_path / "r.csv")
-        assert summary.total == 8
-        assert len(summary.failures) == 4  # every rep x condition of the short series
+        assert summary.total == 12
+        assert len(summary.failures) == 6  # every rep x condition of the short series
         assert all(f.key.series_id == "tiny" for f in summary.failures)
         store = ResultsStore(tmp_path / "r.csv")
-        assert len(store) == 4
+        assert len(store) == 6
 
     def test_parallel_matches_serial(self, tmp_path, small_dataset) -> None:
         # the too-short series fails at the split, so failures must match too
         short = make_series("short", [1.0, 2.0, 3.0])
         dataset = Dataset("toy", small_dataset.series + (short,))
-        config = tiny_config(models=("ses",), repetitions=2)
+        config = tiny_config(models=("ses",))
         serial = run_experiment(dataset, config, tmp_path / "serial.csv", jobs=1)
         pool = run_experiment(dataset, config, tmp_path / "pool.csv", jobs=2)
 
@@ -186,7 +188,7 @@ class TestRunExperiment:
             return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
 
         assert essence(tmp_path / "serial.csv") == essence(tmp_path / "pool.csv")
-        assert len(serial.failures) == 4
+        assert len(serial.failures) == 6
         assert all(f.key.series_id == "short" for f in serial.failures)
         assert pool == serial
 
@@ -199,9 +201,9 @@ class TestRunExperiment:
             return reduce_ex(self, protocol)
 
         monkeypatch.setattr(Dataset, "__reduce_ex__", counting_reduce_ex)
-        config = tiny_config(models=("ses",), repetitions=2)
+        config = tiny_config(models=("ses",))
         summary = run_experiment(small_dataset, config, tmp_path / "r.csv", jobs=2)
-        assert summary.executed == 16 and not summary.failures
+        assert summary.executed == 24 and not summary.failures
         # none under fork, one per worker where workers unpickle their inputs
         assert len(pickled) <= 2
 
@@ -216,11 +218,10 @@ class TestRunExperiment:
     def test_baseline_ignores_optimizer_settings(self, tmp_path) -> None:
         rng = np.random.default_rng(3)
         dataset = Dataset("d", (random_series(rng, "s0"),))
-        a = tiny_config(models=("ses",), conditions=("baseline", "maef"), repetitions=2)
+        a = tiny_config(models=("ses",), conditions=("baseline", "maef"))
         b = tiny_config(
             models=("ses",),
             conditions=("baseline", "maef"),
-            repetitions=2,
             pso=PsoConfig(swarm_size=9, iterations=2),
         )
         run_experiment(dataset, a, tmp_path / "a.csv")
@@ -231,6 +232,48 @@ class TestRunExperiment:
             if r["condition"] == "baseline" and r["metric"] != "exec_time"
         ]
         assert base_rows(tmp_path / "a.csv") == base_rows(tmp_path / "b.csv")
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("optimizer, search_evals", [("pso", 4 * 3), ("tpe", 7)])
+    def test_opt_evals_matches_budget(self, tmp_path, optimizer, search_evals) -> None:
+        rng = np.random.default_rng(5)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        config = tiny_config(scs_optimizer=optimizer, tpe=TpeConfig(trials=7, startup=3))
+        run_experiment(dataset, config, tmp_path / "r.csv")
+        stored = {
+            (r["model"], r["condition"], r["rep"]): r["value"]
+            for r in ResultsStore(tmp_path / "r.csv").rows
+            if r["metric"] == "opt_evals"
+        }
+        # ses searches its box under the optimizer, knn walks its whole grid
+        expected = {"ses": search_evals, "knn": create("knn").space().grid_size()}
+        assert len(stored) == 2 * 2 * 3
+        assert all(value == expected[model] for (model, _, _), value in stored.items())
+
+    def test_search_where_every_point_fails(self, tmp_path, monkeypatch) -> None:
+        def failing(self, point):
+            raise InsufficientDataError("no point scores")
+
+        results = []
+        search = protocol.grid_search
+
+        def recording_search(*args, **kwargs):
+            results.append(search(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(protocol._Objective, "__call__", failing)
+        monkeypatch.setattr(protocol, "grid_search", recording_search)
+        rng = np.random.default_rng(6)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        summary = run_experiment(dataset, tiny_config(models=("knn",)), tmp_path / "r.csv")
+        assert len(summary.failures) == summary.total == 6
+        assert all(
+            f.reason == "InvalidParameterError: every candidate configuration failed to score"
+            for f in summary.failures
+        )
+        grid_size = create("knn").space().grid_size()
+        assert [(r.evals, r.failed_evals) for r in results] == [(grid_size, grid_size)] * 6
 
 
 def synth_rows(
