@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "recommend_mae_tolerance",
     "recommend_rmse_tolerance",
     "apply_penalty",
+    "hef_scorer",
     "hef_score",
     "maef_score",
 ]
@@ -141,6 +142,52 @@ def apply_penalty(
     return base_score * schedule.multiplier(level)
 
 
+def hef_scorer(
+    y_train: Sequence[float],
+    *,
+    weights: MetricWeights = DEFAULT_WEIGHTS,
+    penalties: PenaltySchedule = DEFAULT_PENALTIES,
+) -> Callable[[Sequence[float], float, float, float], float]:
+    """``hef_score`` bound to one training series.
+
+    The series is validated, and its guarded mean, CV band and both
+    tolerance thresholds are computed, once; the returned function scores
+    ``(predictions, r2, mae, rmse)`` against them.
+    """
+    y = _train_vector(y_train)
+    mean = float(y.mean())
+    if abs(mean) < MEAN_GUARD:
+        mean = MEAN_GUARD
+    mae_tolerance, rmse_tolerance = _tolerances(coefficient_of_variation(y))
+    mae_threshold = mae_tolerance * mean
+    rmse_threshold = rmse_tolerance * mean
+
+    def score(predictions: Sequence[float], r2: float, mae: float, rmse: float) -> float:
+        preds = np.asarray(predictions, dtype=float)
+        if preds.size and not np.isfinite(preds).all():
+            raise NonFiniteInputError("predictions contain non-finite values")
+        for name, value in (("r2", r2), ("mae", mae), ("rmse", rmse)):
+            if not math.isfinite(value):
+                raise NonFiniteInputError(f"{name} is not finite")
+
+        base = weights.r2 * (1.0 - r2) + weights.mae * (mae / mean) + weights.rmse * (rmse / mean)
+
+        if mae < mae_threshold and rmse < rmse_threshold:
+            result = base
+        elif mae < mae_threshold:
+            result = apply_penalty(base, PenaltyLevel.LEVEL_1, penalties)
+        elif rmse < rmse_threshold:
+            result = apply_penalty(base, PenaltyLevel.LEVEL_2, penalties)
+        else:
+            result = apply_penalty(base, PenaltyLevel.LEVEL_3, penalties)
+
+        if preds.size and bool((preds < 0).any()):
+            result = apply_penalty(base, PenaltyLevel.LEVEL_4, penalties)
+        return float(result)
+
+    return score
+
+
 def hef_score(
     predictions: Sequence[float],
     r2: float,
@@ -160,35 +207,7 @@ def hef_score(
     Any negative prediction overwrites the result with the level-4 inflation of
     the base score. Non-finite metrics or predictions raise rather than score.
     """
-    y = _train_vector(y_train)
-    preds = np.asarray(predictions, dtype=float)
-    if preds.size and not np.isfinite(preds).all():
-        raise NonFiniteInputError("predictions contain non-finite values")
-    for name, value in (("r2", r2), ("mae", mae), ("rmse", rmse)):
-        if not math.isfinite(value):
-            raise NonFiniteInputError(f"{name} is not finite")
-
-    mean = float(y.mean())
-    if abs(mean) < MEAN_GUARD:
-        mean = MEAN_GUARD
-    mae_tolerance, rmse_tolerance = _tolerances(coefficient_of_variation(y))
-    mae_threshold = mae_tolerance * mean
-    rmse_threshold = rmse_tolerance * mean
-
-    base = weights.r2 * (1.0 - r2) + weights.mae * (mae / mean) + weights.rmse * (rmse / mean)
-
-    if mae < mae_threshold and rmse < rmse_threshold:
-        score = base
-    elif mae < mae_threshold:
-        score = apply_penalty(base, PenaltyLevel.LEVEL_1, penalties)
-    elif rmse < rmse_threshold:
-        score = apply_penalty(base, PenaltyLevel.LEVEL_2, penalties)
-    else:
-        score = apply_penalty(base, PenaltyLevel.LEVEL_3, penalties)
-
-    if preds.size and bool((preds < 0).any()):
-        score = apply_penalty(base, PenaltyLevel.LEVEL_4, penalties)
-    return float(score)
+    return hef_scorer(y_train, weights=weights, penalties=penalties)(predictions, r2, mae, rmse)
 
 
 def maef_score(mae: float) -> float:

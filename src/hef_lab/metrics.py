@@ -7,6 +7,7 @@ one-step naive error, so values below 1 beat the naive forecast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,7 @@ __all__ = [
     "mae",
     "rmse",
     "r2",
+    "TargetWindow",
     "gra",
     "rmsse",
     "mase",
@@ -52,32 +54,55 @@ def _as_vector(values: Sequence[float], name: str) -> np.ndarray:
 
 def _as_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     y = _as_vector(actual, "actual")
+    return y, _matching(y, predicted)
+
+
+def _matching(y: np.ndarray, predicted: Sequence[float]) -> np.ndarray:
     yhat = _as_vector(predicted, "predicted")
     if y.size != yhat.size:
         raise LengthMismatchError(f"actual has {y.size} values, predicted has {yhat.size}")
-    return y, yhat
+    return yhat
+
+
+class TargetWindow:
+    """The actual values of one test window, validated once, with their total
+    sum of squares; ``errors`` scores any number of forecasts of the window."""
+
+    def __init__(self, actual: Sequence[float]) -> None:
+        self.actual = _as_vector(actual, "actual")
+        self.ss_tot = float(np.sum((self.actual - self.actual.mean()) ** 2))
+
+    def errors(self, predicted: Sequence[float]) -> tuple[float, float, float]:
+        """``(r2, mae, rmse)`` of one forecast, from a single residual vector;
+        r2 is NaN when the window is constant."""
+        e = self.actual - _matching(self.actual, predicted)
+        squared = e**2
+        r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
+        return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
+
+
+def _defined_errors(actual: Sequence[float], predicted: Sequence[float]) -> tuple[float, float, float]:
+    """``TargetWindow(actual).errors(predicted)``, refusing a constant window."""
+    window = TargetWindow(actual)
+    errors = window.errors(predicted)
+    if window.ss_tot == 0.0:
+        raise ZeroVarianceError("actual values are constant; r2 is undefined")
+    return errors
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Mean absolute error."""
-    y, yhat = _as_pair(actual, predicted)
-    return float(np.mean(np.abs(y - yhat)))
+    return TargetWindow(actual).errors(predicted)[1]
 
 
 def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Root mean squared error."""
-    y, yhat = _as_pair(actual, predicted)
-    return float(np.sqrt(np.mean((y - yhat) ** 2)))
+    return TargetWindow(actual).errors(predicted)[2]
 
 
 def r2(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination; may be negative for fits worse than the mean."""
-    y, yhat = _as_pair(actual, predicted)
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        raise ZeroVarianceError("actual values are constant; r2 is undefined")
-    ss_res = float(np.sum((y - yhat) ** 2))
-    return 1.0 - ss_res / ss_tot
+    return _defined_errors(actual, predicted)[0]
 
 
 def gra(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -171,10 +196,11 @@ def compute_bundle(
     exec_time: float = 0.0,
 ) -> MetricBundle:
     """Evaluate all six metrics for one (train, test, forecast) triple."""
+    r2_value, mae_value, rmse_value = _defined_errors(actual_test, predicted_test)
     return MetricBundle(
-        r2=r2(actual_test, predicted_test),
-        mae=mae(actual_test, predicted_test),
-        rmse=rmse(actual_test, predicted_test),
+        r2=r2_value,
+        mae=mae_value,
+        rmse=rmse_value,
         gra=gra(actual_test, predicted_test),
         rmsse=rmsse(train, actual_test, predicted_test),
         mase=mase(train, actual_test, predicted_test),

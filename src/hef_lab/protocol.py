@@ -15,18 +15,20 @@ import csv
 import hashlib
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TextIO
 
 import numpy as np
 
 from . import evaluation
-from .errors import HefLabError, InvalidParameterError, ZeroVarianceError
+from .errors import HefLabError, InvalidParameterError
 from .evaluation import MetricWeights, PenaltySchedule
-from .metrics import HIGHER_BETTER, METRIC_NAMES, compute_bundle, mae, r2, rmse
+from .metrics import HIGHER_BETTER, METRIC_NAMES, TargetWindow, compute_bundle
+from .metrics import mae, r2, rmse  # noqa: F401  (not called here; perfbench's tracer wraps these names)
 from .models import ForecastModel, SearchKind, create as create_model, model_class
 from .optimizers import (
     DEFAULT_GRID_CAP,
@@ -44,6 +46,7 @@ from .stats import MIN_REPETITIONS, TestResult, compare_paired_runs, two_proport
 __all__ = [
     "CONDITIONS",
     "TRACE_SUMMARY_NAMES",
+    "required_metrics",
     "required_rows",
     "ExperimentConfig",
     "TaskKey",
@@ -73,10 +76,15 @@ VERDICT_NONE = "no_change"
 TRACE_SUMMARY_NAMES = ("opt_evals", "opt_best_score")
 
 
+def required_metrics(condition: str) -> tuple[str, ...]:
+    """The metric rows of one completed task, in store order: the bundle,
+    plus the trace summary for optimizer-guided conditions."""
+    return METRIC_NAMES + (() if condition == "baseline" else TRACE_SUMMARY_NAMES)
+
+
 def required_rows(condition: str) -> int:
-    """Store rows per completed task: the bundle, plus the trace summary
-    for optimizer-guided conditions."""
-    return len(METRIC_NAMES) + (0 if condition == "baseline" else len(TRACE_SUMMARY_NAMES))
+    """Store rows per completed task."""
+    return len(required_metrics(condition))
 
 
 @dataclass(frozen=True)
@@ -163,70 +171,113 @@ def optimizer_label(model: ForecastModel, condition: str, scs_optimizer: str) ->
 # --- results store -----------------------------------------------------------
 
 STORE_COLUMNS = ("series_id", "model", "condition", "optimizer", "split", "rep", "metric", "value")
+_HEADER_LINE = ",".join(STORE_COLUMNS) + "\r\n"
 
 
 class ResultsStore:
     """Append-only long-format CSV of metric values, one writer at a time.
 
     Rows: ``series_id,model,condition,optimizer,split,rep,metric,value``.
-    Optimizer-guided tasks carry two extra rows summarizing the search
-    (``opt_evals``, ``opt_best_score``). A task is complete once all its rows
-    are present; completed tasks are skipped on rerun.
+    Each completed task is one contiguous block of rows, one per name in
+    ``required_metrics`` of its condition; optimizer-guided tasks carry two
+    extra rows summarizing the search (``opt_evals``, ``opt_best_score``).
+    Reading keeps the longest prefix of whole task blocks, so a block cut
+    short by a crash, and anything after it, is dropped; the first ``append``
+    truncates the file back to that prefix. Completed tasks are skipped on
+    rerun. The writer keeps one handle until ``close`` and flushes each task.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._rows: list[dict] = []
         self._completed: set[tuple] = set()
-        # an absent or zero-byte file still needs its header
-        self._needs_header = not self.path.exists() or self.path.stat().st_size == 0
-        if not self._needs_header:
+        self._size = 0  # bytes of the header and the whole task blocks after it
+        self._fh: TextIO | None = None
+        if self.path.exists():
             self._read()
 
     def _read(self) -> None:
-        with self.path.open(newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is not None and tuple(reader.fieldnames) != STORE_COLUMNS:
-                raise InvalidParameterError(
-                    f"{self.path}: unexpected store columns {reader.fieldnames}"
-                )
-            for raw in reader:
-                row = dict(raw)
-                row["rep"] = int(row["rep"])
-                row["value"] = float(row["value"])
-                self._rows.append(row)
-        counts: dict[tuple, int] = {}
-        for row in self._rows:
-            key = (row["series_id"], row["model"], row["condition"], row["split"], row["rep"])
-            counts[key] = counts.get(key, 0) + 1
-        self._completed = {
-            key for key, count in counts.items() if count >= required_rows(key[2])
-        }
+        consumed = 0  # bytes of the whole lines handed to the reader so far
+
+        def whole_lines(fh):
+            nonlocal consumed
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    return  # a line torn by a crash
+                consumed += len(line)
+                yield line.decode("utf-8", "surrogateescape")
+
+        with self.path.open("rb") as fh:
+            reader = csv.reader(whole_lines(fh))
+            columns = next(reader, None)
+            if columns is None:  # not even the header line is whole: an empty store
+                fh.seek(0)
+                if not _HEADER_LINE.encode().startswith(fh.read()):
+                    raise InvalidParameterError(f"{self.path}: not a results store")
+                return
+            if tuple(columns) != STORE_COLUMNS:
+                raise InvalidParameterError(f"{self.path}: unexpected store columns {columns}")
+            self._size = consumed
+            block: list[dict] = []
+            for fields in reader:
+                try:
+                    series_id, model, condition, optimizer, split, rep, metric, value = fields
+                    row = dict(zip(STORE_COLUMNS, fields), rep=int(rep), value=float(value))
+                except ValueError:  # a malformed line, such as rows glued onto a torn one
+                    break
+                key = (series_id, model, condition, split, row["rep"])
+                if not block:
+                    block_key, names = key, required_metrics(condition)
+                elif key != block_key:
+                    break  # the task before this row was cut short
+                block.append(row)
+                if len(block) == len(names):
+                    if {r["metric"] for r in block} != set(names):
+                        break
+                    self._rows.extend(block)
+                    self._completed.add(key)
+                    block = []
+                    self._size = consumed
 
     def __len__(self) -> int:
         return len(self._completed)
 
     @property
     def rows(self) -> tuple[dict, ...]:
-        """The rows read when the store was opened; ``append`` writes the file only."""
+        """The rows of whole task blocks read when the store was opened;
+        ``append`` writes the file only."""
         return tuple(self._rows)
 
     def is_complete(self, key: TaskKey) -> bool:
         return key.as_tuple() in self._completed
 
     def append(self, key: TaskKey, optimizer: str, values: Mapping[str, float]) -> None:
-        extras = tuple(n for n in TRACE_SUMMARY_NAMES if n in values)
-        with self.path.open("a", newline="") as fh:
-            writer = csv.writer(fh)
-            if self._needs_header:
-                writer.writerow(STORE_COLUMNS)
-                self._needs_header = False
-            for metric in METRIC_NAMES + extras:
-                value = float(values[metric])
-                writer.writerow(
-                    [key.series_id, key.model, key.condition, optimizer, key.split, key.rep, metric, repr(value)]
-                )
+        if self._fh is None:
+            self._open()
+        writer = csv.writer(self._fh)
+        for metric in required_metrics(key.condition):
+            value = float(values[metric])
+            writer.writerow(
+                [key.series_id, key.model, key.condition, optimizer, key.split, key.rep, metric, repr(value)]
+            )
+        self._fh.flush()  # a crash leaves whole task blocks and at most one torn one
+        self._size = self._fh.tell()
         self._completed.add(key.as_tuple())
+
+    def _open(self) -> None:
+        size = self.path.stat().st_size if self.path.exists() else 0
+        if size > self._size:
+            logger.warning("%s: dropping %d bytes after the last whole task", self.path, size - self._size)
+            os.truncate(self.path, self._size)
+        self._fh = self.path.open("a", newline="")
+        if self._size == 0:
+            csv.writer(self._fh).writerow(STORE_COLUMNS)
+
+    def close(self) -> None:
+        """Close the append handle; a later ``append`` opens it again."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
 
 # --- task execution ----------------------------------------------------------
@@ -234,7 +285,9 @@ class ResultsStore:
 
 class _Objective:
     """Fit -> predict -> the condition's score: ``maef`` scores the MAE alone,
-    ``hef`` scores r2, MAE and RMSE with the configured weights and penalties."""
+    ``hef`` scores r2, MAE and RMSE with the configured weights and penalties.
+    The test window and the hef thresholds of the training series are built
+    once, when the objective is made."""
 
     def __init__(
         self,
@@ -246,39 +299,46 @@ class _Objective:
     ) -> None:
         self._model = model
         self._train = train
-        self._test = test
-        self._condition = condition
-        self._config = config
+        self._window = TargetWindow(test)
+        self._hef = None
+        if condition != "maef":
+            self._hef = evaluation.hef_scorer(
+                train, weights=config.hef_weights, penalties=config.hef_penalties
+            )
 
     def __call__(self, point: Mapping) -> float:
         fitted = self._model.fit(self._train, point)
-        predicted = fitted.predict(len(self._test))
-        if self._condition == "maef":
-            return evaluation.maef_score(mae(self._test, predicted))
-        try:
-            r2_value = r2(self._test, predicted)
-        except ZeroVarianceError:
-            r2_value = math.nan  # flat test window; hef_score rejects it
-        return evaluation.hef_score(
-            predicted,
-            r2_value,
-            mae(self._test, predicted),
-            rmse(self._test, predicted),
-            self._train,
-            weights=self._config.hef_weights,
-            penalties=self._config.hef_penalties,
-        )
+        predicted = fitted.predict(self._window.actual.size)
+        r2_value, mae_value, rmse_value = self._window.errors(predicted)
+        if self._hef is None:
+            return evaluation.maef_score(mae_value)
+        return self._hef(predicted, r2_value, mae_value, rmse_value)  # a flat window's NaN r2 raises
 
 
-def _run_search(
-    model: ForecastModel,
-    space: HyperparameterSpace,
-    objective: _Objective,
-    config: ExperimentConfig,
-    seed: int,
+# Grid-search results of the current run, keyed by (series_id, model,
+# condition, split). A grid search is a pure function of its cell and
+# condition, so every rep of that pair reuses the first one's result. Set by
+# run_experiment for its serial loop and by _init_worker in each worker.
+_grid_results: dict[tuple[str, str, str, str], OptimizationResult] | None = None
+
+
+def _search(
+    key: TaskKey, model: ForecastModel, train: np.ndarray, test: np.ndarray, config: ExperimentConfig
 ) -> OptimizationResult:
-    if model.search_kind is SearchKind.EXHAUSTIVE:
-        return grid_search(space, objective, cap=config.grid_cap)
+    """The task's search: the cell's grid search, run once per (cell,
+    condition) in a run, or a swarm or Parzen search seeded per rep."""
+    exhaustive = model.search_kind is SearchKind.EXHAUSTIVE
+    cell = (key.series_id, key.model, key.condition, key.split)
+    if exhaustive and _grid_results is not None and cell in _grid_results:
+        return _grid_results[cell]
+    space = config.space_overrides.get(key.model, model.space())
+    objective = _Objective(model, train, test, key.condition, config)
+    if exhaustive:
+        result = grid_search(space, objective, cap=config.grid_cap)
+        if _grid_results is not None:
+            _grid_results[cell] = result
+        return result
+    seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
     if config.scs_optimizer == "pso":
         return pso_minimize(space, objective, replace(config.pso, seed=seed))
     return tpe_minimize(space, objective, replace(config.tpe, seed=seed))
@@ -300,10 +360,7 @@ def _execute_task(
         if key.condition == "baseline":
             point: Mapping = model.fixed_config()
         else:
-            space = config.space_overrides.get(key.model, model.space())
-            seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
-            objective = _Objective(model, train, test, key.condition, config)
-            result = _run_search(model, space, objective, config, seed)
+            result = _search(key, model, train, test, config)
             if not math.isfinite(result.best_score):
                 raise InvalidParameterError("every candidate configuration failed to score")
             point = result.best_point
@@ -327,8 +384,9 @@ _worker_inputs: tuple[Dataset, ExperimentConfig] | None = None
 
 
 def _init_worker(dataset: Dataset, config: ExperimentConfig) -> None:
-    global _worker_inputs
+    global _worker_inputs, _grid_results
     _worker_inputs = (dataset, config)
+    _grid_results = {}
 
 
 def _execute_worker_task(key: TaskKey) -> tuple[TaskKey, str, dict[str, float] | None, str | None]:
@@ -348,9 +406,12 @@ def run_experiment(
 
     Per-task failures are recorded and excluded; they never abort the sweep.
     With ``jobs > 1`` each of the ``jobs`` worker processes receives the
-    dataset and config once, and every task sends only its key. The store is
-    written by this process only, in deterministic task order.
+    dataset and config once, every task sends only its key, and the reps of
+    one (cell, condition) go to one worker together, so that its grid search
+    runs once. The store is written by this process only, in deterministic
+    task order.
     """
+    global _grid_results
     for name in config.models:  # unknown names fail before any work
         model_class(name)
     store = ResultsStore(store_path)
@@ -376,15 +437,21 @@ def run_experiment(
         if progress is not None:
             progress(done, len(pending))
 
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(dataset, config)
-        ) as pool:
-            for done, result in enumerate(pool.map(_execute_worker_task, pending), start=1):
-                handle(result, done)
-    else:
-        for done, key in enumerate(pending, start=1):
-            handle(_execute_task(key, dataset, config), done)
+    try:
+        if jobs > 1 and pending:
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=_init_worker, initargs=(dataset, config)
+            ) as pool:
+                results = pool.map(_execute_worker_task, pending, chunksize=config.repetitions)
+                for done, result in enumerate(results, start=1):
+                    handle(result, done)
+        else:
+            _grid_results = {}
+            for done, key in enumerate(pending, start=1):
+                handle(_execute_task(key, dataset, config), done)
+    finally:
+        _grid_results = None
+        store.close()
 
     return RunSummary(
         total=len(tasks), executed=len(pending), skipped=skipped, failures=tuple(failures)

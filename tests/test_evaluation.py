@@ -4,6 +4,7 @@ and the search objective's use of the two scoring functions."""
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -233,6 +234,66 @@ class TestInterface:
             hef(self.POINT)
         predicted = model.fit(self.TRAIN, self.POINT).predict(len(test))
         assert maef(self.POINT) == maef_score(mae(test, predicted))
+
+
+class _Replay:
+    """A model whose fit ignores its data and forecasts ``forecasts[point["i"]]``."""
+
+    def __init__(self, forecasts: list[np.ndarray]) -> None:
+        self.forecasts = forecasts
+
+    def fit(self, train, point):
+        forecast = self.forecasts[point["i"]]
+        return SimpleNamespace(predict=lambda horizon: forecast[:horizon])
+
+
+class TestHoistedScoring:
+    """The objective builds its test window and hef thresholds once; every
+    score still equals the public functions' value, bit for bit."""
+
+    CONFIG = ExperimentConfig(
+        models=("ses",),
+        hef_weights=MetricWeights(r2=0.7, mae=1.1, rmse=0.3),
+        hef_penalties=PenaltySchedule(1.1, 1.4, 1.6, 2.0),
+    )
+
+    def test_objective_equals_public_scores(self) -> None:
+        rng = np.random.default_rng(23)
+        bands, branches = set(), set()
+        for cv in (0.1, 0.35, 0.7, 1.5):  # one training series in each tolerance band
+            noise = rng.normal(0.0, 1.0, 40)
+            train = 10.0 + cv * 10.0 * (noise - noise.mean()) / noise.std()
+            bands.add(recommend_mae_tolerance(train))
+            thresholds = (recommend_mae_tolerance(train) * 10.0, recommend_rmse_tolerance(train) * 10.0)
+            for test in (rng.normal(10.0, 3.0, 8), np.full(8, 10.0)):
+                forecasts = [test + rng.normal(0.0, s, 8) for s in (0.1, 0.5, 1.0, 3.0, 12.0) for _ in range(4)]
+                for miss in (3.0, 6.0, 12.0, 30.0):  # one large error: MAE can pass while RMSE fails
+                    forecasts.append(test + np.where(np.arange(8) == 7, miss, 0.01))
+                model = _Replay(forecasts)
+                hef = _Objective(model, train, test, "hef", self.CONFIG)
+                maef = _Objective(model, train, test, "maef", self.CONFIG)
+                for i, predicted in enumerate(forecasts):
+                    point = {"i": i}
+                    assert maef(point) == maef_score(mae(test, predicted))
+                    if np.ptp(test) == 0.0:  # flat window: r2 undefined, hef cannot score
+                        with pytest.raises(NonFiniteInputError):
+                            hef(point)
+                        continue
+                    expected = hef_score(
+                        predicted,
+                        r2(test, predicted),
+                        mae(test, predicted),
+                        rmse(test, predicted),
+                        train,
+                        weights=self.CONFIG.hef_weights,
+                        penalties=self.CONFIG.hef_penalties,
+                    )
+                    assert hef(point) == expected
+                    errors = (mae(test, predicted), rmse(test, predicted))
+                    branches.add(tuple(e < t for e, t in zip(errors, thresholds)) + (bool((predicted < 0).any()),))
+        assert bands == {0.1, 0.2, 0.3, 0.4}
+        assert {b[:2] for b in branches} == {(True, True), (True, False), (False, True), (False, False)}
+        assert any(b[2] for b in branches)  # negative predictions: the level-4 overwrite
 
 
 class TestRankingFlip:

@@ -19,6 +19,7 @@ from hef_lab.errors import (
 from hef_lab.metrics import (
     METRIC_NAMES,
     MetricBundle,
+    TargetWindow,
     compute_bundle,
     gra,
     mae,
@@ -196,3 +197,49 @@ class TestBundle:
     def test_negative_exec_time_rejected(self) -> None:
         with pytest.raises(NonFiniteInputError):
             MetricBundle(r2=1, mae=0, rmse=0, gra=1, rmsse=0, mase=0, exec_time=-1.0)
+
+
+def separate_formulas(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float, float]:
+    """r2, mae and rmse as separate expressions over the pair, each
+    recomputing the residuals (the form the fused helper replaced)."""
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2_value = 1.0 - float(np.sum((y - yhat) ** 2)) / ss_tot if ss_tot != 0.0 else math.nan
+    return r2_value, float(np.mean(np.abs(y - yhat))), float(np.sqrt(np.mean((y - yhat) ** 2)))
+
+
+class TestTargetWindow:
+    def test_fused_errors_equal_separate_formulas_bitwise(self) -> None:
+        rng = np.random.default_rng(17)
+        for n in (1, 2, 7, 12, 30):
+            for scale in (1e-3, 1.0, 250.0):
+                y = rng.normal(50.0, 20.0, n) * scale
+                yhat = y + rng.normal(0.0, 5.0, n) * scale - rng.uniform(0.0, 80.0) * scale  # some negative
+                window = TargetWindow(y)
+                got, want = window.errors(yhat), separate_formulas(y, yhat)
+                assert np.array_equal(got, want, equal_nan=True), (n, scale)
+                assert (mae(y, yhat), rmse(y, yhat)) == want[1:]
+                if n > 1:
+                    assert r2(y, yhat) == want[0]
+                    bundle = compute_bundle(rng.normal(50.0, 20.0, 10), y, yhat)
+                    assert (bundle.r2, bundle.mae, bundle.rmse) == want
+
+    def test_flat_window_gives_nan_r2(self) -> None:
+        y, yhat = np.full(6, 4.0), np.array([3.0, 5.0, 4.5, 4.0, 2.0, 6.0])
+        r2_value, mae_value, rmse_value = TargetWindow(y).errors(yhat)
+        assert math.isnan(r2_value)
+        assert (mae_value, rmse_value) == (mae(y, yhat), rmse(y, yhat))
+        with pytest.raises(ZeroVarianceError):
+            r2(y, yhat)
+        with pytest.raises(ZeroVarianceError):
+            compute_bundle(np.arange(10.0), y, yhat)
+
+    def test_validation(self) -> None:
+        with pytest.raises(EmptyInputError):
+            TargetWindow([])
+        with pytest.raises(NonFiniteInputError):
+            TargetWindow([1.0, math.nan])
+        window = TargetWindow([1.0, 2.0, 3.0])
+        with pytest.raises(LengthMismatchError):
+            window.errors([1.0, 2.0])
+        with pytest.raises(NonFiniteInputError):
+            window.errors([1.0, math.inf, 3.0])

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from hef_lab.models import SearchKind, create
 from hef_lab.optimizers import PsoConfig, TpeConfig
 from hef_lab.protocol import (
     VERDICT_A,
+    required_metrics,
     required_rows,
     VERDICT_B,
     VERDICT_NONE,
@@ -149,6 +153,59 @@ class TestRunExperiment:
         ]
         assert strip(resumed_rows) == strip(full_rows)
 
+    def test_resume_after_a_cut_at_any_byte(self, tmp_path) -> None:
+        # a crash may cut the store anywhere; resuming must rebuild the
+        # uninterrupted file, apart from the wall-clock exec_time values
+        rng = np.random.default_rng(8)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        config = tiny_config(
+            models=("ses", "lr"),
+            conditions=("baseline", "hef"),  # task blocks of both lengths
+            pso=PsoConfig(swarm_size=2, iterations=2),
+        )
+        full = tmp_path / "full.csv"
+        run_experiment(dataset, config, full)
+        data = full.read_bytes()
+
+        def without_exec_time(path):
+            with path.open(newline="") as fh:
+                return [row[:-1] if row[6:7] == ["exec_time"] else row for row in csv.reader(fh)]
+
+        ends = [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]
+        cuts = {end + d for end in ends for d in (-1, 0, 1)} | set(range(0, len(data), len(data) // 40))
+        expected = without_exec_time(full)
+        cut_store = tmp_path / "cut.csv"
+        for cut in sorted(c for c in cuts if 0 <= c <= len(data)):
+            cut_store.write_bytes(data[:cut])
+            summary = run_experiment(dataset, config, cut_store)
+            assert not summary.failures
+            assert without_exec_time(cut_store) == expected, f"cut at byte {cut}"
+
+    def test_store_opened_once_per_run(self, tmp_path, small_dataset, monkeypatch) -> None:
+        modes: list[str] = []
+        path_open = Path.open
+
+        def recording_open(self, mode="r", *args, **kwargs):
+            modes.append(mode)
+            return path_open(self, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        summary = run_experiment(small_dataset, tiny_config(models=("ses",)), tmp_path / "r.csv")
+        assert summary.executed == 24
+        assert modes.count("a") == 1
+
+    def test_append_after_close_keeps_earlier_tasks(self, tmp_path) -> None:
+        store = ResultsStore(tmp_path / "r.csv")
+        values = {name: 1.0 for name in required_metrics("hef")}
+        first, second = (protocol.TaskKey("s0", "ses", "hef", "80:20", rep) for rep in (0, 1))
+        store.append(first, "pso", values)
+        store.close()
+        store.append(second, "pso", values)
+        store.close()
+        reopened = ResultsStore(tmp_path / "r.csv")
+        assert reopened.is_complete(first) and reopened.is_complete(second)
+        assert len(reopened.rows) == 2 * required_rows("hef")
+
     def test_zero_byte_store_gets_its_header(self, tmp_path) -> None:
         # a store file created but never written, e.g. by a crash before the
         # first append, must resume like an absent one
@@ -191,6 +248,17 @@ class TestRunExperiment:
         assert len(serial.failures) == 6
         assert all(f.key.series_id == "short" for f in serial.failures)
         assert pool == serial
+
+    def test_parallel_matches_serial_with_a_grid_model(self, tmp_path, small_dataset) -> None:
+        config = tiny_config()  # ses under PSO, knn on its grid
+        serial = run_experiment(small_dataset, config, tmp_path / "serial.csv", jobs=1)
+        pool = run_experiment(small_dataset, config, tmp_path / "pool.csv", jobs=2)
+
+        def essence(path):
+            return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
+
+        assert essence(tmp_path / "serial.csv") == essence(tmp_path / "pool.csv")
+        assert pool == serial and not serial.failures
 
     def test_dataset_sent_to_each_worker_at_most_once(self, tmp_path, small_dataset, monkeypatch) -> None:
         pickled: list[str] = []
@@ -273,7 +341,49 @@ class TestSearchBudget:
             for f in summary.failures
         )
         grid_size = create("knn").space().grid_size()
-        assert [(r.evals, r.failed_evals) for r in results] == [(grid_size, grid_size)] * 6
+        # one grid search per (cell, condition); its reps reuse the result
+        assert [(r.evals, r.failed_evals) for r in results] == [(grid_size, grid_size)] * 2
+
+
+class TestSearchMemo:
+    def test_one_grid_search_per_cell_and_condition(self, tmp_path, small_dataset, monkeypatch) -> None:
+        calls = {"grid_search": 0, "pso_minimize": 0}
+        for name in calls:
+
+            def counting(*args, _search=getattr(protocol, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _search(*args, **kwargs)
+
+            monkeypatch.setattr(protocol, name, counting)
+        config = tiny_config()  # ses under PSO, knn on its grid
+        summary = run_experiment(small_dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 48 and not summary.failures
+        per_condition = len(small_dataset.series) * len(config.conditions)
+        assert calls["grid_search"] == per_condition
+        assert calls["pso_minimize"] == per_condition * config.repetitions
+
+    def test_runs_do_not_share_searches(self, tmp_path, small_dataset) -> None:
+        # the same series ids with other values: a grid search kept from the
+        # run before would select and score on the wrong data
+        rng = np.random.default_rng(9)
+        other = Dataset("other", tuple(random_series(rng, s.id) for s in small_dataset.series))
+        config = tiny_config(models=("knn",))
+
+        def essence(path):
+            return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
+
+        run_experiment(small_dataset, config, tmp_path / "a.csv")
+        run_experiment(other, config, tmp_path / "b.csv")
+        run_experiment(small_dataset, config, tmp_path / "a-again.csv")
+        assert essence(tmp_path / "a-again.csv") == essence(tmp_path / "a.csv")
+        for path in (tmp_path / "a.csv", tmp_path / "b.csv"):
+            maef: dict[tuple, dict[str, float]] = {}
+            for r in essence(path):
+                if r["condition"] == "maef":
+                    maef.setdefault((r["series_id"], r["rep"]), {})[r["metric"]] = r["value"]
+            # a maef search's best score is the MAE of the winner's final fit on this data
+            assert all(m["opt_best_score"] == m["mae"] for m in maef.values())
+        assert essence(tmp_path / "a.csv") != essence(tmp_path / "b.csv")
 
 
 def synth_rows(
