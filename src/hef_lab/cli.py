@@ -116,6 +116,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InvalidParameterError(f"--jobs must be >= 1, got {args.jobs}")
     flat = parse_config_file(args.config)
     for override in args.overrides:
         key, value = parse_override(override)
@@ -152,12 +154,17 @@ def _slug(text: str) -> str:
     return text.replace(":", "-").replace("/", "-")
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    pair = _parse_pair(args.pair)
-    out = Path(args.out)
+def _completed_store(out: Path) -> ResultsStore:
     store = ResultsStore(out / "results.csv")
     if len(store) == 0:
         raise InvalidParameterError(f"no completed results in {out / 'results.csv'}")
+    return store
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    pair = _parse_pair(args.pair)
+    out = Path(args.out)
+    store = _completed_store(out)
     tables = case_tables_by_group(store.rows, pair, alpha=args.alpha)
     summary_rows = []
     case_columns = ("metric", f"improves_{pair[0]}", f"improves_{pair[1]}", "no_change", "comparisons")
@@ -201,7 +208,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_report(args: argparse.Namespace) -> int:
     pair = _parse_pair(args.pair)
     out = Path(args.out)
-    store = ResultsStore(out / "results.csv")
+    store = _completed_store(out)
     tables = improvement_rows(store.rows, pair)
     report_dir = out / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

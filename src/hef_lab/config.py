@@ -10,11 +10,12 @@ Example::
     opt.pso.swarm_size = 12
     models.ses.space.alpha = {"min": 0.05, "max": 0.95}
 
-Every key must be one the configuration reads (``_DEFAULTS``) or a search
-space override ``models.<name>.space.<param>``; any other key is an error.
-An override replaces the domain of the one parameter it names; the model's
-other parameters keep their declared domains. It must name a registered
-model and a parameter that model declares.
+Every key must be one the configuration reads (``_SCALAR_KEYS``,
+``_LIST_KEYS``) or a search space override ``models.<name>.space.<param>``;
+any other key is an error. A missing key keeps the default of the settings
+dataclass field it maps to. A space override replaces the domain of the one
+parameter it names; the model's other parameters keep their declared
+domains. It must name a registered model and a parameter that model declares.
 Seed precedence: ``--seed`` flag > ``HEF_LAB_SEED`` env var > config file.
 """
 
@@ -22,56 +23,48 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ConfigError, UnknownModelError
-from .evaluation import MetricWeights, PenaltySchedule
+from .errors import ConfigError, InvalidParameterError, UnknownModelError
 from .models import create as create_model
-from .optimizers import DEFAULT_GRID_CAP, PsoConfig, TpeConfig
 from .protocol import ExperimentConfig
 from .series import SplitRatio
 from .spaces import Domain, GridDomain, HyperparameterSpace, IntervalDomain
 
-__all__ = [
-    "parse_config_file",
-    "parse_override",
-    "build_experiment_config",
-    "SEED_ENV_VAR",
-]
+__all__ = ["parse_config_file", "parse_override", "build_experiment_config", "SEED_ENV_VAR"]
 
 SEED_ENV_VAR = "HEF_LAB_SEED"
 
-# Every key the configuration reads besides the search space overrides, with
-# the value a missing key takes.
-_DEFAULTS: dict[str, object] = {
-    "experiment.models": None,
-    "experiment.splits": ["80:20"],
-    "experiment.conditions": ["hef", "maef"],
-    "experiment.scs_optimizer": "pso",
-    "experiment.repetitions": 21,
-    "experiment.seed": 0,
-    "experiment.alpha": 0.05,
-    "opt.pso.swarm_size": 20,
-    "opt.pso.iterations": 50,
-    "opt.pso.inertia": 0.729,
-    "opt.pso.cognitive": 1.49445,
-    "opt.pso.social": 1.49445,
-    "opt.pso.velocity_clamp": 0.5,
-    "opt.tpe.trials": 60,
-    "opt.tpe.startup": 10,
-    "opt.tpe.gamma": 0.25,
-    "opt.tpe.candidates": 24,
-    "opt.tpe.bandwidth_factor": 1.06,
-    "opt.grid.cap": DEFAULT_GRID_CAP,
-    "hef.weights.r2": 1.0,
-    "hef.weights.mae": 1.0,
-    "hef.weights.rmse": 0.5,
-    "hef.penalties.l1": 1.2,
-    "hef.penalties.l2": 1.3,
-    "hef.penalties.l3": 1.5,
-    "hef.penalties.l4": 1.8,
+# Each scalar key and the ExperimentConfig field it sets, plus the field inside
+# that settings object where there is one; a given value must have the default's type.
+_SCALAR_KEYS: dict[str, tuple[str, ...]] = {
+    "experiment.scs_optimizer": ("scs_optimizer",),
+    "experiment.repetitions": ("repetitions",),
+    "experiment.seed": ("master_seed",),
+    "experiment.alpha": ("alpha",),
+    "opt.pso.swarm_size": ("pso", "swarm_size"),
+    "opt.pso.iterations": ("pso", "iterations"),
+    "opt.pso.inertia": ("pso", "inertia"),
+    "opt.pso.cognitive": ("pso", "cognitive"),
+    "opt.pso.social": ("pso", "social"),
+    "opt.pso.velocity_clamp": ("pso", "velocity_clamp"),
+    "opt.tpe.trials": ("tpe", "trials"),
+    "opt.tpe.startup": ("tpe", "startup"),
+    "opt.tpe.gamma": ("tpe", "gamma"),
+    "opt.tpe.candidates": ("tpe", "candidates"),
+    "opt.tpe.bandwidth_factor": ("tpe", "bandwidth_factor"),
+    "opt.grid.cap": ("grid_cap",),
+    "hef.weights.r2": ("hef_weights", "r2"),
+    "hef.weights.mae": ("hef_weights", "mae"),
+    "hef.weights.rmse": ("hef_weights", "rmse"),
+    "hef.penalties.l1": ("hef_penalties", "level_1"),
+    "hef.penalties.l2": ("hef_penalties", "level_2"),
+    "hef.penalties.l3": ("hef_penalties", "level_3"),
+    "hef.penalties.l4": ("hef_penalties", "level_4"),
 }
+_LIST_KEYS = ("experiment.models", "experiment.splits", "experiment.conditions")
 
 
 def _parse_value(raw: str):
@@ -124,7 +117,7 @@ def _domain_from_value(key: str, value: object) -> Domain:
                 lower=float(value["min"]),
                 upper=float(value["max"]),
                 scale=str(value.get("scale", "linear")),
-                integer=bool(value.get("integer", False)),
+                integer=value.get("integer", False),
             )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
@@ -143,98 +136,73 @@ def _merged_space(model: str, params: Mapping[str, Domain]) -> HyperparameterSpa
     return HyperparameterSpace({**declared, **params})
 
 
-def _get(flat: Mapping[str, object], key: str):
-    default = _DEFAULTS[key]
-    value = flat.get(key, default)
-    # exact types, since JSON true/false are ints to isinstance; ints may stand for floats
-    if default is not None and value is not None and type(value) is not type(default):
-        if type(default) is float and type(value) is int:
-            return float(value)
-        raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
-    return value
+def _replace(settings, given: Mapping[str, tuple[str, object]]):
+    """``settings`` with each named field set to the value of its (key, value)."""
+    changes = {}
+    for name, (key, value) in given.items():
+        default = getattr(settings, name)
+        # exact types, since JSON true/false are ints to isinstance; ints may stand for floats
+        if type(value) is not type(default):
+            if type(default) is not float or type(value) is not int:
+                raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
+            value = float(value)
+        changes[name] = value
+    try:
+        return replace(settings, **changes)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{', '.join(key for key, _ in given.values())}: {exc}") from None
 
 
 def build_experiment_config(
     flat: Mapping[str, object], seed_override: int | None = None
 ) -> ExperimentConfig:
-    """Assemble the experiment configuration from flat keys plus defaults."""
+    """The settings dataclasses' defaults with the given flat keys applied."""
     per_model_params: dict[str, dict[str, Domain]] = {}
     unknown: list[str] = []
     for key, value in flat.items():
         parts = key.split(".")
         if len(parts) == 4 and parts[0] == "models" and parts[2] == "space":
             per_model_params.setdefault(parts[1], {})[parts[3]] = _domain_from_value(key, value)
-        elif key not in _DEFAULTS:
+        elif key not in _SCALAR_KEYS and key not in _LIST_KEYS:
             unknown.append(key)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     space_overrides = {name: _merged_space(name, params) for name, params in per_model_params.items()}
 
-    models = flat.get("experiment.models")
-    if not isinstance(models, Sequence) or isinstance(models, str) or not models:
+    for key in _LIST_KEYS:
+        if key in flat and (not isinstance(flat[key], Sequence) or isinstance(flat[key], str)):
+            raise ConfigError(f"{key} must be a list")
+    if not flat.get("experiment.models"):
         raise ConfigError("experiment.models must be a non-empty list of model names")
+    models = tuple(str(m) for m in flat["experiment.models"])
+    config = ExperimentConfig(models=models, space_overrides=space_overrides)
+    if "experiment.splits" in flat:
+        try:
+            splits = tuple(SplitRatio.parse(str(s)) for s in flat["experiment.splits"])
+        except Exception as exc:
+            raise ConfigError(f"experiment.splits: {exc}") from exc
+        config = _replace(config, {"splits": ("experiment.splits", splits)})
+    if "experiment.conditions" in flat:
+        conditions = tuple(str(c) for c in flat["experiment.conditions"])
+        config = _replace(config, {"conditions": ("experiment.conditions", conditions)})
 
-    splits_raw = flat.get("experiment.splits", _DEFAULTS["experiment.splits"])
-    if not isinstance(splits_raw, Sequence) or isinstance(splits_raw, str):
-        raise ConfigError("experiment.splits must be a list of ratio labels")
-    try:
-        splits = tuple(SplitRatio.parse(str(s)) for s in splits_raw)
-    except Exception as exc:
-        raise ConfigError(f"experiment.splits: {exc}") from exc
-
-    conditions_raw = flat.get("experiment.conditions", _DEFAULTS["experiment.conditions"])
-    if not isinstance(conditions_raw, Sequence) or isinstance(conditions_raw, str):
-        raise ConfigError("experiment.conditions must be a list")
+    # a settings object's checks may span its fields, so its keys apply together
+    nested: dict[str, dict[str, tuple[str, object]]] = {}
+    for key, (name, *inner) in _SCALAR_KEYS.items():
+        if key not in flat:
+            continue
+        if inner:
+            nested.setdefault(name, {})[inner[0]] = (key, flat[key])
+        else:
+            config = _replace(config, {name: (key, flat[key])})
+    for name, given in nested.items():
+        config = replace(config, **{name: _replace(getattr(config, name), given)})
 
     if seed_override is not None:
-        seed = int(seed_override)
-    elif SEED_ENV_VAR in os.environ:
+        return replace(config, master_seed=int(seed_override))
+    if SEED_ENV_VAR in os.environ:
         try:
-            seed = int(os.environ[SEED_ENV_VAR])
+            return replace(config, master_seed=int(os.environ[SEED_ENV_VAR]))
         except ValueError:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from None
-    else:
-        seed = int(_get(flat, "experiment.seed"))
-
-    try:
-        return ExperimentConfig(
-            models=tuple(str(m) for m in models),
-            splits=splits,
-            conditions=tuple(str(c) for c in conditions_raw),
-            scs_optimizer=_get(flat, "experiment.scs_optimizer"),
-            repetitions=int(_get(flat, "experiment.repetitions")),
-            master_seed=seed,
-            alpha=float(_get(flat, "experiment.alpha")),
-            pso=PsoConfig(
-                swarm_size=int(_get(flat, "opt.pso.swarm_size")),
-                iterations=int(_get(flat, "opt.pso.iterations")),
-                inertia=float(_get(flat, "opt.pso.inertia")),
-                cognitive=float(_get(flat, "opt.pso.cognitive")),
-                social=float(_get(flat, "opt.pso.social")),
-                velocity_clamp=float(_get(flat, "opt.pso.velocity_clamp")),
-            ),
-            tpe=TpeConfig(
-                trials=int(_get(flat, "opt.tpe.trials")),
-                startup=int(_get(flat, "opt.tpe.startup")),
-                gamma=float(_get(flat, "opt.tpe.gamma")),
-                candidates=int(_get(flat, "opt.tpe.candidates")),
-                bandwidth_factor=float(_get(flat, "opt.tpe.bandwidth_factor")),
-            ),
-            grid_cap=int(_get(flat, "opt.grid.cap")),
-            hef_weights=MetricWeights(
-                r2=float(_get(flat, "hef.weights.r2")),
-                mae=float(_get(flat, "hef.weights.mae")),
-                rmse=float(_get(flat, "hef.weights.rmse")),
-            ),
-            hef_penalties=PenaltySchedule(
-                level_1=float(_get(flat, "hef.penalties.l1")),
-                level_2=float(_get(flat, "hef.penalties.l2")),
-                level_3=float(_get(flat, "hef.penalties.l3")),
-                level_4=float(_get(flat, "hef.penalties.l4")),
-            ),
-            space_overrides=space_overrides,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return config

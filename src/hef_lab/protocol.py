@@ -148,10 +148,6 @@ class RunSummary:
     skipped: int
     failures: tuple[TaskFailure, ...]
 
-    @property
-    def completed(self) -> int:
-        return self.executed - len(self.failures)
-
 
 def derive_seed(master_seed: int, series_id: str, model: str, condition: str, rep: int) -> int:
     """Stable per-task seed from the master seed and the cell identity."""

@@ -56,6 +56,10 @@ class IntervalDomain:
             raise InvalidParameterError(f"unknown scale: {self.scale!r}")
         if self.scale == "log" and self.lower <= 0:
             raise InvalidParameterError("log-scaled interval needs a positive lower bound")
+        if type(self.integer) is not bool:
+            raise InvalidParameterError(f"integer must be true or false, got {self.integer!r}")
+        if self.integer and math.ceil(self.lower) > math.floor(self.upper):
+            raise InvalidParameterError(f"integer interval [{self.lower}, {self.upper}] holds no integer")
 
     def contains(self, value) -> bool:
         if self.integer and float(value) != round(float(value)):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hef_lab.config import SEED_ENV_VAR, build_experiment_config, parse_config_f
 from hef_lab.errors import ConfigError
 from hef_lab.metrics import METRIC_NAMES
 from hef_lab.models import create
+from hef_lab.protocol import ExperimentConfig
 from hef_lab.series import Dataset, load_dataset_csv, write_dataset_csv
 
 from conftest import random_series
@@ -27,6 +30,47 @@ experiment.seed = 11
 opt.pso.swarm_size = 4
 opt.pso.iterations = 3
 """
+
+# Each scalar key, the settings field it sets (written out here independently of
+# the config module's own table) and a valid value that differs from the default;
+# the integer values for the r2 and mae weights stand for floats.
+SCALAR_KEYS = [
+    ("experiment.scs_optimizer", ("scs_optimizer",), "tpe"),
+    ("experiment.repetitions", ("repetitions",), 5),
+    ("experiment.seed", ("master_seed",), 9),
+    ("experiment.alpha", ("alpha",), 0.1),
+    ("opt.pso.swarm_size", ("pso", "swarm_size"), 7),
+    ("opt.pso.iterations", ("pso", "iterations"), 9),
+    ("opt.pso.inertia", ("pso", "inertia"), 0.5),
+    ("opt.pso.cognitive", ("pso", "cognitive"), 2.0),
+    ("opt.pso.social", ("pso", "social"), 1.0),
+    ("opt.pso.velocity_clamp", ("pso", "velocity_clamp"), 0.25),
+    ("opt.tpe.trials", ("tpe", "trials"), 30),
+    ("opt.tpe.startup", ("tpe", "startup"), 5),
+    ("opt.tpe.gamma", ("tpe", "gamma"), 0.3),
+    ("opt.tpe.candidates", ("tpe", "candidates"), 10),
+    ("opt.tpe.bandwidth_factor", ("tpe", "bandwidth_factor"), 2.0),
+    ("opt.grid.cap", ("grid_cap",), 500),
+    ("hef.weights.r2", ("hef_weights", "r2"), 2),
+    ("hef.weights.mae", ("hef_weights", "mae"), 3),
+    ("hef.weights.rmse", ("hef_weights", "rmse"), 0.75),
+    ("hef.penalties.l1", ("hef_penalties", "level_1"), 1.1),
+    ("hef.penalties.l2", ("hef_penalties", "level_2"), 1.35),
+    ("hef.penalties.l3", ("hef_penalties", "level_3"), 1.6),
+    ("hef.penalties.l4", ("hef_penalties", "level_4"), 2.5),
+]
+
+
+def settings_by_path(config: ExperimentConfig) -> dict[tuple[str, ...], object]:
+    """Every setting of a config, nested settings objects opened one level."""
+    out: dict[tuple[str, ...], object] = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if is_dataclass(value):
+            out.update({(f.name, g.name): getattr(value, g.name) for g in fields(value)})
+        else:
+            out[(f.name,)] = value
+    return out
 
 
 @pytest.fixture
@@ -171,6 +215,16 @@ class TestRun:
         assert code == 0
         assert "failed 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, workdir, capsys, jobs) -> None:
+        code = run_cli(
+            "run", "--config", str(workdir / "exp.cfg"),
+            "--data", str(workdir / "data.csv"), "--out", str(workdir / "out"), "--jobs", jobs,
+        )
+        assert code == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (workdir / "out").exists()
+
     def test_bad_dataset_exits_1(self, workdir) -> None:
         bad = workdir / "bad.csv"
         bad.write_text("series_id,frequency,t,value\na,monthly,1,oops\n")
@@ -213,6 +267,16 @@ class TestCompareAndReport:
         code = run_cli("compare", "--out", str(workdir / "empty"))
         assert code in (1, 2)  # no store present
 
+    def test_report_without_results_exits_1(self, workdir, capsys) -> None:
+        empty = workdir / "empty"
+        empty.mkdir()
+        assert run_cli("compare", "--out", str(empty)) == 1
+        compare_err = capsys.readouterr().err
+        assert run_cli("report", "--out", str(empty)) == 1
+        assert capsys.readouterr().err == compare_err
+        assert "no completed results" in compare_err
+        assert list(empty.iterdir()) == []
+
     def test_report_emits_per_metric_csvs(self, finished_run) -> None:
         out = finished_run / "out"
         assert run_cli("report", "--out", str(out)) == 0
@@ -251,6 +315,42 @@ class TestConfigModule:
         assert config.tpe.trials == 60
         assert config.hef_weights.rmse == 0.5
         assert config.splits[0].label == "80:20"
+
+    def test_defaults_are_the_dataclass_defaults(self, monkeypatch) -> None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        built = build_experiment_config({"experiment.models": ["ses"]})
+        expected = ExperimentConfig(models=("ses",))
+        for f in fields(ExperimentConfig):
+            assert getattr(built, f.name) == getattr(expected, f.name), f.name
+
+    @pytest.mark.parametrize("key, path, value", SCALAR_KEYS, ids=[k for k, _, _ in SCALAR_KEYS])
+    def test_each_scalar_key_sets_its_field(self, monkeypatch, key, path, value) -> None:
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        before = settings_by_path(ExperimentConfig(models=("ses",)))
+        after = settings_by_path(build_experiment_config({"experiment.models": ["ses"], key: value}))
+        assert before[path] != value
+        assert after[path] == value and type(after[path]) is type(before[path])
+        assert [p for p in before if after[p] != before[p]] == [path]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("opt.pso.swarm_size", None),
+            ("experiment.alpha", None),
+            ("experiment.seed", None),
+            ("opt.tpe.trials", 30.0),
+            ("opt.grid.cap", "big"),
+            ("experiment.scs_optimizer", "grid"),
+            ("opt.pso.inertia", 1.0),
+            ("opt.tpe.trials", 5),  # fewer than the default 10 startup trials
+            ("hef.penalties.l2", 1.6),  # above the default l3 of 1.5
+            ("experiment.conditions", ["hef"]),
+            ("experiment.splits", []),
+        ],
+    )
+    def test_rejections_name_the_key(self, key, value) -> None:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_experiment_config({"experiment.models": ["ses"], key: value})
 
     def test_seed_precedence(self, monkeypatch) -> None:
         flat = {"experiment.models": ["ses"], "experiment.seed": 5}
@@ -291,6 +391,15 @@ class TestConfigModule:
     def test_booleans_are_not_numbers(self, key) -> None:
         with pytest.raises(ConfigError, match=key):
             build_experiment_config({"experiment.models": ["ses"], key: True})
+
+    @pytest.mark.parametrize(
+        "domain",
+        [{"min": 1.2, "max": 1.8, "integer": True}, {"min": 1, "max": 9, "integer": "false"}],
+    )
+    def test_bad_integer_interval_rejected(self, domain) -> None:
+        flat = {"experiment.models": ["knn"], "models.knn.space.n_neighbors": domain}
+        with pytest.raises(ConfigError, match="models.knn.space.n_neighbors"):
+            build_experiment_config(flat)
 
     def test_bad_space_override(self) -> None:
         flat = {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": "oops"}}

@@ -131,6 +131,19 @@ def sphere(point):
     return point["x"] ** 2 + point["y"] ** 2
 
 
+class TestIntervalDomain:
+    def test_integer_interval_must_hold_an_integer(self) -> None:
+        with pytest.raises(InvalidParameterError):
+            IntervalDomain(1.2, 1.8, integer=True)
+        domain = IntervalDomain(1.2, 2.8, integer=True)
+        assert domain.decode(1.5) == 2 and domain.contains(domain.decode(1.5))
+        assert IntervalDomain(2, 2, integer=True).decode(2.0) == 2
+
+    def test_integer_flag_must_be_a_bool(self) -> None:
+        with pytest.raises(InvalidParameterError):
+            IntervalDomain(0, 5, integer="false")
+
+
 class TestPso:
     def test_sphere_convergence_default_config(self) -> None:
         result = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=42))
