@@ -71,7 +71,7 @@ def _parse_value(raw: str):
     raw = raw.strip()
     try:
         return json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # also an integer past Python's digit limit
         return raw  # bare word: keep as string
 
 
@@ -119,7 +119,7 @@ def _domain_from_value(key: str, value: object) -> Domain:
                 scale=str(value.get("scale", "linear")),
                 integer=value.get("integer", False),
             )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"{key}: needs either 'grid' or 'min'/'max'")
 
@@ -145,7 +145,10 @@ def _replace(settings, given: Mapping[str, tuple[str, object]]):
         if type(value) is not type(default):
             if type(default) is not float or type(value) is not int:
                 raise ConfigError(f"{key}: expected {type(default).__name__}, got {value!r}")
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"{key}: integer out of float range") from None
         changes[name] = value
     try:
         return replace(settings, **changes)

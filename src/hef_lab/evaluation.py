@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,14 +21,12 @@ from .errors import InvalidParameterError, NonFiniteInputError, SeriesTooShortEr
 __all__ = [
     "MEAN_GUARD",
     "MetricWeights",
-    "PenaltyLevel",
     "PenaltySchedule",
     "DEFAULT_WEIGHTS",
     "DEFAULT_PENALTIES",
     "coefficient_of_variation",
     "recommend_mae_tolerance",
     "recommend_rmse_tolerance",
-    "apply_penalty",
     "hef_scorer",
     "hef_score",
     "maef_score",
@@ -49,17 +46,8 @@ class MetricWeights:
 
     def __post_init__(self) -> None:
         for name in ("r2", "mae", "rmse"):
-            if getattr(self, name) < 0:
-                raise InvalidParameterError(f"weight {name} must be >= 0")
-
-
-class PenaltyLevel(Enum):
-    """Progressive penalty tiers; level 4 is reserved for invalid predictions."""
-
-    LEVEL_1 = 1
-    LEVEL_2 = 2
-    LEVEL_3 = 3
-    LEVEL_4 = 4
+            if not (0 <= getattr(self, name) < math.inf):
+                raise InvalidParameterError(f"weight {name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -73,11 +61,10 @@ class PenaltySchedule:
 
     def __post_init__(self) -> None:
         seq = (self.level_1, self.level_2, self.level_3, self.level_4)
+        if not all(map(math.isfinite, seq)):
+            raise InvalidParameterError(f"penalty multipliers must be finite, got {seq}")
         if any(b <= a for a, b in zip(seq, seq[1:])):
             raise InvalidParameterError(f"penalty multipliers must be strictly increasing, got {seq}")
-
-    def multiplier(self, level: PenaltyLevel) -> float:
-        return (self.level_1, self.level_2, self.level_3, self.level_4)[level.value - 1]
 
 
 DEFAULT_WEIGHTS = MetricWeights()
@@ -131,17 +118,6 @@ def recommend_rmse_tolerance(y_train: Sequence[float]) -> float:
     return _tolerances(coefficient_of_variation(y_train))[1]
 
 
-def apply_penalty(
-    base_score: float,
-    level: PenaltyLevel,
-    schedule: PenaltySchedule = DEFAULT_PENALTIES,
-) -> float:
-    """Inflate a score by the multiplier of the given penalty level."""
-    if not math.isfinite(base_score):
-        raise NonFiniteInputError("base_score must be finite")
-    return base_score * schedule.multiplier(level)
-
-
 def hef_scorer(
     y_train: Sequence[float],
     *,
@@ -152,7 +128,8 @@ def hef_scorer(
 
     The series is validated, and its guarded mean, CV band and both
     tolerance thresholds are computed, once; the returned function scores
-    ``(predictions, r2, mae, rmse)`` against them.
+    ``(predictions, r2, mae, rmse)`` against them. It takes the predictions
+    as already checked finite, as ``metrics.TargetWindow.errors`` leaves them.
     """
     y = _train_vector(y_train)
     mean = float(y.mean())
@@ -163,27 +140,19 @@ def hef_scorer(
     rmse_threshold = rmse_tolerance * mean
 
     def score(predictions: Sequence[float], r2: float, mae: float, rmse: float) -> float:
-        preds = np.asarray(predictions, dtype=float)
-        if preds.size and not np.isfinite(preds).all():
-            raise NonFiniteInputError("predictions contain non-finite values")
         for name, value in (("r2", r2), ("mae", mae), ("rmse", rmse)):
             if not math.isfinite(value):
                 raise NonFiniteInputError(f"{name} is not finite")
-
         base = weights.r2 * (1.0 - r2) + weights.mae * (mae / mean) + weights.rmse * (rmse / mean)
-
-        if mae < mae_threshold and rmse < rmse_threshold:
-            result = base
+        if not math.isfinite(base):
+            raise NonFiniteInputError("base score is not finite")
+        if bool((np.asarray(predictions, dtype=float) < 0).any()):
+            multiplier = penalties.level_4  # in place of whichever tier below would apply
         elif mae < mae_threshold:
-            result = apply_penalty(base, PenaltyLevel.LEVEL_1, penalties)
-        elif rmse < rmse_threshold:
-            result = apply_penalty(base, PenaltyLevel.LEVEL_2, penalties)
+            multiplier = 1.0 if rmse < rmse_threshold else penalties.level_1
         else:
-            result = apply_penalty(base, PenaltyLevel.LEVEL_3, penalties)
-
-        if preds.size and bool((preds < 0).any()):
-            result = apply_penalty(base, PenaltyLevel.LEVEL_4, penalties)
-        return float(result)
+            multiplier = penalties.level_2 if rmse < rmse_threshold else penalties.level_3
+        return float(base * multiplier)
 
     return score
 
@@ -207,7 +176,11 @@ def hef_score(
     Any negative prediction overwrites the result with the level-4 inflation of
     the base score. Non-finite metrics or predictions raise rather than score.
     """
-    return hef_scorer(y_train, weights=weights, penalties=penalties)(predictions, r2, mae, rmse)
+    scorer = hef_scorer(y_train, weights=weights, penalties=penalties)
+    preds = np.asarray(predictions, dtype=float)
+    if not np.isfinite(preds).all():
+        raise NonFiniteInputError("predictions contain non-finite values")
+    return scorer(preds, r2, mae, rmse)
 
 
 def maef_score(mae: float) -> float:

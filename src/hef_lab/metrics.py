@@ -75,10 +75,12 @@ class TargetWindow:
     def errors(self, predicted: Sequence[float]) -> tuple[float, float, float]:
         """``(r2, mae, rmse)`` of one forecast, from a single residual vector;
         r2 is NaN when the window is constant."""
-        e = self.actual - _matching(self.actual, predicted)
-        squared = e**2
-        r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
-        return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
+        yhat = _matching(self.actual, predicted)
+        with np.errstate(over="ignore"):  # a far-off forecast gets infinite errors, which scoring refuses
+            e = self.actual - yhat
+            squared = e**2
+            r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
+            return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
 
 
 def _defined_errors(actual: Sequence[float], predicted: Sequence[float]) -> tuple[float, float, float]:

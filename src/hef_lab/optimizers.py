@@ -20,7 +20,7 @@ from .errors import (
     HefLabError,
     InvalidParameterError,
 )
-from .spaces import GridDomain, HyperparameterSpace
+from .spaces import GridDomain, HyperparameterSpace, IntervalDomain
 
 __all__ = [
     "Objective",
@@ -66,8 +66,8 @@ class PsoConfig:
             raise InvalidParameterError("iterations must be >= 1")
         if not (0.0 < self.inertia < 1.0):
             raise InvalidParameterError("inertia must lie in (0, 1)")
-        if self.cognitive <= 0 or self.social <= 0:
-            raise InvalidParameterError("cognitive and social factors must be > 0")
+        if not (0 < self.cognitive < math.inf and 0 < self.social < math.inf):
+            raise InvalidParameterError("cognitive and social factors must be finite and > 0")
         if not (0.0 < self.velocity_clamp <= 1.0):
             raise InvalidParameterError("velocity_clamp must lie in (0, 1]")
 
@@ -92,8 +92,8 @@ class TpeConfig:
             raise InvalidParameterError("gamma must lie in (0, 1)")
         if self.candidates < 1:
             raise InvalidParameterError("candidates must be >= 1")
-        if self.bandwidth_factor <= 0:
-            raise InvalidParameterError("bandwidth_factor must be > 0")
+        if not (0 < self.bandwidth_factor < math.inf):
+            raise InvalidParameterError("bandwidth_factor must be finite and > 0")
 
 
 @dataclass
@@ -208,11 +208,15 @@ def pso_minimize(
 class _NumericParzen:
     """1-D Gaussian mixture over observations plus one uniform prior component.
 
-    The prior takes part in sampling too (one pseudo-center), so candidate
-    draws never fixate entirely on the observed cluster; the bandwidth floor
-    keeps late-stage kernels from collapsing to spikes.
+    The mixture lives in the domain's internal scale, between ``lower`` and
+    ``upper``; ``sample`` and ``log_density`` take and give values in the
+    point's own units. The prior takes part in sampling too (one
+    pseudo-center), so candidate draws never fixate entirely on the observed
+    cluster; the bandwidth floor keeps late-stage kernels from collapsing to
+    spikes.
     """
 
+    domain: IntervalDomain
     centers: np.ndarray
     bandwidth: float
     lower: float
@@ -223,21 +227,23 @@ class _NumericParzen:
         self.width = max(self.upper - self.lower, 1e-12)
 
     @classmethod
-    def fit(cls, values: np.ndarray, lower: float, upper: float, factor: float) -> "_NumericParzen":
-        width = max(upper - lower, 1e-12)
-        spread = float(values.std())
-        bw = factor * spread * len(values) ** (-0.2)
-        bw = max(bw, width / min(100.0, len(values) + 2.0))
-        return cls(centers=values, bandwidth=bw, lower=lower, upper=upper)
+    def fit(cls, observed: list, domain: IntervalDomain, factor: float) -> "_NumericParzen":
+        centers = np.array([domain.encode(v) for v in observed])
+        lower, upper = domain.internal_bounds()
+        bw = factor * float(centers.std()) * len(centers) ** (-0.2)
+        bw = max(bw, max(upper - lower, 1e-12) / min(100.0, len(centers) + 2.0))
+        return cls(domain=domain, centers=centers, bandwidth=bw, lower=lower, upper=upper)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator) -> float | int:
         pick = int(rng.integers(len(self.centers) + 1))
         if pick == len(self.centers):  # the uniform prior component
-            return float(rng.uniform(self.lower, self.upper))
-        return float(np.clip(rng.normal(self.centers[pick], self.bandwidth), self.lower, self.upper))
+            internal = rng.uniform(self.lower, self.upper)
+        else:
+            internal = np.clip(rng.normal(self.centers[pick], self.bandwidth), self.lower, self.upper)
+        return self.domain.decode(float(internal))
 
-    def log_density(self, x: float) -> float:
-        z = (x - self.centers) / self.bandwidth
+    def log_density(self, value: float) -> float:
+        z = (self.domain.encode(value) - self.centers) / self.bandwidth
         kernel = np.exp(-0.5 * z * z) / (self.bandwidth * math.sqrt(2.0 * math.pi))
         density = (kernel.sum() + 1.0 / self.width) / (len(self.centers) + 1)
         return math.log(max(density, 1e-300))
@@ -258,48 +264,20 @@ class _CategoricalParzen:
     def sample(self, rng: np.random.Generator):
         return self.values[int(rng.choice(len(self.values), p=self.probs))]
 
-    def log_density(self, x) -> float:
-        return math.log(float(self.probs[self.values.index(x)]))
+    def log_density(self, value) -> float:
+        return math.log(float(self.probs[self.values.index(value)]))
 
 
 def _fit_parzen(space: HyperparameterSpace, points: list[dict], factor: float) -> dict:
+    """One estimator per parameter, fitted to that parameter's observed values."""
     estimators: dict = {}
-    for name in space.names:
-        domain = space[name]
+    for name, domain in space.params.items():
         observed = [pt[name] for pt in points]
         if isinstance(domain, GridDomain):
             estimators[name] = _CategoricalParzen.fit(observed, domain)
         else:
-            lo, hi = domain.internal_bounds()
-            internal = np.array(
-                [math.log10(float(v)) if domain.scale == "log" else float(v) for v in observed]
-            )
-            estimators[name] = (_NumericParzen.fit(internal, lo, hi, factor), domain)
+            estimators[name] = _NumericParzen.fit(observed, domain, factor)
     return estimators
-
-
-def _parzen_sample(estimators: dict, rng: np.random.Generator) -> dict:
-    point: dict = {}
-    for name, est in estimators.items():
-        if isinstance(est, _CategoricalParzen):
-            point[name] = est.sample(rng)
-        else:
-            numeric, domain = est
-            point[name] = domain.decode(numeric.sample(rng))
-    return point
-
-
-def _parzen_log_density(estimators: dict, point: dict) -> float:
-    total = 0.0
-    for name, est in estimators.items():
-        if isinstance(est, _CategoricalParzen):
-            total += est.log_density(point[name])
-        else:
-            numeric, domain = est
-            value = float(point[name])
-            internal = math.log10(value) if domain.scale == "log" else value
-            total += numeric.log_density(internal)
-    return total
 
 
 def tpe_minimize(
@@ -332,9 +310,12 @@ def tpe_minimize(
             bad = history[n_good:] or good
             l_est = _fit_parzen(space, good, config.bandwidth_factor)
             g_est = _fit_parzen(space, bad, config.bandwidth_factor)
-            candidates = [_parzen_sample(l_est, rng) for _ in range(config.candidates)]
+            candidates = [
+                {name: est.sample(rng) for name, est in l_est.items()} for _ in range(config.candidates)
+            ]
             ratios = [
-                _parzen_log_density(l_est, c) - _parzen_log_density(g_est, c) for c in candidates
+                sum(l_est[n].log_density(c[n]) for n in c) - sum(g_est[n].log_density(c[n]) for n in c)
+                for c in candidates
             ]
             point = candidates[int(np.argmax(ratios))]
         points.append(point)

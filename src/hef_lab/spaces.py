@@ -68,10 +68,12 @@ class IntervalDomain:
 
     # internal (optimizer) scale -------------------------------------------
 
+    def encode(self, value: float) -> float:
+        """The internal-scale coordinate of ``value``; ``decode`` inverts it."""
+        return math.log10(float(value)) if self.scale == "log" else float(value)
+
     def internal_bounds(self) -> tuple[float, float]:
-        if self.scale == "log":
-            return math.log10(self.lower), math.log10(self.upper)
-        return float(self.lower), float(self.upper)
+        return self.encode(self.lower), self.encode(self.upper)
 
     def decode(self, internal: float) -> float | int:
         lo, hi = self.internal_bounds()

@@ -26,7 +26,6 @@ from .errors import (
 __all__ = [
     "MIN_REPETITIONS",
     "TestResult",
-    "ComparisonResult",
     "shapiro_wilk",
     "compare_paired_runs",
     "two_proportion_z",
@@ -42,7 +41,12 @@ _LN10 = math.log(10.0)
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one hypothesis test at a configured alpha."""
+    """Outcome of one hypothesis test at a configured alpha.
+
+    A two-sample comparison also sets ``direction``: ``"a_greater"`` or
+    ``"b_greater"`` for the sample with the larger location, None for
+    identical samples.
+    """
 
     statistic: float
     p_value: float
@@ -50,33 +54,13 @@ class TestResult:
     alpha: float
     significant: bool
     log10_p: float | None = None
+    direction: str | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p_value <= 1.0):
             raise InvalidCountsError(f"p_value out of [0, 1]: {self.p_value}")
         if self.significant != (self.p_value < self.alpha):
             raise InvalidCountsError("significant flag inconsistent with p_value and alpha")
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Two-sample comparison with a location direction.
-
-    ``direction`` is ``"a_greater"`` or ``"b_greater"`` for the sample with
-    the larger location, or None for identical samples; ``no_change`` is True
-    whenever the difference is not significant.
-    """
-
-    test_name: str
-    statistic: float
-    p_value: float
-    alpha: float
-    significant: bool
-    direction: str | None
-
-    @property
-    def no_change(self) -> bool:
-        return not self.significant
 
 
 # --- Shapiro-Wilk (Royston's approximation) ---------------------------------
@@ -206,7 +190,7 @@ def _mann_whitney(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
 
 def compare_paired_runs(
     a: Sequence[float], b: Sequence[float], alpha: float = 0.05
-) -> ComparisonResult:
+) -> TestResult:
     """Compare two repetition groups of equal size.
 
     Identical samples short-circuit to the no-change sentinel. Otherwise the
@@ -220,14 +204,7 @@ def compare_paired_runs(
     if x.size < MIN_REPETITIONS:
         raise SampleTooSmallError(f"need at least {MIN_REPETITIONS} repetitions per group, got {x.size}")
     if np.array_equal(x, y):
-        return ComparisonResult(
-            test_name="identical",
-            statistic=0.0,
-            p_value=1.0,
-            alpha=alpha,
-            significant=False,
-            direction=None,
-        )
+        return TestResult(statistic=0.0, p_value=1.0, test_name="identical", alpha=alpha, significant=False)
 
     def _looks_normal(sample: np.ndarray) -> bool:
         try:
@@ -238,25 +215,11 @@ def compare_paired_runs(
     if _looks_normal(x) and _looks_normal(y):
         t, p = _welch_t(x, y)
         direction = "a_greater" if x.mean() > y.mean() else "b_greater"
-        return ComparisonResult(
-            test_name="welch_t",
-            statistic=t,
-            p_value=p,
-            alpha=alpha,
-            significant=p < alpha,
-            direction=direction,
-        )
+        return TestResult(t, p, "welch_t", alpha, p < alpha, direction=direction)
 
     z, p, u1 = _mann_whitney(x, y)
     direction = "a_greater" if u1 > len(x) * len(y) / 2.0 else "b_greater"
-    return ComparisonResult(
-        test_name="mann_whitney_u",
-        statistic=z,
-        p_value=p,
-        alpha=alpha,
-        significant=p < alpha,
-        direction=direction,
-    )
+    return TestResult(z, p, "mann_whitney_u", alpha, p < alpha, direction=direction)
 
 
 # --- two-proportion Z --------------------------------------------------------

@@ -225,6 +225,31 @@ class TestRun:
         assert "--jobs" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("hef.weights.r2", "NaN"),
+            ("hef.weights.mae", "Infinity"),
+            ("hef.weights.r2", "1" + "0" * 400),
+            ("opt.grid.cap", "1" * 5000),  # past the integer parser's digit limit
+            ("hef.penalties.l1", "NaN"),
+            ("hef.penalties.l4", "Infinity"),
+            ("opt.pso.cognitive", "Infinity"),
+            ("opt.pso.social", "NaN"),
+            ("opt.pso.inertia", "NaN"),
+            ("opt.tpe.bandwidth_factor", "Infinity"),
+            ("experiment.alpha", "-Infinity"),
+            ("models.ses.space.alpha", '{"min": 0, "max": 1' + "0" * 400 + "}"),
+            ("models.ses.space.alpha", '{"min": NaN, "max": 1}'),
+        ],
+        ids=lambda v: v if len(v) < 40 else f"{v[:12]}...({len(v)} chars)",
+    )
+    def test_non_finite_or_overflowing_number_exits_1(self, workdir, capsys, key, raw) -> None:
+        assert self._run_with(workdir, f"{key}={raw}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err.split(": ")[1] and err.count("\n") == 1
+        assert not (workdir / "out" / "results.csv").exists()
+
     def test_bad_dataset_exits_1(self, workdir) -> None:
         bad = workdir / "bad.csv"
         bad.write_text("series_id,frequency,t,value\na,monthly,1,oops\n")

@@ -13,9 +13,7 @@ from hef_lab.errors import InvalidParameterError, NonFiniteInputError, SeriesToo
 from hef_lab.evaluation import (
     DEFAULT_WEIGHTS,
     MetricWeights,
-    PenaltyLevel,
     PenaltySchedule,
-    apply_penalty,
     coefficient_of_variation,
     hef_score,
     maef_score,
@@ -79,11 +77,6 @@ class TestPenalties:
         with pytest.raises(InvalidParameterError):
             PenaltySchedule(level_1=1.3, level_2=1.3, level_3=1.5, level_4=1.8)
 
-    def test_apply_penalty_values(self) -> None:
-        assert apply_penalty(0.19, PenaltyLevel.LEVEL_4) == pytest.approx(0.342, abs=1e-12)
-        assert apply_penalty(7.0, PenaltyLevel.LEVEL_1) / 7.0 == pytest.approx(1.2, abs=1e-15)
-        assert apply_penalty(0.0, PenaltyLevel.LEVEL_3) == 0.0
-
     def test_weights_defaults_and_validation(self) -> None:
         assert (DEFAULT_WEIGHTS.r2, DEFAULT_WEIGHTS.mae, DEFAULT_WEIGHTS.rmse) == (1.0, 1.0, 0.5)
         with pytest.raises(InvalidParameterError):
@@ -104,28 +97,32 @@ class TestHefScore:
         assert score == pytest.approx(0.19 * 1.8, abs=1e-12)
 
     def test_all_eight_branches(self) -> None:
-        # (mae over?, rmse over?, negative present?) against hand arithmetic
-        for mae_val, mae_over in ((0.5, False), (1.2, True)):
-            for rmse_val, rmse_over in ((0.8, False), (1.6, True)):
-                for negative in (False, True):
-                    base = 1.0 * (1.0 - 0.9) + mae_val / 10.0 + 0.5 * rmse_val / 10.0
-                    if negative:
-                        expected = base * 1.8
-                    elif not mae_over and not rmse_over:
-                        expected = base
-                    elif not mae_over:
-                        expected = base * 1.2
-                    elif not rmse_over:
-                        expected = base * 1.3
-                    else:
-                        expected = base * 1.5
-                    preds = [1.0, -1.0] if negative else [1.0, 1.0]
-                    got = hef_score(preds, 0.9, mae_val, rmse_val, LOW_CV_TRAIN)
-                    assert got == pytest.approx(expected, abs=1e-12), (
-                        mae_over,
-                        rmse_over,
-                        negative,
-                    )
+        # (mae over?, rmse over?, negative present?) against hand arithmetic,
+        # under the default schedule and under one with other multipliers
+        for penalties in (PenaltySchedule(), PenaltySchedule(1.1, 1.4, 1.6, 2.0)):
+            l1, l2, l3, l4 = penalties.level_1, penalties.level_2, penalties.level_3, penalties.level_4
+            for mae_val, mae_over in ((0.5, False), (1.2, True)):
+                for rmse_val, rmse_over in ((0.8, False), (1.6, True)):
+                    for negative in (False, True):
+                        base = 1.0 * (1.0 - 0.9) + mae_val / 10.0 + 0.5 * rmse_val / 10.0
+                        if negative:
+                            expected = base * l4
+                        elif not mae_over and not rmse_over:
+                            expected = base
+                        elif not mae_over:
+                            expected = base * l1
+                        elif not rmse_over:
+                            expected = base * l2
+                        else:
+                            expected = base * l3
+                        preds = [1.0, -1.0] if negative else [1.0, 1.0]
+                        got = hef_score(preds, 0.9, mae_val, rmse_val, LOW_CV_TRAIN, penalties=penalties)
+                        assert got == pytest.approx(expected, abs=1e-12), (
+                            penalties,
+                            mae_over,
+                            rmse_over,
+                            negative,
+                        )
 
     def test_perfect_fit_scores_zero(self) -> None:
         assert hef_score([1.0, 2.0], r2=1.0, mae=0.0, rmse=0.0, y_train=LOW_CV_TRAIN) == 0.0
@@ -140,17 +137,6 @@ class TestHefScore:
             assert hef_score([1.0], r2_val + 1e-4, mae_val, rmse_val, LOW_CV_TRAIN) < score
             assert hef_score([1.0], r2_val, mae_val + 1e-4, rmse_val, LOW_CV_TRAIN) > score
             assert hef_score([1.0], r2_val, mae_val, rmse_val + 1e-4, LOW_CV_TRAIN) > score
-
-    def test_penalty_ordering(self) -> None:
-        base = 0.42
-        scores = [
-            base,
-            apply_penalty(base, PenaltyLevel.LEVEL_1),
-            apply_penalty(base, PenaltyLevel.LEVEL_2),
-            apply_penalty(base, PenaltyLevel.LEVEL_3),
-            apply_penalty(base, PenaltyLevel.LEVEL_4),
-        ]
-        assert scores == sorted(scores)
 
     def test_near_zero_mean_guard(self) -> None:
         # mean 0 is replaced by 1e-6; the score stays finite
@@ -171,6 +157,11 @@ class TestHefScore:
             hef_score([1.0], math.nan, 0.5, 0.8, LOW_CV_TRAIN)
         with pytest.raises(SeriesTooShortError):
             hef_score([1.0], 0.9, 0.5, 0.8, [10.0])
+        # the training series is checked before the predictions and metrics
+        with pytest.raises(SeriesTooShortError):
+            hef_score([math.nan], math.nan, 0.5, 0.8, [10.0])
+        with pytest.raises(NonFiniteInputError, match="predictions"):
+            hef_score([math.inf], math.nan, 0.5, 0.8, LOW_CV_TRAIN)
 
 
 class TestMaef:

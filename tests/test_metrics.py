@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hef_lab.errors import (
     ZeroTotalVolumeError,
     ZeroVarianceError,
 )
+from hef_lab.evaluation import hef_scorer
 from hef_lab.metrics import (
     METRIC_NAMES,
     MetricBundle,
@@ -243,3 +245,15 @@ class TestTargetWindow:
             window.errors([1.0, 2.0])
         with pytest.raises(NonFiniteInputError):
             window.errors([1.0, math.inf, 3.0])
+
+    def test_far_off_forecast_gives_infinite_errors_quietly(self) -> None:
+        # squaring a 1e200 residual overflows; the window says so with an
+        # infinite RMSE and no RuntimeWarning, and hef refuses to score it
+        y, yhat = [9.0, 10.0, 11.0], [10.0, 1e200, 10.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r2_value, mae_value, rmse_value = TargetWindow(y).errors(yhat)
+        assert r2_value == -math.inf and rmse_value == math.inf
+        assert mae_value == pytest.approx(1e200 / 3, rel=1e-15)
+        with pytest.raises(NonFiniteInputError):
+            hef_scorer(y)(yhat, r2_value, mae_value, rmse_value)

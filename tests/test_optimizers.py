@@ -143,6 +143,25 @@ class TestIntervalDomain:
         with pytest.raises(InvalidParameterError):
             IntervalDomain(0, 5, integer="false")
 
+    @pytest.mark.parametrize(
+        ("domain", "values"),
+        [
+            (IntervalDomain(-2.5, 4.0), (-2.5, -0.1, 0.0, 1.75, 4.0)),
+            (IntervalDomain(1e-4, 10.0, scale="log"), (1e-4, 3e-4, 0.0123, 0.3, 1.0, 7.0, 10.0)),
+            (IntervalDomain(1, 12, integer=True), (1, 2, 7, 12)),
+            (IntervalDomain(1, 1000, scale="log", integer=True), (1, 3, 17, 999, 1000)),
+        ],
+        ids=["linear", "log", "integer", "log-integer"],
+    )
+    def test_encode_inverts_decode(self, domain, values) -> None:
+        assert domain.internal_bounds() == (domain.encode(domain.lower), domain.encode(domain.upper))
+        for value in values:
+            # 10**log10(v) may miss v by an ulp or two; every other round trip is exact
+            expected = pytest.approx(value, rel=1e-14) if domain.scale == "log" else value
+            assert domain.decode(domain.encode(value)) == expected
+            if domain.integer:
+                assert domain.decode(domain.encode(value)) == value
+
 
 class TestPso:
     def test_sphere_convergence_default_config(self) -> None:
@@ -273,6 +292,34 @@ class TestTpe:
         result = tpe_minimize(space, objective, TpeConfig(seed=6))
         assert result.best_point["kind"] == "high"
         assert result.best_score < 0.1
+
+    def test_mixed_space_result_is_frozen(self) -> None:
+        # frozen values: any change to the estimators' draw order or
+        # arithmetic on grid, log and integer dimensions moves them
+        space = HyperparameterSpace(
+            {
+                "kind": GridDomain(("a", "b", "c")),
+                "alpha": IntervalDomain(1e-4, 10.0, scale="log"),
+                "depth": IntervalDomain(1, 12, integer=True),
+                "mix": IntervalDomain(-1.0, 1.0),
+            }
+        )
+
+        def objective(point):
+            offset = {"a": 0.5, "b": 0.0, "c": 1.0}[point["kind"]]
+            return (
+                offset
+                + (math.log10(point["alpha"]) + 2.0) ** 2
+                + 0.1 * (point["depth"] - 7) ** 2
+                + (point["mix"] - 0.3) ** 2
+            )
+
+        result = tpe_minimize(space, objective, TpeConfig(trials=30, startup=6, candidates=16, seed=11))
+        assert (result.best_point["kind"], result.best_point["depth"]) == ("b", 6)
+        assert result.best_point["alpha"] == pytest.approx(0.008445310807514301, rel=1e-12)
+        assert result.best_point["mix"] == pytest.approx(-0.6104798109033431, rel=1e-12)
+        assert result.best_score == pytest.approx(0.9343587507558022, rel=1e-12)
+        assert (result.evals, result.failed_evals) == (30, 0)
 
     def test_failures_recorded(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)})

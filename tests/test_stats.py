@@ -16,6 +16,7 @@ from hef_lab.errors import (
     SampleTooLargeError,
     SampleTooSmallError,
 )
+from hef_lab import stats
 from hef_lab.stats import (
     compare_paired_runs,
     shapiro_wilk,
@@ -76,7 +77,7 @@ class TestComparePairedRuns:
         a = list(range(1, 22))
         result = compare_paired_runs(a, list(a))
         assert result.test_name == "identical"
-        assert result.no_change and not result.significant
+        assert not result.significant and result.p_value == 1.0
         assert result.direction is None
 
     def test_separated_samples(self) -> None:
@@ -109,6 +110,22 @@ class TestComparePairedRuns:
         b = rng.exponential(1.0, 21) ** 3
         result = compare_paired_runs(a, b)
         assert result.test_name == "mann_whitney_u"
+
+    @pytest.mark.parametrize(
+        ("a", "b", "test_name", "direction"),
+        [
+            ([1.0, 2.0, 4.0, 8.0], [1.0, 2.0, 4.0, 8.0], "identical", None),
+            ([11.0, 12.0, 13.0, 14.0, 15.0], [1.0, 2.0, 3.0, 4.0, 5.0], "welch_t", "a_greater"),
+            ([1.0, 2.0, 3.0, 4.0, 5.0], [11.0, 12.0, 13.0, 14.0, 15.0], "welch_t", "b_greater"),
+            ([3.0] * 21, [2.0] * 21, "mann_whitney_u", "a_greater"),
+            ([2.0] * 21, [3.0] * 21, "mann_whitney_u", "b_greater"),
+        ],
+    )
+    def test_direction_on_each_path(self, a, b, test_name, direction) -> None:
+        result = compare_paired_runs(a, b)
+        assert isinstance(result, stats.TestResult)
+        assert (result.test_name, result.direction) == (test_name, direction)
+        assert result.log10_p is None
 
     def test_validation(self) -> None:
         with pytest.raises(LengthMismatchError):
