@@ -66,7 +66,8 @@ def _matching(y: np.ndarray, predicted: Sequence[float]) -> np.ndarray:
 
 class TargetWindow:
     """The actual values of one test window, validated once, with their total
-    sum of squares; ``errors`` scores any number of forecasts of the window."""
+    sum of squares; ``errors`` and ``mae`` score any number of forecasts of
+    the window."""
 
     def __init__(self, actual: Sequence[float]) -> None:
         self.actual = _as_vector(actual, "actual")
@@ -81,6 +82,13 @@ class TargetWindow:
             squared = e**2
             r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
             return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
+
+    def mae(self, predicted: Sequence[float]) -> float:
+        """The MAE of one forecast, validated as ``errors`` validates it and
+        equal to ``errors(predicted)[1]``."""
+        yhat = _matching(self.actual, predicted)
+        with np.errstate(over="ignore"):
+            return float(np.mean(np.abs(self.actual - yhat)))
 
 
 def _defined_errors(actual: Sequence[float], predicted: Sequence[float]) -> tuple[float, float, float]:

@@ -30,23 +30,23 @@ def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[int, float] | None:
     n, p = X.shape
     best_cost = math.inf
     best: tuple[int, float] | None = None
-    total = float(y @ y)
+    slack = 1e-12 * max(float(y @ y), 1.0)
+    n_left = np.arange(1, n)
     for j in range(p):
         order = np.argsort(X[:, j], kind="stable")
         xs = X[order, j]
         ys = y[order]
         s1 = np.cumsum(ys)
         s2 = np.cumsum(ys**2)
-        for i in range(n - 1):
-            if xs[i] == xs[i + 1]:
-                continue
-            nl = i + 1
-            nr = n - nl
-            sse_left = s2[i] - s1[i] ** 2 / nl
-            sse_right = (s2[-1] - s2[i]) - (s1[-1] - s1[i]) ** 2 / nr
-            cost = sse_left + sse_right
-            if cost < best_cost - 1e-12 * max(total, 1.0):
-                best_cost = cost
+        # the SSE of every split position at once; only positions between
+        # distinct x values are candidates, scanned in order so that a later
+        # position must beat the best cost by the slack
+        sse_left = s2[:-1] - s1[:-1] ** 2 / n_left
+        sse_right = (s2[-1] - s2[:-1]) - (s1[-1] - s1[:-1]) ** 2 / (n - n_left)
+        costs = (sse_left + sse_right).tolist()
+        for i in np.flatnonzero(xs[:-1] != xs[1:]).tolist():
+            if costs[i] < best_cost - slack:
+                best_cost = costs[i]
                 best = (j, float((xs[i] + xs[i + 1]) / 2.0))
     return best
 

@@ -209,7 +209,7 @@ class _NumericParzen:
     """1-D Gaussian mixture over observations plus one uniform prior component.
 
     The mixture lives in the domain's internal scale, between ``lower`` and
-    ``upper``; ``sample`` and ``log_density`` take and give values in the
+    ``upper``; ``sample`` and ``log_densities`` take and give values in the
     point's own units. The prior takes part in sampling too (one
     pseudo-center), so candidate draws never fixate entirely on the observed
     cluster; the bandwidth floor keeps late-stage kernels from collapsing to
@@ -242,11 +242,14 @@ class _NumericParzen:
             internal = np.clip(rng.normal(self.centers[pick], self.bandwidth), self.lower, self.upper)
         return self.domain.decode(float(internal))
 
-    def log_density(self, value: float) -> float:
-        z = (self.domain.encode(value) - self.centers) / self.bandwidth
+    def log_densities(self, values: list) -> list[float]:
+        """The log mixture density at each value, all values in one array
+        expression: row ``i`` of ``z`` holds value ``i`` against every center."""
+        encoded = np.array([self.domain.encode(v) for v in values])
+        z = (encoded[:, None] - self.centers) / self.bandwidth
         kernel = np.exp(-0.5 * z * z) / (self.bandwidth * math.sqrt(2.0 * math.pi))
-        density = (kernel.sum() + 1.0 / self.width) / (len(self.centers) + 1)
-        return math.log(max(density, 1e-300))
+        density = (kernel.sum(axis=1) + 1.0 / self.width) / (len(self.centers) + 1)
+        return [math.log(max(d, 1e-300)) for d in density.tolist()]
 
 
 @dataclass
@@ -264,8 +267,8 @@ class _CategoricalParzen:
     def sample(self, rng: np.random.Generator):
         return self.values[int(rng.choice(len(self.values), p=self.probs))]
 
-    def log_density(self, value) -> float:
-        return math.log(float(self.probs[self.values.index(value)]))
+    def log_densities(self, values: list) -> list[float]:
+        return [math.log(float(self.probs[self.values.index(v)])) for v in values]
 
 
 def _fit_parzen(space: HyperparameterSpace, points: list[dict], factor: float) -> dict:
@@ -313,10 +316,11 @@ def tpe_minimize(
             candidates = [
                 {name: est.sample(rng) for name, est in l_est.items()} for _ in range(config.candidates)
             ]
-            ratios = [
-                sum(l_est[n].log_density(c[n]) for n in c) - sum(g_est[n].log_density(c[n]) for n in c)
-                for c in candidates
-            ]
+            # one row of log densities per parameter, in space order, which is
+            # the order each candidate's l and g sums add them in
+            l_rows = [est.log_densities([c[n] for c in candidates]) for n, est in l_est.items()]
+            g_rows = [g_est[n].log_densities([c[n] for c in candidates]) for n in l_est]
+            ratios = [sum(l_logs) - sum(g_logs) for l_logs, g_logs in zip(zip(*l_rows), zip(*g_rows))]
             point = candidates[int(np.argmax(ratios))]
         points.append(point)
         scores.append(tally.score(point))

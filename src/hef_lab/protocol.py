@@ -305,10 +305,9 @@ class _Objective:
     def __call__(self, point: Mapping) -> float:
         fitted = self._model.fit(self._train, point)
         predicted = fitted.predict(self._window.actual.size)
-        r2_value, mae_value, rmse_value = self._window.errors(predicted)
         if self._hef is None:
-            return evaluation.maef_score(mae_value)
-        return self._hef(predicted, r2_value, mae_value, rmse_value)  # a flat window's NaN r2 raises
+            return evaluation.maef_score(self._window.mae(predicted))
+        return self._hef(predicted, *self._window.errors(predicted))  # a flat window's NaN r2 raises
 
 
 # Grid-search results of the current run, keyed by (series_id, model,

@@ -30,6 +30,8 @@ class GridDomain:
         vals = tuple(self.values)
         if not vals:
             raise InvalidParameterError("grid domain must be non-empty")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+            raise InvalidParameterError(f"grid values must be finite, got {vals!r}")
         if len(set(vals)) != len(vals):
             raise InvalidParameterError("grid domain values must be unique")
         object.__setattr__(self, "values", vals)

@@ -77,6 +77,24 @@ def _poly(u: float, coeffs: Sequence[float]) -> float:
     return total * u
 
 
+# Samples whose largest magnitude lies within 2**-200 .. 2**200 are tested as
+# they are: no square or fourth power below can overflow, or underflow to
+# zero, there, and scaling them would not be bit-neutral, because ``**`` on
+# floats is the C library's pow, which need not round x**2 as it rounds x*x.
+_SAFE_EXPONENT = 200
+
+
+def _unit_scaled(largest: float, *samples: np.ndarray) -> list[np.ndarray]:
+    """The samples, divided by the power of two just above ``largest``, their
+    largest magnitude, when it lies outside the safe range. The division is
+    exact for every value it leaves in the normal range, so sums of squares
+    stay finite and scale-free statistics keep their meaning."""
+    _, exponent = math.frexp(largest)
+    if abs(exponent) <= _SAFE_EXPONENT:
+        return list(samples)
+    return [np.ldexp(s, -exponent) for s in samples]
+
+
 def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
     """W statistic and upper-tail p for normality, 3 <= n <= 5000."""
     x = np.sort(np.asarray(sample, dtype=float))
@@ -87,6 +105,7 @@ def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
         raise SampleTooLargeError(f"shapiro_wilk needs n <= 5000, got {n}")
     if x[-1] == x[0]:
         raise DegenerateSampleError("all sample values are identical")
+    (x,) = _unit_scaled(max(-float(x[0]), float(x[-1])), x)  # W does not depend on scale
 
     m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     msq = float(m @ m)
@@ -213,6 +232,8 @@ def compare_paired_runs(
             return False
 
     if _looks_normal(x) and _looks_normal(y):
+        # Welch's t does not depend on a common scale; Mann-Whitney only ranks
+        x, y = _unit_scaled(float(np.abs(np.concatenate((x, y))).max()), x, y)
         t, p = _welch_t(x, y)
         direction = "a_greater" if x.mean() > y.mean() else "b_greater"
         return TestResult(t, p, "welch_t", alpha, p < alpha, direction=direction)

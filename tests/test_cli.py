@@ -241,6 +241,8 @@ class TestRun:
             ("experiment.alpha", "-Infinity"),
             ("models.ses.space.alpha", '{"min": 0, "max": 1' + "0" * 400 + "}"),
             ("models.ses.space.alpha", '{"min": NaN, "max": 1}'),
+            ("models.ses.space.alpha", '{"grid": [NaN, 0.5]}'),
+            ("models.ses.space.alpha", '{"grid": [Infinity]}'),
         ],
         ids=lambda v: v if len(v) < 40 else f"{v[:12]}...({len(v)} chars)",
     )

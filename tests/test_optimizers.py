@@ -131,6 +131,17 @@ def sphere(point):
     return point["x"] ** 2 + point["y"] ** 2
 
 
+class TestGridDomain:
+    @pytest.mark.parametrize("values", [(math.nan, 0.5), (math.inf,), (1, -math.inf), (np.float64("nan"),)])
+    def test_non_finite_floats_rejected(self, values) -> None:
+        with pytest.raises(InvalidParameterError, match="finite"):
+            GridDomain(values)
+
+    def test_none_ints_and_strings_stay_valid(self) -> None:
+        assert GridDomain((2, 4, None)).values == (2, 4, None)
+        assert GridDomain(("a", "b", 0.5)).values == ("a", "b", 0.5)
+
+
 class TestIntervalDomain:
     def test_integer_interval_must_hold_an_integer(self) -> None:
         with pytest.raises(InvalidParameterError):

@@ -1,0 +1,251 @@
+"""The solver hot loops against frozen copies of their earlier scalar forms.
+
+Each ``_reference_*`` function below is the loop as it stood before its
+per-element numpy calls were taken out, copied verbatim. The rewrites do the
+same floating-point operations in the same order, so every comparison here is
+exact: ``np.array_equal`` or ``==``, never a tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from hef_lab.errors import NonConvergenceError
+from hef_lab.models import create
+from hef_lab.models.linear import _median, _solve_normal_equations, coordinate_descent_enet
+from hef_lab.models.tree import _best_split
+from hef_lab.optimizers import _CategoricalParzen, _NumericParzen
+from hef_lab.spaces import GridDomain, IntervalDomain
+
+
+def _reference_enet(X, y, alpha, l1_ratio, max_iter=10_000, tol=1e-10):
+    n, p = X.shape
+    beta = np.zeros(p)
+    col_sq = (X**2).mean(axis=0)
+    denom = col_sq + alpha * (1.0 - l1_ratio)
+    threshold = alpha * l1_ratio
+    residual = y.copy()
+    for _ in range(max_iter):
+        max_delta = 0.0
+        for j in range(p):
+            if denom[j] == 0.0:
+                continue
+            rho = float(X[:, j] @ residual) / n + col_sq[j] * beta[j]
+            new = float(np.sign(rho) * max(abs(rho) - threshold, 0.0)) / denom[j]
+            delta = new - beta[j]
+            if delta != 0.0:
+                residual -= X[:, j] * delta
+                beta[j] = new
+                max_delta = max(max_delta, abs(delta))
+        if max_delta < tol:
+            return beta
+    raise NonConvergenceError("coordinate descent hit its iteration cap")
+
+
+def _reference_huber(Xs, yc, epsilon, alpha, max_iter=200):
+    n, p = Xs.shape
+    eye = np.eye(p)
+    beta = _solve_normal_equations(Xs.T @ Xs / n + alpha * eye, Xs.T @ yc / n)
+    scale_floor = 1e-12 * (1.0 + float(np.std(yc)))
+    for _ in range(max_iter):
+        residual = yc - Xs @ beta
+        med = float(np.median(residual))
+        sigma = float(np.median(np.abs(residual - med))) / 0.6745
+        if sigma < scale_floor:
+            return beta
+        u = np.abs(residual) / sigma
+        w = np.where(u <= epsilon, 1.0, epsilon / u)
+        A = (Xs * w[:, None]).T @ Xs / n + alpha * eye
+        b = (Xs * w[:, None]).T @ yc / n
+        new = _solve_normal_equations(A, b)
+        if float(np.max(np.abs(new - beta))) < 1e-10 * (1.0 + float(np.max(np.abs(beta)))):
+            return new
+        beta = new
+    raise NonConvergenceError("huber IRLS hit its iteration cap")
+
+
+def _reference_numeric_log_density(est: _NumericParzen, value) -> float:
+    z = (est.domain.encode(value) - est.centers) / est.bandwidth
+    kernel = np.exp(-0.5 * z * z) / (est.bandwidth * math.sqrt(2.0 * math.pi))
+    density = (kernel.sum() + 1.0 / est.width) / (len(est.centers) + 1)
+    return math.log(max(density, 1e-300))
+
+
+def _reference_categorical_log_density(est: _CategoricalParzen, value) -> float:
+    return math.log(float(est.probs[est.values.index(value)]))
+
+
+def _reference_best_split(X, y):
+    n, p = X.shape
+    best_cost = math.inf
+    best = None
+    total = float(y @ y)
+    for j in range(p):
+        order = np.argsort(X[:, j], kind="stable")
+        xs = X[order, j]
+        ys = y[order]
+        s1 = np.cumsum(ys)
+        s2 = np.cumsum(ys**2)
+        for i in range(n - 1):
+            if xs[i] == xs[i + 1]:
+                continue
+            nl = i + 1
+            nr = n - nl
+            sse_left = s2[i] - s1[i] ** 2 / nl
+            sse_right = (s2[-1] - s2[i]) - (s1[-1] - s1[i]) ** 2 / nr
+            cost = sse_left + sse_right
+            if cost < best_cost - 1e-12 * max(total, 1.0):
+                best_cost = cost
+                best = (j, float((xs[i] + xs[i + 1]) / 2.0))
+    return best
+
+
+def _standardized(X: np.ndarray) -> np.ndarray:
+    scale = X.std(axis=0)
+    scale[scale == 0.0] = 1.0
+    return (X - X.mean(axis=0)) / scale
+
+
+def _designs(seed: int):
+    """Lag-matrix-shaped designs (36 x 12): independent columns, nearly
+    collinear columns, and a constant column."""
+    rng = np.random.default_rng(seed)
+    n, p = 36, 12
+    independent = rng.normal(size=(n, p))
+    base = rng.normal(size=n)
+    collinear = base[:, None] + rng.normal(0.0, 0.3, (n, p))
+    constant = rng.normal(size=(n, p))
+    constant[:, 3] = 7.0
+    for X in (independent, collinear, constant):
+        Xs = _standardized(X)
+        y = Xs @ rng.normal(size=p) + rng.normal(0.0, 0.5, n)
+        y[rng.integers(n)] += 15.0  # one outlier, for the Huber weights
+        yield Xs, y - y.mean()
+
+
+class TestMedian:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [2.0, -1.0],
+            [5.0, 1.0, 4.0],
+            [1.0, 1.0, 2.0, 2.0],
+            [0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.1, 0.2, 0.7, 0.3, 0.7, 0.1],
+            [1e308, 1e308, -1.0],
+        ],
+    )
+    def test_equals_np_median(self, values) -> None:
+        arr = np.array(values)
+        expected = float(np.median(arr))
+        assert _median(arr) == expected and math.copysign(1.0, _median(arr)) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize("n", [35, 36])
+    def test_random_odd_and_even_lengths(self, n) -> None:
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            arr = rng.normal(size=n) * 10.0 ** rng.integers(-5, 6)
+            arr[rng.integers(n, size=3)] = arr[0]  # ties
+            assert _median(arr) == float(np.median(arr))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_nan_gives_nan(self, n) -> None:
+        arr = np.arange(float(n))
+        arr[2] = math.nan
+        assert math.isnan(_median(arr)) and math.isnan(np.median(arr))
+
+
+class TestCoordinateDescent:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("alpha, l1_ratio", [(1e-4, 1.0), (0.01, 1.0), (0.05, 0.5), (0.3, 0.1), (2.0, 0.0)])
+    def test_equals_reference(self, seed, alpha, l1_ratio) -> None:
+        for Xs, yc in _designs(seed):  # the collinear designs take hundreds of sweeps
+            expected = _reference_enet(Xs, yc, alpha, l1_ratio)
+            assert np.array_equal(coordinate_descent_enet(Xs, yc, alpha, l1_ratio), expected)
+
+    def test_cap_reached_alike(self) -> None:
+        Xs, yc = list(_designs(3))[1]  # nearly collinear
+        with pytest.raises(NonConvergenceError):
+            _reference_enet(Xs, yc, 1e-4, 0.5, max_iter=3)
+        with pytest.raises(NonConvergenceError):
+            coordinate_descent_enet(Xs, yc, 1e-4, 0.5, max_iter=3)
+
+
+class TestHuber:
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("epsilon, alpha", [(1.0, 1e-4), (1.35, 0.01), (2.0, 1.0)])
+    def test_equals_reference(self, seed, epsilon, alpha) -> None:
+        model = create("hr")
+        for Xs, yc in _designs(seed):
+            expected = _reference_huber(Xs, yc, epsilon, alpha)
+            assert np.array_equal(model._solve(Xs, yc, {"epsilon": epsilon, "alpha": alpha}), expected)
+
+
+class TestParzenLogDensities:
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            IntervalDomain(1e-4, 10.0, scale="log"),
+            IntervalDomain(0.0, 1.0),
+            IntervalDomain(1, 40, integer=True),
+            IntervalDomain(1, 1000, scale="log", integer=True),
+        ],
+        ids=["log", "linear", "integer", "log-integer"],
+    )
+    @pytest.mark.parametrize("n_observed", [1, 3, 9, 40, 200])
+    def test_numeric_equals_scalar_formula(self, domain, n_observed) -> None:
+        rng = np.random.default_rng(n_observed)
+        for factor in (1.06, 0.3):
+            observed = [domain.decode(rng.uniform(*domain.internal_bounds())) for _ in range(n_observed)]
+            est = _NumericParzen.fit(observed, domain, factor)
+            values = [est.sample(rng) for _ in range(24)] + [domain.lower, domain.upper]
+            expected = [_reference_numeric_log_density(est, v) for v in values]
+            assert est.log_densities(values) == expected
+
+    def test_far_values_hit_the_floor_alike(self) -> None:
+        domain = IntervalDomain(0.0, 1e6)
+        est = _NumericParzen(domain, np.array([0.0, 1.0]), 1e-3, 0.0, 1e-300)
+        values = [5e5, 1e6, 0.5]
+        assert est.log_densities(values) == [_reference_numeric_log_density(est, v) for v in values]
+
+    @pytest.mark.parametrize("grid", [(1, 2, 3, 4), (2, 4, 8, None), ("a", "b")])
+    def test_categorical_equals_scalar_formula(self, grid) -> None:
+        domain = GridDomain(grid)
+        est = _CategoricalParzen.fit([grid[0], grid[-1], grid[0]], domain)
+        values = list(grid) * 3
+        assert est.log_densities(values) == [_reference_categorical_log_density(est, v) for v in values]
+
+
+class TestBestSplit:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicate_x_values(self, seed) -> None:
+        rng = np.random.default_rng(seed)
+        for n in (2, 3, 7, 36):
+            X = rng.integers(0, 4, size=(n, 5)).astype(float)  # many repeated values
+            y = rng.normal(size=n)
+            assert _best_split(X, y) == _reference_best_split(X, y)
+
+    def test_tied_costs_keep_the_first_feature_and_position(self) -> None:
+        X = np.column_stack([np.arange(8.0), np.arange(8.0), np.arange(8.0)[::-1]])
+        y = np.array([1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0])
+        assert _best_split(X, y) == _reference_best_split(X, y) == (0, 3.5)
+        y_sym = np.array([0.0, 1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0])  # symmetric: mirror splits tie
+        assert _best_split(X, y_sym) == _reference_best_split(X, y_sym)
+
+    def test_constant_columns_give_no_split(self) -> None:
+        X = np.ones((6, 3))
+        y = np.arange(6.0)
+        assert _best_split(X, y) is None and _reference_best_split(X, y) is None
+
+    def test_lag_matrices(self) -> None:
+        rng = np.random.default_rng(9)
+        series = np.round(50.0 + 10.0 * np.sin(np.arange(60) / 2.0) + rng.normal(0.0, 3.0, 60))
+        X = np.lib.stride_tricks.sliding_window_view(series[:-1], 12)
+        y = series[12:]
+        assert _best_split(X, y) == _reference_best_split(X, y)
+        for mask in (X[:, 0] <= 50.0, X[:, 5] > 45.0):
+            assert _best_split(X[mask], y[mask]) == _reference_best_split(X[mask], y[mask])

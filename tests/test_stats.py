@@ -11,6 +11,7 @@ import scipy.stats
 from hef_lab.errors import (
     DegeneratePooledError,
     DegenerateSampleError,
+    HefLabError,
     InvalidCountsError,
     LengthMismatchError,
     SampleTooLargeError,
@@ -140,6 +141,49 @@ class TestComparePairedRuns:
             for _ in range(200)
         )
         assert 0.01 <= false_positives / 200 <= 0.10
+
+    @pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+    def test_huge_groups_give_a_result_or_a_domain_error(self, scale) -> None:
+        rng = np.random.default_rng(31)
+        a = rng.normal(size=21) * scale
+        groups = [
+            (a, rng.normal(size=21) * scale),  # both normal: Welch
+            (a, rng.normal(0.5, 1.0, 21) * scale),
+            (a, rng.exponential(size=21) * scale),  # one skewed: Mann-Whitney
+            (a, a[::-1] * 1.5),
+        ]
+        for x, y in groups:
+            try:
+                result = compare_paired_runs(x, y)
+            except HefLabError:
+                continue
+            assert isinstance(result, stats.TestResult) and 0.0 <= result.p_value <= 1.0
+
+    def test_far_scales_are_tested_at_unit_scale(self) -> None:
+        # outside 2**-200 .. 2**200 both groups are divided by one exact power
+        # of two, which gives the statistics of the same groups near 1
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            a, b = rng.normal(size=21), rng.normal(0.3, 1.2, 21) + rng.exponential(size=21) * rng.integers(2)
+            _, e = math.frexp(float(np.abs(np.concatenate((a, b))).max()))
+            unit = compare_paired_runs(np.ldexp(a, -e), np.ldexp(b, -e))
+            for k in (-300, 400):
+                assert compare_paired_runs(np.ldexp(a, k), np.ldexp(b, k)) == unit
+            _, e = math.frexp(float(np.abs(a).max()))
+            assert shapiro_wilk(np.ldexp(a, 500)) == shapiro_wilk(np.ldexp(a, -e))
+
+    def test_ordinary_scale_keeps_its_bits(self) -> None:
+        # frozen from the unscaled computation: dividing these groups by 32
+        # would move Welch's p by one ulp, because pow(x, 2) is not always
+        # rounded as x * x is
+        a = [24.089378586635586, 24.090130640041128, 24.09118184842761]
+        b = [24.094153660780986, 24.090687957530573, 24.093149476071233]
+        result = compare_paired_runs(a, b)
+        assert (result.test_name, result.statistic, result.p_value) == (
+            "welch_t", -2.1072929575091233, 0.12667835398627053
+        )
+        assert shapiro_wilk(a).statistic == 0.9909095024679379
+        assert shapiro_wilk(b).statistic == 0.9443400876981684
 
 
 class TestTwoProportionZ:
