@@ -171,15 +171,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for table in tables:
         name = f"cases_{pair[0]}_vs_{pair[1]}_{_slug(table.split or 'all')}_{table.optimizer or 'all'}.csv"
         with (out / name).open("w", newline="") as fh:
+            print(f"{name}:")
             writer = csv.writer(fh)
             writer.writerow(case_columns)
             for metric in METRIC_NAMES:
                 a, b, none = table.improvements(metric)
                 writer.writerow([metric, a, b, none, table.comparisons[metric]])
-        print(f"{name}:")
-        for metric in METRIC_NAMES:
-            a, b, none = table.improvements(metric)
-            print(f"  {metric:>9}: improves_{pair[0]}={a} improves_{pair[1]}={b} no_change={none}")
+                print(f"  {metric:>9}: improves_{pair[0]}={a} improves_{pair[1]}={b} no_change={none}")
         scopes: list[str | None] = [None, *METRIC_NAMES]
         for scope in scopes:
             try:

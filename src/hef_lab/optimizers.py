@@ -239,7 +239,8 @@ class _NumericParzen:
         if pick == len(self.centers):  # the uniform prior component
             internal = rng.uniform(self.lower, self.upper)
         else:
-            internal = np.clip(rng.normal(self.centers[pick], self.bandwidth), self.lower, self.upper)
+            # the draw stays the first argument of both: np.clip's result on ties, signed zeros included
+            internal = min(max(rng.normal(self.centers[pick], self.bandwidth), self.lower), self.upper)
         return self.domain.decode(float(internal))
 
     def log_densities(self, values: list) -> list[float]:

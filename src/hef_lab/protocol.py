@@ -491,20 +491,75 @@ class CaseTable:
         return c[VERDICT_A], c[VERDICT_B], c[VERDICT_NONE]
 
 
-def _group_cells(rows: Iterable[Mapping]) -> dict[tuple, dict[int, float]]:
-    """(series, model, split, optimizer, condition, metric) -> rep -> value."""
-    cells: dict[tuple, dict[int, float]] = {}
+# (series_id, model, split, condition) -> (optimizer label, metric -> rep -> value)
+_Index = dict[tuple[str, str, str, str], tuple[str, dict[str, dict[int, float]]]]
+
+
+def _index(rows: Iterable[Mapping]) -> _Index:
+    """Each run of the rows with its one optimizer label and its values. A run
+    stored under two labels, as a resume with another optimizer writes, is
+    refused."""
+    index: _Index = {}
     for row in rows:
-        key = (
-            row["series_id"],
-            row["model"],
-            row["split"],
-            row["optimizer"],
-            row["condition"],
-            row["metric"],
-        )
-        cells.setdefault(key, {})[int(row["rep"])] = float(row["value"])
-    return cells
+        run = (row["series_id"], row["model"], row["split"], row["condition"])
+        entry = index.get(run)
+        if entry is None:
+            entry = index[run] = (row["optimizer"], {})
+        elif row["optimizer"] != entry[0]:
+            raise InvalidParameterError(
+                f"run {'/'.join(run)} holds reps under two optimizer labels, {entry[0]} and {row['optimizer']}"
+            )
+        entry[1].setdefault(row["metric"], {})[int(row["rep"])] = float(row["value"])
+    return index
+
+
+def _case_table(
+    index: _Index,
+    pair: tuple[str, str],
+    alpha: float,
+    split: str | None,
+    optimizer: str | None,
+) -> CaseTable:
+    """The case table of the cells of ``index`` in ``split`` (None: all) whose
+    searched side of the pair ran under ``optimizer`` (None: any label)."""
+    cond_a, cond_b = pair
+    if cond_a == cond_b:
+        raise InvalidParameterError("pair must name two distinct conditions")
+    cells = sorted(
+        {
+            (series_id, model, row_split)
+            for (series_id, model, row_split, condition), (label, _) in index.items()
+            if condition in pair
+            and (split is None or row_split == split)
+            # baseline runs never select cells when filtering by optimizer
+            and (optimizer is None or (condition != "baseline" and label == optimizer))
+        }
+    )
+    counts = {m: {VERDICT_A: 0, VERDICT_B: 0, VERDICT_NONE: 0} for m in METRIC_NAMES}
+    comparisons = {m: 0 for m in METRIC_NAMES}
+    skipped: list[tuple] = []
+    outcomes: list[CaseOutcome] = []
+    for cell in cells:
+        metrics_a = index.get((*cell, cond_a), (None, {}))[1]
+        metrics_b = index.get((*cell, cond_b), (None, {}))[1]
+        for metric in METRIC_NAMES:
+            reps_a = metrics_a.get(metric)
+            reps_b = metrics_b.get(metric)
+            if reps_a is None or reps_b is None or set(reps_a) != set(reps_b):
+                skipped.append((*cell, metric))
+                continue
+            order = sorted(reps_a)
+            result = compare_paired_runs([reps_a[r] for r in order], [reps_b[r] for r in order], alpha)
+            comparisons[metric] += 1
+            if not result.significant:
+                verdict = VERDICT_NONE
+            else:
+                a_better = (result.direction == "a_greater") == (metric in HIGHER_BETTER)
+                verdict = VERDICT_A if a_better else VERDICT_B
+            counts[metric][verdict] += 1
+            outcomes.append(CaseOutcome(*cell, metric, verdict, result.p_value))
+
+    return CaseTable(pair, split, optimizer, counts, comparisons, tuple(skipped), tuple(outcomes))
 
 
 def count_cases(
@@ -519,77 +574,23 @@ def count_cases(
     A cell is compared per metric by the two repetition groups; significant
     differences become improvement cases for the better side (metric
     direction aware), everything else is no-change. Cells missing one side
-    or with unequal repetition counts are skipped and reported.
+    or with unequal repetition counts are skipped and reported. Rows that hold
+    one run under two optimizer labels are refused.
     """
-    cond_a, cond_b = pair
-    if cond_a == cond_b:
-        raise InvalidParameterError("pair must name two distinct conditions")
-    grouped = _group_cells(rows)
-
-    # index by (series, model, split, condition, metric); the optimizer label
-    # only gates which cells enter this table, it is not part of cell identity
-    by_cell: dict[tuple, dict[int, float]] = {}
-    cell_ids: set[tuple] = set()
-    for (series_id, model, row_split, row_opt, condition, metric), reps in grouped.items():
-        if condition not in pair:
-            continue
-        if split is not None and row_split != split:
-            continue
-        by_cell[(series_id, model, row_split, condition, metric)] = reps
-        # baseline rows never select cells when filtering by optimizer
-        if optimizer is not None and (condition == "baseline" or row_opt != optimizer):
-            continue
-        cell_ids.add((series_id, model, row_split))
-
-    counts = {m: {VERDICT_A: 0, VERDICT_B: 0, VERDICT_NONE: 0} for m in METRIC_NAMES}
-    comparisons = {m: 0 for m in METRIC_NAMES}
-    skipped: list[tuple] = []
-    outcomes: list[CaseOutcome] = []
-    for series_id, model, row_split in sorted(cell_ids):
-        for metric in METRIC_NAMES:
-            reps_a = by_cell.get((series_id, model, row_split, cond_a, metric))
-            reps_b = by_cell.get((series_id, model, row_split, cond_b, metric))
-            if reps_a is None or reps_b is None or set(reps_a) != set(reps_b):
-                skipped.append((series_id, model, row_split, metric))
-                continue
-            order = sorted(reps_a)
-            sample_a = [reps_a[r] for r in order]
-            sample_b = [reps_b[r] for r in order]
-            result = compare_paired_runs(sample_a, sample_b, alpha)
-            comparisons[metric] += 1
-            if not result.significant:
-                verdict = VERDICT_NONE
-            else:
-                a_better = (result.direction == "a_greater") == (metric in HIGHER_BETTER)
-                verdict = VERDICT_A if a_better else VERDICT_B
-            counts[metric][verdict] += 1
-            outcomes.append(
-                CaseOutcome(series_id, model, row_split, metric, verdict, result.p_value)
-            )
-
-    return CaseTable(
-        pair=pair,
-        split=split,
-        optimizer=optimizer,
-        counts=counts,
-        comparisons=comparisons,
-        skipped_cells=tuple(skipped),
-        outcomes=tuple(outcomes),
-    )
+    return _case_table(_index(rows), pair, alpha, split, optimizer)
 
 
 def case_tables_by_group(
     rows: Iterable[Mapping], pair: tuple[str, str], alpha: float = 0.05
 ) -> list[CaseTable]:
     """One case table per (split, optimizer) group present for the pair."""
-    groups: set[tuple[str, str]] = set()
-    for row in rows:
-        if row["condition"] in pair and row["condition"] != "baseline":
-            groups.add((row["split"], row["optimizer"]))
-    return [
-        count_cases(rows, pair, alpha, split=split, optimizer=optimizer)
-        for split, optimizer in sorted(groups)
-    ]
+    index = _index(rows)
+    groups = {
+        (split, label)
+        for (_, _, split, condition), (label, _) in index.items()
+        if condition in pair and condition != "baseline"
+    }
+    return [_case_table(index, pair, alpha, split, label) for split, label in sorted(groups)]
 
 
 def z_summary(table: CaseTable, metric: str | None = None, alpha: float = 0.05) -> TestResult:
@@ -616,41 +617,33 @@ def improvement_rows(
     """Signed percentage improvement per (series, model, split, optimizer, metric).
 
     Positive values mean the pair's first condition is better; cells whose
-    reference mean is ~0 are dropped (percentage undefined).
+    reference mean is ~0 are dropped (percentage undefined). The optimizer is
+    the label of the pair's second condition, or of its first when the second
+    is the baseline.
     """
     cond_a, cond_b = pair
-    cells = _group_cells(rows)
-    means: dict[tuple, dict[str, float]] = {}
-    for (series_id, model, split, _opt, condition, metric), reps in cells.items():
-        if condition not in pair:
-            continue
-        cell = (series_id, model, split, metric)
-        means.setdefault(cell, {})[condition] = sum(reps.values()) / len(reps)
-    opt_by_cell: dict[tuple, str] = {}
-    for (series_id, model, split, opt, condition, metric), _reps in cells.items():
-        if condition in pair and condition != "baseline":
-            opt_by_cell[(series_id, model, split, metric)] = opt
-
+    index = _index(rows)
     out: dict[str, list[dict]] = {m: [] for m in METRIC_NAMES}
-    for (series_id, model, split, metric), by_cond in sorted(means.items()):
-        if metric not in out:  # trace summary rows are not improvement metrics
+    for series_id, model, split, _ in sorted(run for run in index if run[3] == cond_a):
+        if (series_id, model, split, cond_b) not in index:
             continue
-        if cond_a not in by_cond or cond_b not in by_cond:
-            continue
-        reference = by_cond[cond_b]
-        if abs(reference) < 1e-12:
-            continue
-        delta = by_cond[cond_a] - by_cond[cond_b]
-        if metric not in HIGHER_BETTER:
-            delta = -delta
-        out[metric].append(
-            {
-                "series_id": series_id,
-                "model": model,
-                "split": split,
-                "optimizer": opt_by_cell.get((series_id, model, split, metric), "fixed"),
-                "metric": metric,
-                "pct_improvement": 100.0 * delta / abs(reference),
-            }
-        )
+        label_a, metrics_a = index[(series_id, model, split, cond_a)]
+        label_b, metrics_b = index[(series_id, model, split, cond_b)]
+        optimizer = label_a if cond_b == "baseline" else label_b
+        for metric in METRIC_NAMES:  # the trace summary rows are not improvement metrics
+            if metric not in metrics_a or metric not in metrics_b:
+                continue
+            reps_a, reps_b = metrics_a[metric], metrics_b[metric]
+            reference = sum(reps_b.values()) / len(reps_b)
+            if abs(reference) < 1e-12:
+                continue
+            delta = sum(reps_a.values()) / len(reps_a) - reference
+            if metric not in HIGHER_BETTER:
+                delta = -delta
+            out[metric].append(
+                dict(
+                    series_id=series_id, model=model, split=split, optimizer=optimizer,
+                    metric=metric, pct_improvement=100.0 * delta / abs(reference),
+                )
+            )
     return out

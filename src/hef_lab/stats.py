@@ -173,29 +173,15 @@ def _welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     return t, min(p, 1.0)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
 def _mann_whitney(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Normal approximation with tie correction; returns (z, p, u1)."""
     n1, n2 = len(a), len(b)
     pooled = np.concatenate([a, b])
-    ranks = _average_ranks(pooled)
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]  # a tie group shares its average rank
     u1 = float(ranks[:n1].sum()) - n1 * (n1 + 1) / 2.0
     mu = n1 * n2 / 2.0
     total = n1 + n2
-    _, counts = np.unique(pooled, return_counts=True)
     tie_term = float(((counts**3) - counts).sum())
     sigma2 = n1 * n2 / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
     if sigma2 <= 0.0:

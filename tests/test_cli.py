@@ -15,7 +15,7 @@ from hef_lab.config import SEED_ENV_VAR, build_experiment_config, parse_config_f
 from hef_lab.errors import ConfigError
 from hef_lab.metrics import METRIC_NAMES
 from hef_lab.models import create
-from hef_lab.protocol import ExperimentConfig
+from hef_lab.protocol import ExperimentConfig, ResultsStore, TaskKey
 from hef_lab.series import Dataset, load_dataset_csv, write_dataset_csv
 
 from conftest import random_series
@@ -318,6 +318,85 @@ class TestCompareAndReport:
         for metric in METRIC_NAMES:
             lines = (out / "report" / f"improvement_{metric}.csv").read_text().splitlines()
             assert len(lines) == 1  # baseline never ran in this sweep
+
+
+def write_store(path, label_of=lambda model, rep: {"ses": "pso", "knn": "grid"}[model]) -> None:
+    """Five reps of p0 and p1 under ses and knn, hef and maef. The maef side of
+    ses is worse on mae, rmse, rmsse and mase; that of knn is better on p1 and
+    equal on p0; r2, gra and exec_time are equal throughout."""
+    store = ResultsStore(path)
+    for i, sid in enumerate(("p0", "p1")):
+        for model in ("ses", "knn"):
+            for condition, shift in (("hef", 0.0), ("maef", 1.0 + i if model == "ses" else -1.0 * i)):
+                for rep in range(5):
+                    values = {
+                        m: 2.0 + k + shift * (k % 3) + 0.1 * ((3 * rep + k) % 5)
+                        for k, m in enumerate(METRIC_NAMES)
+                    }
+                    values.update(opt_evals=20.0, opt_best_score=1.0)
+                    store.append(TaskKey(sid, model, condition, "80:20", rep), label_of(model, rep), values)
+    store.close()
+
+
+# what ``compare`` printed and wrote for ``write_store`` before its two loops
+# over each table became one
+COMPARE_STDOUT = """\
+cases_hef_vs_maef_80-20_grid.csv:
+         r2: improves_hef=0 improves_maef=0 no_change=2
+        mae: improves_hef=0 improves_maef=1 no_change=1
+       rmse: improves_hef=0 improves_maef=1 no_change=1
+        gra: improves_hef=0 improves_maef=0 no_change=2
+      rmsse: improves_hef=0 improves_maef=1 no_change=1
+       mase: improves_hef=0 improves_maef=1 no_change=1
+  exec_time: improves_hef=0 improves_maef=0 no_change=2
+cases_hef_vs_maef_80-20_pso.csv:
+         r2: improves_hef=0 improves_maef=0 no_change=2
+        mae: improves_hef=2 improves_maef=0 no_change=0
+       rmse: improves_hef=2 improves_maef=0 no_change=0
+        gra: improves_hef=0 improves_maef=0 no_change=2
+      rmsse: improves_hef=2 improves_maef=0 no_change=0
+       mase: improves_hef=2 improves_maef=0 no_change=0
+  exec_time: improves_hef=0 improves_maef=0 no_change=2
+wrote OUT/z_summary_hef_vs_maef.csv
+"""
+COMPARE_FILES = {
+    "cases_hef_vs_maef_80-20_grid.csv": (
+        b"metric,improves_hef,improves_maef,no_change,comparisons\r\nr2,0,0,2,2\r\nmae,0,1,1,2\r\n"
+        b"rmse,0,1,1,2\r\ngra,0,0,2,2\r\nrmsse,0,1,1,2\r\nmase,0,1,1,2\r\nexec_time,0,0,2,2\r\n"
+    ),
+    "cases_hef_vs_maef_80-20_pso.csv": (
+        b"metric,improves_hef,improves_maef,no_change,comparisons\r\nr2,0,0,2,2\r\nmae,2,0,0,2\r\n"
+        b"rmse,2,0,0,2\r\ngra,0,0,2,2\r\nrmsse,2,0,0,2\r\nmase,2,0,0,2\r\nexec_time,0,0,2,2\r\n"
+    ),
+    "z_summary_hef_vs_maef.csv": (
+        b"pair,optimizer,split,metric_scope,Z,log10_p\r\n"
+        b"hef_vs_maef,grid,80:20,pooled,-2.1602,-1.5121\r\nhef_vs_maef,grid,80:20,mae,-1.1547,-0.6052\r\n"
+        b"hef_vs_maef,grid,80:20,rmse,-1.1547,-0.6052\r\nhef_vs_maef,grid,80:20,rmsse,-1.1547,-0.6052\r\n"
+        b"hef_vs_maef,grid,80:20,mase,-1.1547,-0.6052\r\nhef_vs_maef,pso,80:20,pooled,3.3466,-3.0873\r\n"
+        b"hef_vs_maef,pso,80:20,mae,2.0000,-1.3420\r\nhef_vs_maef,pso,80:20,rmse,2.0000,-1.3420\r\n"
+        b"hef_vs_maef,pso,80:20,rmsse,2.0000,-1.3420\r\nhef_vs_maef,pso,80:20,mase,2.0000,-1.3420\r\n"
+    ),
+}
+
+
+class TestCompareOutput:
+    def test_stdout_and_files_are_the_frozen_bytes(self, tmp_path, capsys) -> None:
+        write_store(tmp_path / "results.csv")
+        assert run_cli("compare", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == COMPARE_STDOUT
+        written = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv") if p.name != "results.csv"}
+        assert written == COMPARE_FILES
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_run_under_two_labels_exits_1(self, tmp_path, capsys, command) -> None:
+        def label_of(model: str, rep: int) -> str:  # reps 0-2 of each ses run under pso, 3-4 under tpe
+            return "grid" if model == "knn" else "pso" if rep < 3 else "tpe"
+
+        write_store(tmp_path / "results.csv", label_of)
+        assert run_cli(command, "--out", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert "p0/ses/80:20/hef holds reps under two optimizer labels, pso and tpe" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
 class TestConfigModule:

@@ -74,6 +74,15 @@ def _reference_numeric_log_density(est: _NumericParzen, value) -> float:
     return math.log(max(density, 1e-300))
 
 
+def _reference_numeric_sample(est: _NumericParzen, rng) -> float | int:
+    pick = int(rng.integers(len(est.centers) + 1))
+    if pick == len(est.centers):
+        internal = rng.uniform(est.lower, est.upper)
+    else:
+        internal = np.clip(rng.normal(est.centers[pick], est.bandwidth), est.lower, est.upper)
+    return est.domain.decode(float(internal))
+
+
 def _reference_categorical_log_density(est: _CategoricalParzen, value) -> float:
     return math.log(float(est.probs[est.values.index(value)]))
 
@@ -218,6 +227,46 @@ class TestParzenLogDensities:
         est = _CategoricalParzen.fit([grid[0], grid[-1], grid[0]], domain)
         values = list(grid) * 3
         assert est.log_densities(values) == [_reference_categorical_log_density(est, v) for v in values]
+
+
+class _FixedDraw:
+    """A generator stand-in: always the first center, whose draw is ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def integers(self, high: int) -> int:
+        return 0
+
+    def normal(self, loc: float, scale: float) -> float:
+        return self.value
+
+
+class TestParzenSample:
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            IntervalDomain(1e-4, 10.0, scale="log"),
+            IntervalDomain(0.0, 1.0),
+            IntervalDomain(1, 40, integer=True),
+        ],
+        ids=["log", "linear", "integer"],
+    )
+    def test_equals_reference_draw_for_draw(self, domain) -> None:
+        lower, upper = domain.internal_bounds()
+        observed = [domain.decode(v) for v in np.linspace(lower, upper, 7)]  # centers on the bounds too
+        est = _NumericParzen.fit(observed, domain, factor=3.0)  # wide kernels: many draws land outside
+        rng, reference_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(2000):
+            assert repr(est.sample(rng)) == repr(_reference_numeric_sample(est, reference_rng))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("lower, upper", [(-0.0, 0.5), (0.0, 0.5), (-0.5, -0.0), (-0.5, 0.0)])
+    @pytest.mark.parametrize("draw", [-0.0, 0.0, -0.5, 0.5, -0.75, 0.75, 1e-300, -1e-300, math.nan])
+    def test_clamp_equals_np_clip_on_ties_and_signed_zeros(self, lower, upper, draw) -> None:
+        est = _NumericParzen(IntervalDomain(-1.0, 1.0), np.array([0.0]), 1.0, lower, upper)
+        got = est.sample(_FixedDraw(draw))
+        assert repr(got) == repr(_reference_numeric_sample(est, _FixedDraw(draw)))
 
 
 class TestBestSplit:
