@@ -16,6 +16,9 @@ any other key is an error. A missing key keeps the default of the settings
 dataclass field it maps to. A space override replaces the domain of the one
 parameter it names; the model's other parameters keep their declared
 domains. It must name a registered model and a parameter that model declares.
+A model whose space holds only grids is grid searched, any other by
+``experiment.scs_optimizer``; PSO searches intervals only, so an override that
+leaves a space of both kinds needs ``tpe``.
 Seed precedence: ``--seed`` flag > ``HEF_LAB_SEED`` env var > config file.
 """
 
@@ -200,6 +203,14 @@ def build_experiment_config(
             config = _replace(config, {name: (key, flat[key])})
     for name, given in nested.items():
         config = replace(config, **{name: _replace(getattr(config, name), given)})
+    if config.scs_optimizer == "pso":
+        for name, space in space_overrides.items():
+            if 0 < len(space.interval_names()) < len(space):  # grids and intervals both
+                keys = ", ".join(f"models.{name}.space.{param}" for param in per_model_params[name])
+                raise ConfigError(
+                    f"{keys}: leaves {name} a space of grid and interval domains, which pso cannot"
+                    ' search; use experiment.scs_optimizer = "tpe"'
+                )
 
     if seed_override is not None:
         return replace(config, master_seed=int(seed_override))

@@ -1,15 +1,16 @@
 """Classical forecasting models behind one fit/predict interface.
 
-Each model declares its search kind (exhaustive grid vs continuous space),
-its hyperparameter space, and the fixed benchmark configuration used by the
-no-search baseline condition. Regressive models consume the series through
-sliding lag windows and forecast multi-step recursively.
+Each model class declares, once and as class data, its hyperparameter space
+and the fixed benchmark configuration used by the no-search baseline
+condition. How a model is searched follows from its space alone: grid search
+when every domain is a grid, a continuous optimizer otherwise. Regressive
+models consume the series through sliding lag windows and forecast
+multi-step recursively.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from enum import Enum
 from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +20,6 @@ from ..errors import InsufficientDataError, NonConvergenceError, UnknownModelErr
 from ..spaces import HyperparameterSpace
 
 __all__ = [
-    "SearchKind",
     "FittedModel",
     "ForecastModel",
     "FittedLagModel",
@@ -37,11 +37,6 @@ __all__ = [
 Step = Callable[[np.ndarray], float]  # the last ``window`` values in, the next value out
 
 
-class SearchKind(Enum):
-    EXHAUSTIVE = "es"
-    CONTINUOUS = "scs"
-
-
 class FittedModel(ABC):
     """Immutable fitted state; safe to share across threads."""
 
@@ -51,21 +46,26 @@ class FittedModel(ABC):
 
 
 class ForecastModel(ABC):
-    """One named model family with a declared hyperparameter space."""
+    """One named model family. A subclass declares its hyperparameter space
+    (``declared_space``) and the point the baseline condition fits
+    (``fixed_point``) as class data; ``space`` and ``fixed_config`` read them."""
 
     name: ClassVar[str]
-    search_kind: ClassVar[SearchKind]
+    declared_space: ClassVar[HyperparameterSpace]
+    fixed_point: ClassVar[Mapping]
 
     def __init__(self, season_length: int = 12) -> None:
         if season_length < 1:
             raise InsufficientDataError("season_length must be >= 1")
         self.season_length = int(season_length)
 
-    @abstractmethod
-    def space(self) -> HyperparameterSpace: ...
+    def space(self) -> HyperparameterSpace:
+        """The declared space, shared: a space cannot be changed."""
+        return self.declared_space
 
-    @abstractmethod
-    def fixed_config(self) -> dict: ...
+    def fixed_config(self) -> dict:
+        """A fresh copy of the fixed point, free for the caller to change."""
+        return dict(self.fixed_point)
 
     @abstractmethod
     def fit(self, train: Sequence[float], config: Mapping) -> FittedModel: ...

@@ -15,7 +15,7 @@ from scipy.optimize import minimize
 
 from ..errors import InsufficientDataError, NonConvergenceError
 from ..spaces import GridDomain, HyperparameterSpace
-from . import FittedModel, ForecastModel, SearchKind, _validated_train, register
+from . import FittedModel, ForecastModel, _validated_train, register
 
 _HUGE = 1e300
 
@@ -77,19 +77,10 @@ class FittedArima(FittedModel):
 @register
 class ArimaModel(ForecastModel):
     name = "arima"
-    search_kind = SearchKind.EXHAUSTIVE
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace(
-            {
-                "p": GridDomain((0, 1, 2, 3)),
-                "d": GridDomain((0, 1, 2)),
-                "q": GridDomain((0, 1, 2, 3)),
-            }
-        )
-
-    def fixed_config(self) -> dict:
-        return {"p": 1, "d": 1, "q": 1}
+    declared_space = HyperparameterSpace(
+        {"p": GridDomain((0, 1, 2, 3)), "d": GridDomain((0, 1, 2)), "q": GridDomain((0, 1, 2, 3))}
+    )
+    fixed_point = {"p": 1, "d": 1, "q": 1}
 
     def fit(self, train: Sequence[float], config: Mapping) -> FittedArima:
         y = _validated_train(train, 3, self.name)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import NonConvergenceError, SingularDesignError
 from ..spaces import GridDomain, HyperparameterSpace, IntervalDomain
-from . import LagModel, SearchKind, Step, register
+from . import LagModel, Step, register
 
 _JITTER = 1e-8
 
@@ -92,8 +92,6 @@ def coordinate_descent_enet(
 class _LagRegressionModel(LagModel):
     """Shared lag-matrix fitting; subclasses provide the coefficient solver ``_solve``."""
 
-    search_kind = SearchKind.CONTINUOUS
-
     def _expand(self, X: np.ndarray, config: Mapping) -> np.ndarray:
         return X
 
@@ -119,13 +117,8 @@ class LinearModel(_LagRegressionModel):
     """Ordinary least squares; no tunable hyperparameters."""
 
     name = "lr"
-    search_kind = SearchKind.EXHAUSTIVE
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({})
-
-    def fixed_config(self) -> dict:
-        return {}
+    declared_space = HyperparameterSpace({})
+    fixed_point = {}
 
     def _solve(self, Xs, yc, config):
         beta, *_ = np.linalg.lstsq(Xs, yc, rcond=None)
@@ -135,12 +128,8 @@ class LinearModel(_LagRegressionModel):
 @register
 class LassoModel(_LagRegressionModel):
     name = "lsr"
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({"alpha": IntervalDomain(1e-4, 10.0, scale="log")})
-
-    def fixed_config(self) -> dict:
-        return {"alpha": 0.01}
+    declared_space = HyperparameterSpace({"alpha": IntervalDomain(1e-4, 10.0, scale="log")})
+    fixed_point = {"alpha": 0.01}
 
     def _solve(self, Xs, yc, config):
         return coordinate_descent_enet(Xs, yc, float(config["alpha"]), l1_ratio=1.0)
@@ -149,12 +138,8 @@ class LassoModel(_LagRegressionModel):
 @register
 class RidgeModel(_LagRegressionModel):
     name = "rr"
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({"alpha": IntervalDomain(1e-4, 10.0, scale="log")})
-
-    def fixed_config(self) -> dict:
-        return {"alpha": 0.01}
+    declared_space = HyperparameterSpace({"alpha": IntervalDomain(1e-4, 10.0, scale="log")})
+    fixed_point = {"alpha": 0.01}
 
     def _solve(self, Xs, yc, config):
         alpha = float(config["alpha"])
@@ -166,17 +151,10 @@ class RidgeModel(_LagRegressionModel):
 @register
 class ElasticNetModel(_LagRegressionModel):
     name = "enr"
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace(
-            {
-                "alpha": IntervalDomain(1e-4, 10.0, scale="log"),
-                "l1_ratio": IntervalDomain(0.0, 1.0),
-            }
-        )
-
-    def fixed_config(self) -> dict:
-        return {"alpha": 0.01, "l1_ratio": 0.1}
+    declared_space = HyperparameterSpace(
+        {"alpha": IntervalDomain(1e-4, 10.0, scale="log"), "l1_ratio": IntervalDomain(0.0, 1.0)}
+    )
+    fixed_point = {"alpha": 0.01, "l1_ratio": 0.1}
 
     def _solve(self, Xs, yc, config):
         return coordinate_descent_enet(Xs, yc, float(config["alpha"]), float(config["l1_ratio"]))
@@ -187,13 +165,8 @@ class PolynomialModel(_LagRegressionModel):
     """Per-feature polynomial powers (no cross terms), ridge-stabilized solve."""
 
     name = "plr"
-    search_kind = SearchKind.EXHAUSTIVE
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({"degree": GridDomain((1, 2, 3, 4))})
-
-    def fixed_config(self) -> dict:
-        return {"degree": 2}
+    declared_space = HyperparameterSpace({"degree": GridDomain((1, 2, 3, 4))})
+    fixed_point = {"degree": 2}
 
     def _expand(self, X: np.ndarray, config: Mapping) -> np.ndarray:
         degree = int(config["degree"])
@@ -209,19 +182,12 @@ class HuberModel(_LagRegressionModel):
     """Huber loss via iteratively reweighted least squares with L2 shrinkage."""
 
     name = "hr"
+    declared_space = HyperparameterSpace(
+        {"epsilon": IntervalDomain(1.0, 2.0), "alpha": IntervalDomain(1e-4, 1.0, scale="log")}
+    )
+    fixed_point = {"epsilon": 1.0, "alpha": 1e-4}
 
     _max_iter: ClassVar[int] = 200
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace(
-            {
-                "epsilon": IntervalDomain(1.0, 2.0),
-                "alpha": IntervalDomain(1e-4, 1.0, scale="log"),
-            }
-        )
-
-    def fixed_config(self) -> dict:
-        return {"epsilon": 1.0, "alpha": 1e-4}
 
     def _solve(self, Xs, yc, config):
         epsilon = float(config["epsilon"])

@@ -7,7 +7,7 @@ from typing import Mapping
 import numpy as np
 
 from ..spaces import GridDomain, HyperparameterSpace
-from . import LagModel, SearchKind, Step, register
+from . import LagModel, Step, register
 
 
 @register
@@ -19,13 +19,8 @@ class KnnModel(LagModel):
     """
 
     name = "knn"
-    search_kind = SearchKind.EXHAUSTIVE
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({"n_neighbors": GridDomain(tuple(range(1, 16)))})
-
-    def fixed_config(self) -> dict:
-        return {"n_neighbors": 5}
+    declared_space = HyperparameterSpace({"n_neighbors": GridDomain(tuple(range(1, 16)))})
+    fixed_point = {"n_neighbors": 5}
 
     def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
         k = min(int(config["n_neighbors"]), len(targets))

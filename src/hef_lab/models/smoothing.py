@@ -7,7 +7,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..spaces import HyperparameterSpace, IntervalDomain
-from . import FittedModel, ForecastModel, SearchKind, _validated_train, register
+from . import FittedModel, ForecastModel, _validated_train, register
 
 
 class FittedSes(FittedModel):
@@ -23,13 +23,8 @@ class SesModel(ForecastModel):
     """Exponentially weighted level, initialized at the first observation."""
 
     name = "ses"
-    search_kind = SearchKind.CONTINUOUS
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({"alpha": IntervalDomain(0.01, 0.99)})
-
-    def fixed_config(self) -> dict:
-        return {"alpha": 0.2}
+    declared_space = HyperparameterSpace({"alpha": IntervalDomain(0.01, 0.99)})
+    fixed_point = {"alpha": 0.2}
 
     def fit(self, train: Sequence[float], config: Mapping) -> FittedSes:
         y = _validated_train(train, 3, self.name)

@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from ..spaces import GridDomain, HyperparameterSpace
-from . import LagModel, SearchKind, Step, register
+from . import LagModel, Step, register
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,8 @@ class TreeModel(LagModel):
     """Unlimited depth by default (``max_depth=None``); fully deterministic."""
 
     name = "dtr"
-    search_kind = SearchKind.EXHAUSTIVE
-
-    def space(self) -> HyperparameterSpace:
-        return HyperparameterSpace({"max_depth": GridDomain(tuple(range(2, 13)) + (None,))})
-
-    def fixed_config(self) -> dict:
-        return {"max_depth": None}
+    declared_space = HyperparameterSpace({"max_depth": GridDomain(tuple(range(2, 13)) + (None,))})
+    fixed_point = {"max_depth": None}
 
     def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
         raw_depth = config["max_depth"]

@@ -3,10 +3,12 @@
 A run sweeps (series x split x model x condition x repetition). Conditions are
 ``baseline`` (the fixed benchmark configuration, no search), ``hef`` and
 ``maef`` (optimizer-guided search scored by the respective evaluation
-function). Exhaustive-search models are routed to grid search, continuous
-ones to the configured swarm or Parzen optimizer. Every completed task
-persists its test-set metric bundle to an append-only CSV store before any
-analysis, and reruns over an existing store skip completed cells.
+function). A task's search follows from its model's effective space (the
+config's override, else the declared space): grid search when every domain
+is a grid, the configured swarm or Parzen optimizer otherwise. Every
+completed task persists its test-set metric bundle to an append-only CSV
+store before any analysis, and reruns over an existing store skip completed
+cells.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import HefLabError, InvalidParameterError
 from .evaluation import MetricWeights, PenaltySchedule
 from .metrics import HIGHER_BETTER, METRIC_NAMES, TargetWindow, compute_bundle
 from .metrics import mae, r2, rmse  # noqa: F401  (not called here; perfbench's tracer wraps these names)
-from .models import ForecastModel, SearchKind, create as create_model, model_class
+from .models import ForecastModel, create as create_model, model_class
 from .optimizers import (
     DEFAULT_GRID_CAP,
     OptimizationResult,
@@ -47,7 +49,6 @@ __all__ = [
     "CONDITIONS",
     "TRACE_SUMMARY_NAMES",
     "required_metrics",
-    "required_rows",
     "ExperimentConfig",
     "TaskKey",
     "TaskFailure",
@@ -80,11 +81,6 @@ def required_metrics(condition: str) -> tuple[str, ...]:
     """The metric rows of one completed task, in store order: the bundle,
     plus the trace summary for optimizer-guided conditions."""
     return METRIC_NAMES + (() if condition == "baseline" else TRACE_SUMMARY_NAMES)
-
-
-def required_rows(condition: str) -> int:
-    """Store rows per completed task."""
-    return len(required_metrics(condition))
 
 
 @dataclass(frozen=True)
@@ -156,10 +152,13 @@ def derive_seed(master_seed: int, series_id: str, model: str, condition: str, re
     return int.from_bytes(digest[:8], "big")
 
 
-def optimizer_label(model: ForecastModel, condition: str, scs_optimizer: str) -> str:
+def optimizer_label(space: HyperparameterSpace, condition: str, scs_optimizer: str) -> str:
+    """The search a task runs, which is also the label its rows are stored
+    under: ``fixed`` for the baseline, ``grid`` when every domain of the
+    space is a grid (also the empty space), else the configured optimizer."""
     if condition == "baseline":
         return "fixed"
-    if model.search_kind is SearchKind.EXHAUSTIVE:
+    if space.is_finite():
         return "grid"
     return scs_optimizer
 
@@ -318,23 +317,28 @@ _grid_results: dict[tuple[str, str, str, str], OptimizationResult] | None = None
 
 
 def _search(
-    key: TaskKey, model: ForecastModel, train: np.ndarray, test: np.ndarray, config: ExperimentConfig
+    key: TaskKey,
+    label: str,
+    space: HyperparameterSpace,
+    model: ForecastModel,
+    train: np.ndarray,
+    test: np.ndarray,
+    config: ExperimentConfig,
 ) -> OptimizationResult:
-    """The task's search: the cell's grid search, run once per (cell,
-    condition) in a run, or a swarm or Parzen search seeded per rep."""
-    exhaustive = model.search_kind is SearchKind.EXHAUSTIVE
+    """The search ``label`` names over ``space``: the cell's grid search, run
+    once per (cell, condition) in a run, or a swarm or Parzen search seeded
+    per rep."""
     cell = (key.series_id, key.model, key.condition, key.split)
-    if exhaustive and _grid_results is not None and cell in _grid_results:
+    if label == "grid" and _grid_results is not None and cell in _grid_results:
         return _grid_results[cell]
-    space = config.space_overrides.get(key.model, model.space())
     objective = _Objective(model, train, test, key.condition, config)
-    if exhaustive:
+    if label == "grid":
         result = grid_search(space, objective, cap=config.grid_cap)
         if _grid_results is not None:
             _grid_results[cell] = result
         return result
     seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
-    if config.scs_optimizer == "pso":
+    if label == "pso":
         return pso_minimize(space, objective, replace(config.pso, seed=seed))
     return tpe_minimize(space, objective, replace(config.tpe, seed=seed))
 
@@ -347,7 +351,8 @@ def _execute_task(
     """Run one cell; returns (key, optimizer, metric values or None, failure reason)."""
     series = dataset.get(key.series_id)
     model = create_model(key.model, season_length=series.frequency.periods_per_year)
-    label = optimizer_label(model, key.condition, config.scs_optimizer)
+    space = config.space_overrides.get(key.model, model.space())
+    label = optimizer_label(space, key.condition, config.scs_optimizer)
     try:
         split = temporal_split(series, SplitRatio.parse(key.split))
         train, test = split.train, split.test
@@ -355,7 +360,7 @@ def _execute_task(
         if key.condition == "baseline":
             point: Mapping = model.fixed_config()
         else:
-            result = _search(key, model, train, test, config)
+            result = _search(key, label, space, model, train, test, config)
             if not math.isfinite(result.best_score):
                 raise InvalidParameterError("every candidate configuration failed to score")
             point = result.best_point
@@ -495,10 +500,16 @@ class CaseTable:
 _Index = dict[tuple[str, str, str, str], tuple[str, dict[str, dict[int, float]]]]
 
 
-def _index(rows: Iterable[Mapping]) -> _Index:
-    """Each run of the rows with its one optimizer label and its values. A run
-    stored under two labels, as a resume with another optimizer writes, is
-    refused."""
+def _index(rows: Iterable[Mapping], pair: tuple[str, str]) -> _Index:
+    """Each run of the rows with its one optimizer label and its values, for
+    an analysis of ``pair``. Refused: a pair that does not name two distinct
+    conditions, a run stored under two labels, and a cell whose searched
+    conditions ran under two labels; a resume with another optimizer writes
+    the last two."""
+    if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(CONDITIONS):
+        raise InvalidParameterError(
+            f"pair must name two distinct conditions of {', '.join(CONDITIONS)}, got {', '.join(pair)}"
+        )
     index: _Index = {}
     for row in rows:
         run = (row["series_id"], row["model"], row["split"], row["condition"])
@@ -510,6 +521,16 @@ def _index(rows: Iterable[Mapping]) -> _Index:
                 f"run {'/'.join(run)} holds reps under two optimizer labels, {entry[0]} and {row['optimizer']}"
             )
         entry[1].setdefault(row["metric"], {})[int(row["rep"])] = float(row["value"])
+    searched: dict[tuple[str, ...], tuple[str, str]] = {}  # cell -> (condition, label)
+    for (*cell, condition), (label, _) in index.items():
+        if condition == "baseline":
+            continue
+        first_condition, first_label = searched.setdefault(tuple(cell), (condition, label))
+        if label != first_label:
+            raise InvalidParameterError(
+                f"cell {'/'.join(cell)} holds {first_condition} reps under {first_label}"
+                f" and {condition} reps under {label}"
+            )
     return index
 
 
@@ -523,8 +544,6 @@ def _case_table(
     """The case table of the cells of ``index`` in ``split`` (None: all) whose
     searched side of the pair ran under ``optimizer`` (None: any label)."""
     cond_a, cond_b = pair
-    if cond_a == cond_b:
-        raise InvalidParameterError("pair must name two distinct conditions")
     cells = sorted(
         {
             (series_id, model, row_split)
@@ -575,16 +594,18 @@ def count_cases(
     differences become improvement cases for the better side (metric
     direction aware), everything else is no-change. Cells missing one side
     or with unequal repetition counts are skipped and reported. Rows that hold
-    one run under two optimizer labels are refused.
+    one run, or the searched conditions of one cell, under two optimizer
+    labels are refused, as is a pair that does not name two distinct
+    conditions.
     """
-    return _case_table(_index(rows), pair, alpha, split, optimizer)
+    return _case_table(_index(rows, pair), pair, alpha, split, optimizer)
 
 
 def case_tables_by_group(
     rows: Iterable[Mapping], pair: tuple[str, str], alpha: float = 0.05
 ) -> list[CaseTable]:
     """One case table per (split, optimizer) group present for the pair."""
-    index = _index(rows)
+    index = _index(rows, pair)
     groups = {
         (split, label)
         for (_, _, split, condition), (label, _) in index.items()
@@ -622,7 +643,7 @@ def improvement_rows(
     is the baseline.
     """
     cond_a, cond_b = pair
-    index = _index(rows)
+    index = _index(rows, pair)
     out: dict[str, list[dict]] = {m: [] for m in METRIC_NAMES}
     for series_id, model, split, _ in sorted(run for run in index if run[3] == cond_a):
         if (series_id, model, split, cond_b) not in index:

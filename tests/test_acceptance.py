@@ -30,7 +30,7 @@ from hef_lab.protocol import (
     ExperimentConfig,
     ResultsStore,
     count_cases,
-    required_rows,
+    required_metrics,
     run_experiment,
 )
 from hef_lab.series import Dataset, Frequency, SplitRatio, TimeSeries, sample_size
@@ -241,7 +241,7 @@ def test_criterion_08_protocol_determinism_budget_resume(tmp_path) -> None:
 
     # resumes after interruption: truncate to the first 7 completed tasks
     lines = (tmp_path / "a.csv").read_text().splitlines()
-    (tmp_path / "part.csv").write_text("\n".join(lines[: 1 + 7 * required_rows("hef")]) + "\n")
+    (tmp_path / "part.csv").write_text("\n".join(lines[: 1 + 7 * len(required_metrics("hef"))]) + "\n")
     resumed = run_experiment(dataset, config, tmp_path / "part.csv")
     assert resumed.skipped == 7
     assert resumed.executed == 17

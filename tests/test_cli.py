@@ -252,6 +252,31 @@ class TestRun:
         assert err.startswith("error: ") and key in err.split(": ")[1] and err.count("\n") == 1
         assert not (workdir / "out" / "results.csv").exists()
 
+    @pytest.mark.parametrize(
+        "override, label",
+        [
+            ('models.knn.space.n_neighbors={"min": 1, "max": 9, "integer": true}', "pso"),
+            ('models.ses.space.alpha={"grid": [0.1, 0.3, 0.5]}', "grid"),
+        ],
+    )
+    def test_override_that_changes_the_domain_kind_completes(self, workdir, capsys, override, label) -> None:
+        model = override.split(".")[1]
+        assert self._run_with(workdir, f'experiment.models=["{model}"]', override) == 0
+        assert "failed 0" in capsys.readouterr().out
+        rows = ResultsStore(workdir / "out" / "results.csv").rows
+        assert len(rows) == 18 * 9 and {r["optimizer"] for r in rows} == {label}
+
+    def test_mixed_space_under_pso_exits_1(self, workdir, capsys) -> None:
+        models = 'experiment.models=["enr"]'
+        mixed = 'models.enr.space.l1_ratio={"grid": [0.1, 0.5]}'
+        assert self._run_with(workdir, models, mixed) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: models.enr.space.l1_ratio: ") and err.count("\n") == 1
+        assert not (workdir / "out" / "results.csv").exists()
+        tpe = ('experiment.scs_optimizer="tpe"', "opt.tpe.trials=5", "opt.tpe.startup=2")
+        assert self._run_with(workdir, models, mixed, *tpe) == 0
+        assert "failed 0" in capsys.readouterr().out
+
     def test_bad_dataset_exits_1(self, workdir) -> None:
         bad = workdir / "bad.csv"
         bad.write_text("series_id,frequency,t,value\na,monthly,1,oops\n")
@@ -399,6 +424,28 @@ class TestCompareOutput:
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
 
+    @pytest.mark.parametrize(
+        "command, pair", [("report", "hef,hef"), ("compare", "baseline,baseline"), ("compare", "hef,foo")]
+    )
+    def test_bad_pair_exits_1(self, tmp_path, capsys, command, pair) -> None:
+        write_store(tmp_path / "results.csv")
+        assert run_cli(command, "--out", str(tmp_path), "--pair", pair) == 1
+        assert "two distinct conditions" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_cell_under_two_labels_exits_1(self, tmp_path, capsys, command) -> None:
+        store = ResultsStore(tmp_path / "results.csv")
+        values = {m: 1.0 for m in METRIC_NAMES} | {"opt_evals": 20.0, "opt_best_score": 1.0}
+        for condition, label in (("hef", "pso"), ("maef", "tpe")):
+            for rep in range(3):
+                store.append(TaskKey("p0", "ses", condition, "80:20", rep), label, values)
+        store.close()
+        assert run_cli(command, "--out", str(tmp_path)) == 1
+        assert "cell p0/ses/80:20 holds hef reps under pso and maef reps under tpe" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+
 class TestConfigModule:
     def test_parse_file_and_overrides(self, tmp_path) -> None:
         path = tmp_path / "c.cfg"
@@ -506,6 +553,15 @@ class TestConfigModule:
         flat = {"experiment.models": ["knn"], "models.knn.space.n_neighbors": domain}
         with pytest.raises(ConfigError, match="models.knn.space.n_neighbors"):
             build_experiment_config(flat)
+
+    def test_mixed_space_needs_tpe(self) -> None:
+        # pso searches intervals only; tpe searches grids and intervals together
+        flat = {"experiment.models": ["enr"], "models.enr.space.l1_ratio": {"grid": [0.1, 0.5]}}
+        with pytest.raises(ConfigError, match="models.enr.space.l1_ratio"):
+            build_experiment_config(flat)
+        config = build_experiment_config({**flat, "experiment.scs_optimizer": "tpe"})
+        assert config.space_overrides["enr"]["l1_ratio"].values == (0.1, 0.5)
+        assert config.space_overrides["enr"]["alpha"] == create("enr").space()["alpha"]
 
     def test_bad_space_override(self) -> None:
         flat = {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": "oops"}}

@@ -15,7 +15,6 @@ from hef_lab.errors import (
 )
 from hef_lab.models import (
     FittedLagModel,
-    SearchKind,
     build_lag_matrix,
     create,
     lag_window_length,
@@ -37,10 +36,11 @@ class TestRegistry:
         assert set(models.CLASSICAL_MODELS) == ES_MODELS | SCS_MODELS
 
     def test_search_kind_grouping(self) -> None:
+        # a model is grid searched exactly when every domain of its space is a grid
         for name in ES_MODELS:
-            assert create(name).search_kind is SearchKind.EXHAUSTIVE
+            assert create(name).space().is_finite(), name
         for name in SCS_MODELS:
-            assert create(name).search_kind is SearchKind.CONTINUOUS
+            assert not create(name).space().is_finite(), name
 
     def test_stubs_fail_loudly(self) -> None:
         # names once reserved as stubs are unknown like any other, and the
@@ -65,6 +65,16 @@ class TestRegistry:
                 assert fixed == {}
             else:
                 assert space.contains(fixed), name
+
+    def test_fixed_config_is_a_fresh_dict(self) -> None:
+        for name in models.CLASSICAL_MODELS:
+            model = create(name)
+            point = model.fixed_config()
+            expected = dict(point)
+            point["injected"] = 1
+            point.update({param: None for param in expected})
+            assert model.fixed_config() == expected, name
+            assert create(name).fixed_config() == expected, name
 
     def test_lag_window_length(self) -> None:
         assert lag_window_length(100, 12) == 12

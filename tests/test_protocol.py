@@ -11,12 +11,11 @@ import pytest
 from hef_lab import protocol
 from hef_lab.errors import InsufficientDataError, InvalidParameterError
 from hef_lab.metrics import METRIC_NAMES
-from hef_lab.models import SearchKind, create
+from hef_lab.models import create
 from hef_lab.optimizers import PsoConfig, TpeConfig
 from hef_lab.protocol import (
     VERDICT_A,
     required_metrics,
-    required_rows,
     VERDICT_B,
     VERDICT_NONE,
     CaseTable,
@@ -31,6 +30,7 @@ from hef_lab.protocol import (
     z_summary,
 )
 from hef_lab.series import Dataset, SplitRatio
+from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain
 
 from conftest import make_series, random_series
 
@@ -81,19 +81,20 @@ class TestSeeds:
 
 class TestRouting:
     def test_optimizer_labels(self) -> None:
-        ses, knn = create("ses"), create("knn")
+        ses, knn = create("ses").space(), create("knn").space()
         assert optimizer_label(ses, "baseline", "pso") == "fixed"
         assert optimizer_label(knn, "hef", "pso") == "grid"
         assert optimizer_label(ses, "hef", "pso") == "pso"
         assert optimizer_label(ses, "maef", "tpe") == "tpe"
+        assert optimizer_label(create("lr").space(), "hef", "tpe") == "grid"  # no parameters
 
     def test_every_registered_model_routes_by_kind(self) -> None:
         from hef_lab.models import CLASSICAL_MODELS
 
         for name in CLASSICAL_MODELS:
-            model = create(name)
-            label = optimizer_label(model, "hef", "pso")
-            if model.search_kind is SearchKind.EXHAUSTIVE:
+            space = create(name).space()
+            label = optimizer_label(space, "hef", "pso")
+            if space.is_finite():
                 assert label == "grid"
             else:
                 assert label == "pso"
@@ -110,7 +111,7 @@ class TestRunExperiment:
         store = ResultsStore(tmp_path / "r.csv")
         assert len(store) == 6
         # optimizer-guided tasks persist the bundle plus the trace summary
-        assert len(store.rows) == 6 * required_rows("hef")
+        assert len(store.rows) == 6 * len(required_metrics("hef"))
 
     def test_deterministic_modulo_exec_time(self, tmp_path, small_dataset) -> None:
         config = tiny_config()
@@ -140,7 +141,7 @@ class TestRunExperiment:
         full_rows = ResultsStore(tmp_path / "full.csv").rows
 
         # simulate an interrupted run: keep only the first 5 completed tasks
-        kept = 5 * required_rows("hef")
+        kept = 5 * len(required_metrics("hef"))
         lines = (tmp_path / "full.csv").read_text().splitlines()
         (tmp_path / "partial.csv").write_text("\n".join(lines[: 1 + kept]) + "\n")
 
@@ -204,7 +205,7 @@ class TestRunExperiment:
         store.close()
         reopened = ResultsStore(tmp_path / "r.csv")
         assert reopened.is_complete(first) and reopened.is_complete(second)
-        assert len(reopened.rows) == 2 * required_rows("hef")
+        assert len(reopened.rows) == 2 * len(required_metrics("hef"))
 
     def test_zero_byte_store_gets_its_header(self, tmp_path) -> None:
         # a store file created but never written, e.g. by a crash before the
@@ -318,6 +319,37 @@ class TestSearchBudget:
         expected = {"ses": search_evals, "knn": create("knn").space().grid_size()}
         assert len(stored) == 2 * 2 * 3
         assert all(value == expected[model] for (model, _, _), value in stored.items())
+
+    @pytest.mark.parametrize("optimizer, search_evals", [("pso", 4 * 3), ("tpe", 7)])
+    def test_grid_model_over_an_interval_runs_the_configured_optimizer(
+        self, tmp_path, optimizer, search_evals
+    ) -> None:
+        # the route follows the overridden domain, not the model
+        rng = np.random.default_rng(5)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        space = HyperparameterSpace({"n_neighbors": IntervalDomain(1, 9, integer=True)})
+        config = tiny_config(
+            models=("knn",),
+            scs_optimizer=optimizer,
+            tpe=TpeConfig(trials=7, startup=3),
+            space_overrides={"knn": space},
+        )
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 6 and not summary.failures
+        rows = ResultsStore(tmp_path / "r.csv").rows
+        assert {r["optimizer"] for r in rows} == {optimizer}
+        assert [r["value"] for r in rows if r["metric"] == "opt_evals"] == [search_evals] * 6
+
+    def test_continuous_model_over_a_grid_runs_a_grid_search(self, tmp_path) -> None:
+        rng = np.random.default_rng(5)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        space = HyperparameterSpace({"alpha": GridDomain((0.1, 0.3, 0.5))})
+        config = tiny_config(models=("ses",), space_overrides={"ses": space})
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 6 and not summary.failures
+        rows = ResultsStore(tmp_path / "r.csv").rows
+        assert {r["optimizer"] for r in rows} == {"grid"}
+        assert [r["value"] for r in rows if r["metric"] == "opt_evals"] == [3.0] * 6
 
     def test_search_where_every_point_fails(self, tmp_path, monkeypatch) -> None:
         def failing(self, point):
@@ -489,6 +521,31 @@ class TestCountCases:
     def test_same_condition_pair_rejected(self) -> None:
         with pytest.raises(InvalidParameterError):
             count_cases([], ("hef", "hef"))
+
+    @pytest.mark.parametrize("pair", [("hef", "hef"), ("baseline", "baseline"), ("hef", "foo")])
+    def test_every_analysis_refuses_a_bad_pair(self, pair) -> None:
+        rows = synth_rows(["s0"], "ses", {"baseline": [1.0] * 3, "hef": [1.0] * 3, "maef": [2.0] * 3})
+        for analysis in (count_cases, case_tables_by_group, improvement_rows):
+            with pytest.raises(InvalidParameterError, match="two distinct conditions"):
+                analysis(rows, pair)
+
+    def test_cell_searched_under_two_labels_refused(self) -> None:
+        # a resume that adds maef under another optimizer; each label's table
+        # would count the cell once
+        base = list(np.linspace(3.0, 4.0, 21))
+        rows = synth_rows(["s0"], "ses", {"hef": base}, optimizer="pso")
+        rows += synth_rows(["s0"], "ses", {"maef": [v + 10.0 for v in base]}, optimizer="tpe")
+        message = "cell s0/ses/80:20 holds hef reps under pso and maef reps under tpe"
+        for analysis in (count_cases, case_tables_by_group, improvement_rows):
+            with pytest.raises(InvalidParameterError, match=message):
+                analysis(rows, ("hef", "maef"))
+
+    def test_baseline_label_is_not_a_second_label(self) -> None:
+        base = list(np.linspace(3.0, 4.0, 21))
+        rows = synth_rows(["s0"], "ses", {"baseline": base}, optimizer="fixed")
+        rows += synth_rows(["s0"], "ses", {"hef": [v + 10.0 for v in base]}, optimizer="pso")
+        assert count_cases(rows, ("baseline", "hef")).improvements("mae") == (1, 0, 0)
+        assert [t.optimizer for t in case_tables_by_group(rows, ("baseline", "hef"))] == ["pso"]
 
 
 def make_table(a: int, b: int, total: int) -> CaseTable:
