@@ -16,9 +16,9 @@ any other key is an error. A missing key keeps the default of the settings
 dataclass field it maps to. A space override replaces the domain of the one
 parameter it names; the model's other parameters keep their declared
 domains. It must name a registered model and a parameter that model declares.
-A model whose space holds only grids is grid searched, any other by
-``experiment.scs_optimizer``; PSO searches intervals only, so an override that
-leaves a space of both kinds needs ``tpe``.
+A model whose space holds only grids is grid searched, up to ``opt.grid.cap``
+points, any other by ``experiment.scs_optimizer``; PSO searches intervals only,
+so an override that leaves a space of both kinds needs ``tpe``.
 Seed precedence: ``--seed`` flag > ``HEF_LAB_SEED`` env var > config file.
 """
 
@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 from .errors import ConfigError, InvalidParameterError, UnknownModelError
 from .models import create as create_model
-from .protocol import ExperimentConfig
+from .protocol import ExperimentConfig, optimizer_label
 from .series import SplitRatio
 from .spaces import Domain, GridDomain, HyperparameterSpace, IntervalDomain
 
@@ -211,6 +211,13 @@ def build_experiment_config(
                     f"{keys}: leaves {name} a space of grid and interval domains, which pso cannot"
                     ' search; use experiment.scs_optimizer = "tpe"'
                 )
+    for name in models:  # of two distinct conditions, at least one searches, as hef does
+        space = config.search_space(create_model(name))
+        if optimizer_label(space, "hef", config.scs_optimizer) == "grid" and space.grid_size() > config.grid_cap:
+            keys = "".join(f", models.{name}.space.{param}" for param in per_model_params.get(name, ()))
+            raise ConfigError(
+                f"opt.grid.cap{keys}: {name} has {space.grid_size()} grid points, cap is {config.grid_cap}"
+            )
 
     if seed_override is not None:
         return replace(config, master_seed=int(seed_override))

@@ -5,10 +5,11 @@ A run sweeps (series x split x model x condition x repetition). Conditions are
 ``maef`` (optimizer-guided search scored by the respective evaluation
 function). A task's search follows from its model's effective space (the
 config's override, else the declared space): grid search when every domain
-is a grid, the configured swarm or Parzen optimizer otherwise. Every
-completed task persists its test-set metric bundle to an append-only CSV
-store before any analysis, and reruns over an existing store skip completed
-cells.
+is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
+work is one (series, split, model) cell and condition with its pending reps,
+which share one grid search. Every completed task persists its test-set
+metric bundle to an append-only CSV store before any analysis, and reruns
+over an existing store skip completed tasks.
 """
 
 from __future__ import annotations
@@ -20,9 +21,11 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -41,7 +44,7 @@ from .optimizers import (
     pso_minimize,
     tpe_minimize,
 )
-from .series import Dataset, SplitRatio, temporal_split
+from .series import Dataset, Split, SplitRatio, TimeSeries, temporal_split
 from .spaces import HyperparameterSpace
 from .stats import MIN_REPETITIONS, TestResult, compare_paired_runs, two_proportion_z
 
@@ -117,6 +120,10 @@ class ExperimentConfig:
             raise InvalidParameterError(f"scs_optimizer must be pso or tpe, got {self.scs_optimizer!r}")
         if not (0.0 < self.alpha < 1.0):
             raise InvalidParameterError("alpha must lie in (0, 1)")
+
+    def search_space(self, model: ForecastModel) -> HyperparameterSpace:
+        """The space ``model`` is searched over: the override, else its declared space."""
+        return self.space_overrides.get(model.name, model.space())
 
 
 @dataclass(frozen=True)
@@ -309,90 +316,83 @@ class _Objective:
         return self._hef(predicted, *self._window.errors(predicted))  # a flat window's NaN r2 raises
 
 
-# Grid-search results of the current run, keyed by (series_id, model,
-# condition, split). A grid search is a pure function of its cell and
-# condition, so every rep of that pair reuses the first one's result. Set by
-# run_experiment for its serial loop and by _init_worker in each worker.
-_grid_results: dict[tuple[str, str, str, str], OptimizationResult] | None = None
+@dataclass
+class _Reps:
+    """What the pending reps of one (cell, condition) share; the first rep to
+    reach them makes the split (retried if it fails) and the grid search."""
+
+    series: TimeSeries
+    model: ForecastModel
+    space: HyperparameterSpace
+    label: str
+    split: Split | None = None
+    grid: OptimizationResult | None = None
 
 
-def _search(
-    key: TaskKey,
-    label: str,
-    space: HyperparameterSpace,
-    model: ForecastModel,
-    train: np.ndarray,
-    test: np.ndarray,
-    config: ExperimentConfig,
-) -> OptimizationResult:
-    """The search ``label`` names over ``space``: the cell's grid search, run
-    once per (cell, condition) in a run, or a swarm or Parzen search seeded
-    per rep."""
-    cell = (key.series_id, key.model, key.condition, key.split)
-    if label == "grid" and _grid_results is not None and cell in _grid_results:
-        return _grid_results[cell]
-    objective = _Objective(model, train, test, key.condition, config)
-    if label == "grid":
-        result = grid_search(space, objective, cap=config.grid_cap)
-        if _grid_results is not None:
-            _grid_results[cell] = result
-        return result
+_Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
+
+
+def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> OptimizationResult:
+    """The search ``reps.label`` names: the grid search of the (cell, condition),
+    run once and kept in ``reps``, or a swarm or Parzen search seeded per rep."""
+    if reps.grid is not None:
+        return reps.grid
+    objective = _Objective(reps.model, reps.split.train, reps.split.test, key.condition, config)
+    if reps.label == "grid":
+        reps.grid = grid_search(reps.space, objective, cap=config.grid_cap)
+        return reps.grid
     seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
-    if label == "pso":
-        return pso_minimize(space, objective, replace(config.pso, seed=seed))
-    return tpe_minimize(space, objective, replace(config.tpe, seed=seed))
+    if reps.label == "pso":
+        return pso_minimize(reps.space, objective, replace(config.pso, seed=seed))
+    return tpe_minimize(reps.space, objective, replace(config.tpe, seed=seed))
 
 
-def _execute_task(
-    key: TaskKey,
-    dataset: Dataset,
-    config: ExperimentConfig,
-) -> tuple[TaskKey, str, dict[str, float] | None, str | None]:
-    """Run one cell; returns (key, optimizer, metric values or None, failure reason)."""
-    series = dataset.get(key.series_id)
-    model = create_model(key.model, season_length=series.frequency.periods_per_year)
-    space = config.space_overrides.get(key.model, model.space())
-    label = optimizer_label(space, key.condition, config.scs_optimizer)
+def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outcome:
+    """Run one task; returns (key, optimizer, metric values or None, failure reason)."""
     try:
-        split = temporal_split(series, SplitRatio.parse(key.split))
-        train, test = split.train, split.test
-        trace_summary: dict[str, float] = {}
+        if reps.split is None:
+            reps.split = temporal_split(reps.series, SplitRatio.parse(key.split))
+        train, test = reps.split.train, reps.split.test
         if key.condition == "baseline":
-            point: Mapping = model.fixed_config()
+            point, trace_summary = reps.model.fixed_config(), {}
         else:
-            result = _search(key, label, space, model, train, test, config)
+            result = _search(key, reps, config)
             if not math.isfinite(result.best_score):
                 raise InvalidParameterError("every candidate configuration failed to score")
             point = result.best_point
-            trace_summary = {
-                "opt_evals": float(result.evals),
-                "opt_best_score": result.best_score,
-            }
+            trace_summary = {"opt_evals": float(result.evals), "opt_best_score": result.best_score}
         started = time.perf_counter()
-        fitted = model.fit(train, point)
-        predicted = fitted.predict(split.horizon)
+        fitted = reps.model.fit(train, point)
+        predicted = fitted.predict(reps.split.horizon)
         exec_time = time.perf_counter() - started
         bundle = compute_bundle(train, test, predicted, exec_time=exec_time)
-        return key, label, {**bundle.as_dict(), **trace_summary}, None
+        return key, reps.label, {**bundle.as_dict(), **trace_summary}, None
     except HefLabError as exc:
-        return key, label, None, f"{type(exc).__name__}: {exc}"
+        return key, reps.label, None, f"{type(exc).__name__}: {exc}"
 
 
-# The dataset and config a worker process runs its tasks against, set once
-# per worker by the pool initializer so that tasks carry only their key.
+def _execute_reps(keys: Sequence[TaskKey], dataset: Dataset, config: ExperimentConfig) -> Iterator[_Outcome]:
+    """Run the pending reps of one (cell, condition) in order, yielding each outcome."""
+    series = dataset.get(keys[0].series_id)
+    model = create_model(keys[0].model, season_length=series.frequency.periods_per_year)
+    space = config.search_space(model)
+    reps = _Reps(series, model, space, optimizer_label(space, keys[0].condition, config.scs_optimizer))
+    for key in keys:
+        # _execute_task is looked up at call time, so a wrapper installed on the module runs
+        yield _execute_task(key, reps, config)
+
+
+# A worker's dataset and config, set once by the pool initializer; each unit sends only its keys.
 _worker_inputs: tuple[Dataset, ExperimentConfig] | None = None
 
 
 def _init_worker(dataset: Dataset, config: ExperimentConfig) -> None:
-    global _worker_inputs, _grid_results
+    global _worker_inputs
     _worker_inputs = (dataset, config)
-    _grid_results = {}
 
 
-def _execute_worker_task(key: TaskKey) -> tuple[TaskKey, str, dict[str, float] | None, str | None]:
-    # looks _execute_task up by its global name at call time, so a wrapper
-    # installed on the module is what the worker runs
-    return _execute_task(key, *_worker_inputs)
+def _execute_worker_reps(keys: Sequence[TaskKey]) -> list[_Outcome]:
+    return list(_execute_reps(keys, *_worker_inputs))
 
 
 def run_experiment(
@@ -404,58 +404,45 @@ def run_experiment(
 ) -> RunSummary:
     """Execute the full sweep into a results store, resuming if it exists.
 
-    Per-task failures are recorded and excluded; they never abort the sweep.
-    With ``jobs > 1`` each of the ``jobs`` worker processes receives the
-    dataset and config once, every task sends only its key, and the reps of
-    one (cell, condition) go to one worker together, so that its grid search
-    runs once. The store is written by this process only, in deterministic
-    task order.
+    The unit of work is one (series, split, model) cell and condition with
+    its pending reps. Per-task failures are recorded and excluded; they never
+    abort the sweep. With ``jobs > 1`` each of ``min(jobs, pending units)``
+    worker processes receives the dataset and config once, and every unit
+    sends only its keys. The store is written by this process only, in
+    deterministic task order.
     """
-    global _grid_results
     for name in config.models:  # unknown names fail before any work
         model_class(name)
     store = ResultsStore(store_path)
-    tasks = [
-        TaskKey(series.id, model, condition, split.label, rep)
+    units = [
+        [TaskKey(series.id, model, condition, split.label, rep) for rep in range(config.repetitions)]
         for series in dataset.series
         for split in config.splits
         for model in config.models
         for condition in config.conditions
-        for rep in range(config.repetitions)
     ]
-    pending = [key for key in tasks if not store.is_complete(key)]
-    skipped = len(tasks) - len(pending)
+    total = len(units) * config.repetitions
+    pending = [keys for unit in units if (keys := [key for key in unit if not store.is_complete(key)])]
+    executed = sum(map(len, pending))
     failures: list[TaskFailure] = []
-
-    def handle(result: tuple[TaskKey, str, dict[str, float] | None, str | None], done: int) -> None:
-        key, label, values, reason = result
-        if values is None:
-            failures.append(TaskFailure(key, reason or "unknown"))
-            logger.warning("task %s failed: %s", key, reason)
-        else:
-            store.append(key, label, values)
-        if progress is not None:
-            progress(done, len(pending))
-
-    try:
+    with ExitStack() as stack:
+        stack.callback(store.close)
         if jobs > 1 and pending:
-            with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker, initargs=(dataset, config)
-            ) as pool:
-                results = pool.map(_execute_worker_task, pending, chunksize=config.repetitions)
-                for done, result in enumerate(results, start=1):
-                    handle(result, done)
+            workers = min(jobs, len(pending))
+            pool = ProcessPoolExecutor(workers, initializer=_init_worker, initargs=(dataset, config))
+            outcomes = stack.enter_context(pool).map(_execute_worker_reps, pending)
         else:
-            _grid_results = {}
-            for done, key in enumerate(pending, start=1):
-                handle(_execute_task(key, dataset, config), done)
-    finally:
-        _grid_results = None
-        store.close()
+            outcomes = map(_execute_reps, pending, repeat(dataset), repeat(config))
+        for done, (key, label, values, reason) in enumerate(chain.from_iterable(outcomes), start=1):
+            if values is None:
+                failures.append(TaskFailure(key, reason))
+                logger.warning("task %s failed: %s", key, reason)
+            else:
+                store.append(key, label, values)
+            if progress is not None:
+                progress(done, executed)
 
-    return RunSummary(
-        total=len(tasks), executed=len(pending), skipped=skipped, failures=tuple(failures)
-    )
+    return RunSummary(total=total, executed=executed, skipped=total - executed, failures=tuple(failures))
 
 
 # --- case counting -----------------------------------------------------------

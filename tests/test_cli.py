@@ -277,6 +277,12 @@ class TestRun:
         assert self._run_with(workdir, models, mixed, *tpe) == 0
         assert "failed 0" in capsys.readouterr().out
 
+    def test_grid_above_the_cap_exits_1(self, workdir, capsys) -> None:
+        assert self._run_with(workdir, "opt.grid.cap=3") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: opt.grid.cap: knn has 15 grid points") and err.count("\n") == 1
+        assert not (workdir / "out" / "results.csv").exists()
+
     def test_bad_dataset_exits_1(self, workdir) -> None:
         bad = workdir / "bad.csv"
         bad.write_text("series_id,frequency,t,value\na,monthly,1,oops\n")
@@ -562,6 +568,23 @@ class TestConfigModule:
         config = build_experiment_config({**flat, "experiment.scs_optimizer": "tpe"})
         assert config.space_overrides["enr"]["l1_ratio"].values == (0.1, 0.5)
         assert config.space_overrides["enr"]["alpha"] == create("enr").space()["alpha"]
+
+    @pytest.mark.parametrize(
+        "flat, keys",
+        [
+            ({"experiment.models": ["ses", "knn"], "opt.grid.cap": 3}, "opt.grid.cap: knn has 15 grid points"),
+            (
+                {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": [0.1, 0.5]}, "opt.grid.cap": 1},
+                "opt.grid.cap, models.ses.space.alpha: ses has 2 grid points",
+            ),
+        ],
+    )
+    def test_grid_above_the_cap_refused(self, flat, keys) -> None:
+        with pytest.raises(ConfigError, match=re.escape(keys)):
+            build_experiment_config(flat)
+        # a cap that holds the grid, or a grid the run does not search, is accepted
+        build_experiment_config({**flat, "opt.grid.cap": 15})
+        build_experiment_config({**flat, "experiment.models": ["lsr"]})
 
     def test_bad_space_override(self) -> None:
         flat = {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": "oops"}}

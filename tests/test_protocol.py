@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,12 @@ from hef_lab.series import Dataset, SplitRatio
 from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain
 
 from conftest import make_series, random_series
+
+
+# The workers of a forked pool see a test's monkeypatches; spawned ones do not.
+needs_fork = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork", reason="workers must be forked to see the test's patches"
+)
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -276,6 +283,55 @@ class TestRunExperiment:
         # none under fork, one per worker where workers unpickle their inputs
         assert len(pickled) <= 2
 
+    @needs_fork
+    @pytest.mark.parametrize("n_series", [1, 3])
+    def test_one_worker_per_pending_unit_at_most(self, tmp_path, small_dataset, monkeypatch, n_series) -> None:
+        # each worker records its start in a file
+        started = tmp_path / "workers.txt"
+        init_worker = protocol._init_worker
+
+        def recording_init(*args):
+            with started.open("a") as fh:
+                fh.write("started\n")
+            init_worker(*args)
+
+        monkeypatch.setattr(protocol, "_init_worker", recording_init)
+        dataset = Dataset("d", small_dataset.series[:n_series])
+        summary = run_experiment(dataset, tiny_config(models=("ses",)), tmp_path / "r.csv", jobs=4)
+        assert summary.executed == n_series * 6 and not summary.failures
+        # a unit is one (cell, condition): 2 per series, 6 for --jobs 4
+        assert started.read_text().count("started") == min(4, n_series * 2)
+
+    @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=needs_fork)])
+    def test_cell_survives_a_failed_condition(self, tmp_path, monkeypatch, jobs) -> None:
+        # every hef point fails to score; baseline and maef of the same cells complete
+        def failing_scorer(*args, **kwargs):
+            def score(*args):
+                raise InsufficientDataError("no hef score")
+
+            return score
+
+        monkeypatch.setattr(protocol.evaluation, "hef_scorer", failing_scorer)
+        rng = np.random.default_rng(4)
+        dataset = Dataset("d", (random_series(rng, "s0"),))
+        config = tiny_config(conditions=("baseline", "hef", "maef"))  # ses under PSO, knn on its grid
+        summary = run_experiment(dataset, config, tmp_path / "r.csv", jobs=jobs)
+        assert summary.executed == 2 * 3 * 3
+        assert [f.key for f in summary.failures] == [
+            protocol.TaskKey("s0", model, "hef", "80:20", rep) for model in ("ses", "knn") for rep in range(3)
+        ]
+        assert {f.reason for f in summary.failures} == {
+            "InvalidParameterError: every candidate configuration failed to score"
+        }
+        store = ResultsStore(tmp_path / "r.csv")
+        assert len(store) == 2 * 2 * 3
+        assert {(r["model"], r["condition"], r["rep"]) for r in store.rows} == {
+            (model, condition, rep)
+            for model in ("ses", "knn")
+            for condition in ("baseline", "maef")
+            for rep in range(3)
+        }
+
     def test_stub_model_aborts_before_any_work(self, tmp_path, small_dataset) -> None:
         from hef_lab.errors import UnknownModelError
 
@@ -393,6 +449,38 @@ class TestSearchMemo:
         per_condition = len(small_dataset.series) * len(config.conditions)
         assert calls["grid_search"] == per_condition
         assert calls["pso_minimize"] == per_condition * config.repetitions
+
+    @needs_fork
+    def test_resume_with_workers_runs_one_grid_search_per_pending_condition(
+        self, tmp_path, small_dataset, monkeypatch
+    ) -> None:
+        config = tiny_config(models=("knn",), repetitions=5)
+        full = tmp_path / "full.csv"
+        run_experiment(small_dataset, config, full)
+        # cut after 3 of the 5 reps of the first cell's hef condition
+        lines = full.read_bytes().splitlines(keepends=True)
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(b"".join(lines[: 1 + 3 * len(required_metrics("hef"))]))
+
+        # each grid search, in whichever worker, records itself in a file
+        searches = tmp_path / "searches.txt"
+        search = protocol.grid_search
+
+        def recording_search(*args, **kwargs):
+            with searches.open("a") as fh:
+                fh.write("grid\n")
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "grid_search", recording_search)
+        summary = run_experiment(small_dataset, config, cut, jobs=2)
+        assert summary.skipped == 3 and not summary.failures
+        # every cell has both conditions pending, the first cell's hef for its last 2 reps
+        assert searches.read_text().count("grid") == len(small_dataset.series) * len(config.conditions)
+
+        def essence(path):
+            return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
+
+        assert essence(cut) == essence(full)
 
     def test_runs_do_not_share_searches(self, tmp_path, small_dataset) -> None:
         # the same series ids with other values: a grid search kept from the
