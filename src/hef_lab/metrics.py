@@ -32,6 +32,7 @@ __all__ = [
     "rmsse",
     "mase",
     "MetricBundle",
+    "BundleScorer",
     "compute_bundle",
     "METRIC_NAMES",
     "HIGHER_BETTER",
@@ -76,28 +77,25 @@ class TargetWindow:
     def errors(self, predicted: Sequence[float]) -> tuple[float, float, float]:
         """``(r2, mae, rmse)`` of one forecast, from a single residual vector;
         r2 is NaN when the window is constant."""
-        yhat = _matching(self.actual, predicted)
+        r2_value, mae_value, mse = self._errors(_matching(self.actual, predicted))
+        return r2_value, mae_value, math.sqrt(mse)
+
+    def _errors(self, yhat: np.ndarray) -> tuple[float, float, float]:
+        """``(r2, mae, mean squared error)`` of a validated forecast. Each mean
+        is ``np.mean``'s pairwise sum divided by the size, without its
+        per-call overhead."""
         with np.errstate(over="ignore"):  # a far-off forecast gets infinite errors, which scoring refuses
             e = self.actual - yhat
-            squared = e**2
-            r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
-            return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
+            sse = float((e**2).sum())
+            r2_value = 1.0 - sse / self.ss_tot if self.ss_tot != 0.0 else math.nan
+            return r2_value, float(np.abs(e).sum()) / e.size, sse / e.size
 
     def mae(self, predicted: Sequence[float]) -> float:
         """The MAE of one forecast, validated as ``errors`` validates it and
         equal to ``errors(predicted)[1]``."""
         yhat = _matching(self.actual, predicted)
         with np.errstate(over="ignore"):
-            return float(np.mean(np.abs(self.actual - yhat)))
-
-
-def _defined_errors(actual: Sequence[float], predicted: Sequence[float]) -> tuple[float, float, float]:
-    """``TargetWindow(actual).errors(predicted)``, refusing a constant window."""
-    window = TargetWindow(actual)
-    errors = window.errors(predicted)
-    if window.ss_tot == 0.0:
-        raise ZeroVarianceError("actual values are constant; r2 is undefined")
-    return errors
+            return float(np.abs(self.actual - yhat).sum()) / yhat.size
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -112,7 +110,11 @@ def rmse(actual: Sequence[float], predicted: Sequence[float]) -> float:
 
 def r2(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination; may be negative for fits worse than the mean."""
-    return _defined_errors(actual, predicted)[0]
+    window = TargetWindow(actual)
+    value = window.errors(predicted)[0]
+    if window.ss_tot == 0.0:
+        raise ZeroVarianceError("actual values are constant; r2 is undefined")
+    return value
 
 
 def gra(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -199,6 +201,50 @@ class MetricBundle:
         return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
+class BundleScorer:
+    """The metric bundle of any number of forecasts of one (train, test)
+    split. The test window, its total volume and the training series' two
+    naive errors are computed once; each forecast is validated and scored,
+    and refused in the order ``compute_bundle`` refuses it."""
+
+    def __init__(self, train: Sequence[float], actual_test: Sequence[float]) -> None:
+        self._window = TargetWindow(actual_test)
+        self._volume = float(np.sum(np.abs(self._window.actual)))
+        self._train = train
+        self._naive: tuple[float, float] | None = None  # (squared, absolute), once train passes
+
+    def _naive_errors(self) -> tuple[float, float]:
+        """The mean squared and mean absolute one-step naive errors of train."""
+        if self._naive is None:
+            tr = _as_vector(self._train, "train")
+            if tr.size < 2:
+                raise SeriesTooShortError("train needs at least 2 observations")
+            step = np.diff(tr)
+            squared, absolute = float(np.mean(np.square(step))), float(np.mean(np.abs(step)))
+            if squared == 0.0 or absolute == 0.0:
+                raise FlatTrainingSeriesError("training series has no variation; naive error is zero")
+            self._naive = squared, absolute
+        return self._naive
+
+    def __call__(self, predicted_test: Sequence[float], exec_time: float = 0.0) -> MetricBundle:
+        yhat = _matching(self._window.actual, predicted_test)
+        r2_value, mae_value, mse = self._window._errors(yhat)
+        if self._window.ss_tot == 0.0:
+            raise ZeroVarianceError("actual values are constant; r2 is undefined")
+        if self._volume == 0.0:
+            raise ZeroTotalVolumeError("actual values have zero total absolute volume")
+        naive_squared, naive_absolute = self._naive_errors()
+        return MetricBundle(
+            r2=r2_value,
+            mae=mae_value,
+            rmse=math.sqrt(mse),
+            gra=1.0 - abs(float(np.sum(np.abs(yhat))) - self._volume) / self._volume,
+            rmsse=math.sqrt(mse / naive_squared),
+            mase=mae_value / naive_absolute,
+            exec_time=exec_time,
+        )
+
+
 def compute_bundle(
     train: Sequence[float],
     actual_test: Sequence[float],
@@ -206,13 +252,4 @@ def compute_bundle(
     exec_time: float = 0.0,
 ) -> MetricBundle:
     """Evaluate all six metrics for one (train, test, forecast) triple."""
-    r2_value, mae_value, rmse_value = _defined_errors(actual_test, predicted_test)
-    return MetricBundle(
-        r2=r2_value,
-        mae=mae_value,
-        rmse=rmse_value,
-        gra=gra(actual_test, predicted_test),
-        rmsse=rmsse(train, actual_test, predicted_test),
-        mase=mase(train, actual_test, predicted_test),
-        exec_time=exec_time,
-    )
+    return BundleScorer(train, actual_test)(predicted_test, exec_time)

@@ -7,9 +7,10 @@ function). A task's search follows from its model's effective space (the
 config's override, else the declared space): grid search when every domain
 is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
 work is one (series, split, model) cell and condition with its pending reps,
-which share one grid search. Every completed task persists its test-set
-metric bundle to an append-only CSV store before any analysis, and reruns
-over an existing store skip completed tasks.
+which share one grid search and one scorer of the final forecasts. Every
+completed task persists its test-set metric bundle to an append-only CSV
+store before any analysis, and reruns over an existing store skip completed
+tasks.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import numpy as np
 from . import evaluation
 from .errors import HefLabError, InvalidParameterError
 from .evaluation import MetricWeights, PenaltySchedule
-from .metrics import HIGHER_BETTER, METRIC_NAMES, TargetWindow, compute_bundle
-from .metrics import mae, r2, rmse  # noqa: F401  (not called here; perfbench's tracer wraps these names)
+from .metrics import HIGHER_BETTER, METRIC_NAMES, BundleScorer, MetricBundle, TargetWindow
+from .metrics import compute_bundle, mae, r2, rmse  # noqa: F401  (not called; perfbench's tracer wraps these names)
 from .models import ForecastModel, create as create_model, model_class
 from .optimizers import (
     DEFAULT_GRID_CAP,
@@ -319,14 +320,27 @@ class _Objective:
 @dataclass
 class _Reps:
     """What the pending reps of one (cell, condition) share; the first rep to
-    reach them makes the split (retried if it fails) and the grid search."""
+    reach them makes the split (retried if it fails) with its bundle scorer,
+    and the grid search. ``scored`` is the last final forecast scored, with
+    its bundle."""
 
     series: TimeSeries
     model: ForecastModel
     space: HyperparameterSpace
     label: str
     split: Split | None = None
+    scorer: BundleScorer | None = None
     grid: OptimizationResult | None = None
+    scored: tuple[np.ndarray, MetricBundle] | None = None
+
+    def bundle(self, predicted: np.ndarray, exec_time: float) -> MetricBundle:
+        """The bundle of a final forecast; one equal to the last forecast
+        scored, as every rep of a grid or baseline unit gives, takes its six
+        accuracy metrics and only ``exec_time`` is its own."""
+        if self.scored is not None and np.array_equal(predicted, self.scored[0]):
+            return replace(self.scored[1], exec_time=exec_time)
+        self.scored = predicted, self.scorer(predicted, exec_time)
+        return self.scored[1]
 
 
 _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
@@ -351,8 +365,8 @@ def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outco
     """Run one task; returns (key, optimizer, metric values or None, failure reason)."""
     try:
         if reps.split is None:
-            reps.split = temporal_split(reps.series, SplitRatio.parse(key.split))
-        train, test = reps.split.train, reps.split.test
+            split = temporal_split(reps.series, SplitRatio.parse(key.split))
+            reps.scorer, reps.split = BundleScorer(split.train, split.test), split
         if key.condition == "baseline":
             point, trace_summary = reps.model.fixed_config(), {}
         else:
@@ -362,11 +376,10 @@ def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outco
             point = result.best_point
             trace_summary = {"opt_evals": float(result.evals), "opt_best_score": result.best_score}
         started = time.perf_counter()
-        fitted = reps.model.fit(train, point)
+        fitted = reps.model.fit(reps.split.train, point)
         predicted = fitted.predict(reps.split.horizon)
         exec_time = time.perf_counter() - started
-        bundle = compute_bundle(train, test, predicted, exec_time=exec_time)
-        return key, reps.label, {**bundle.as_dict(), **trace_summary}, None
+        return key, reps.label, {**reps.bundle(predicted, exec_time).as_dict(), **trace_summary}, None
     except HefLabError as exc:
         return key, reps.label, None, f"{type(exc).__name__}: {exc}"
 

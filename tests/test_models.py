@@ -10,6 +10,7 @@ from hef_lab import models
 from hef_lab.errors import (
     HefLabError,
     InsufficientDataError,
+    InvalidParameterError,
     NonConvergenceError,
     UnknownModelError,
 )
@@ -125,6 +126,18 @@ class TestSes:
     def test_insufficient_data(self) -> None:
         with pytest.raises(InsufficientDataError):
             create("ses").fit([1.0, 2.0], {"alpha": 0.2})
+
+    @pytest.mark.parametrize("alpha", [5.0, -1.0, float("nan")])
+    def test_alpha_outside_unit_interval_is_refused(self, alpha) -> None:
+        # at 5 a daily-length fit overflows, at -1 it forecasts about -1e175
+        train = trend_series(584, seed=3)
+        with pytest.raises(InvalidParameterError, match=f"alpha must lie in \\[0, 1\\], got {alpha!r}"):
+            create("ses").fit(train, {"alpha": alpha})
+
+    def test_alpha_at_the_bounds_fits(self) -> None:
+        train = trend_series(584, seed=3)
+        assert np.array_equal(create("ses").fit(train, {"alpha": 0.0}).predict(2), np.full(2, train[0]))
+        assert np.array_equal(create("ses").fit(train, {"alpha": 1.0}).predict(2), np.full(2, train[-1]))
 
 
 def _css_sse(w: np.ndarray, c: float, phi: float) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import multiprocessing
 from pathlib import Path
 
@@ -11,8 +12,9 @@ import pytest
 
 from hef_lab import protocol
 from hef_lab.errors import InsufficientDataError, InvalidParameterError
-from hef_lab.metrics import METRIC_NAMES
-from hef_lab.models import create
+from hef_lab.metrics import METRIC_NAMES, compute_bundle
+from hef_lab.models import create, model_class
+from hef_lab.models.smoothing import FittedSes
 from hef_lab.optimizers import PsoConfig, TpeConfig
 from hef_lab.protocol import (
     VERDICT_A,
@@ -30,7 +32,7 @@ from hef_lab.protocol import (
     run_experiment,
     z_summary,
 )
-from hef_lab.series import Dataset, SplitRatio
+from hef_lab.series import Dataset, SplitRatio, temporal_split
 from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain
 
 from conftest import make_series, random_series
@@ -504,6 +506,90 @@ class TestSearchMemo:
             # a maef search's best score is the MAE of the winner's final fit on this data
             assert all(m["opt_best_score"] == m["mae"] for m in maef.values())
         assert essence(tmp_path / "a.csv") != essence(tmp_path / "b.csv")
+
+
+def _record_scored(monkeypatch) -> list[np.ndarray]:
+    """Every final forecast the run's bundle scorers score, in order."""
+    scored: list[np.ndarray] = []
+
+    class Recording(protocol.BundleScorer):
+        def __call__(self, predicted, exec_time=0.0):
+            scored.append(np.array(predicted))
+            return super().__call__(predicted, exec_time)
+
+    monkeypatch.setattr(protocol, "BundleScorer", Recording)
+    return scored
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list[int]:
+    count = [0]
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return count
+
+
+class TestFinalBundle:
+    def test_grid_reps_score_their_equal_forecast_once(self, tmp_path, small_dataset, monkeypatch) -> None:
+        scored = _record_scored(monkeypatch)
+        fits = _count_calls(monkeypatch, model_class("knn"), "fit")
+        evals = _count_calls(monkeypatch, protocol._Objective, "__call__")
+        config = tiny_config(models=("knn",), repetitions=5)
+        summary = run_experiment(small_dataset, config, tmp_path / "r.csv")
+        units = len(small_dataset.series) * len(config.conditions)
+        assert summary.executed == units * config.repetitions and not summary.failures
+        assert len(scored) == units
+        assert fits[0] - evals[0] == units * config.repetitions  # the final fit runs in every rep
+        exec_times: dict[tuple, set[float]] = {}
+        for r in ResultsStore(tmp_path / "r.csv").rows:
+            if r["metric"] == "exec_time":
+                exec_times.setdefault((r["series_id"], r["condition"]), set()).add(r["value"])
+        assert len(exec_times) == units
+        assert all(len(times) == config.repetitions for times in exec_times.values())
+
+    def test_resumed_grid_unit_writes_the_uninterrupted_rows(self, tmp_path, small_dataset, monkeypatch) -> None:
+        config = tiny_config(models=("knn",), repetitions=21)
+        full = tmp_path / "full.csv"
+        run_experiment(small_dataset, config, full)
+        lines = full.read_bytes().splitlines(keepends=True)
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(b"".join(lines[: 1 + 3 * len(required_metrics("hef"))]))  # reps 0-2 of the first unit
+
+        scored = _record_scored(monkeypatch)
+        summary = run_experiment(small_dataset, config, cut)
+        assert summary.skipped == 3 and not summary.failures
+        assert len(scored) == len(small_dataset.series) * len(config.conditions)
+
+        def essence(path):
+            return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
+
+        assert essence(cut) == essence(full)
+
+    def test_reps_with_different_forecasts_are_each_scored(self, tmp_path, small_dataset, monkeypatch) -> None:
+        scored = _record_scored(monkeypatch)
+        ses = model_class("ses")
+        fit, drift = ses.fit, itertools.count()
+
+        def drifting(self, train, config):  # every fit forecasts one unit above the one before
+            return FittedSes(fit(self, train, config).level + next(drift))
+
+        monkeypatch.setattr(ses, "fit", drifting)
+        one_point = HyperparameterSpace({"alpha": GridDomain((0.3,))})
+        config = tiny_config(models=("ses",), space_overrides={"ses": one_point})
+        store = tmp_path / "r.csv"
+        summary = run_experiment(small_dataset, config, store)
+        assert summary.executed == len(scored) and not summary.failures
+        stored: dict[tuple, dict[str, float]] = {}
+        for r in ResultsStore(store).rows:  # in task order, as the forecasts were scored
+            stored.setdefault((r["series_id"], r["condition"], r["rep"]), {})[r["metric"]] = r["value"]
+        for ((series_id, _, _), values), predicted in zip(stored.items(), scored, strict=True):
+            split = temporal_split(small_dataset.get(series_id), SplitRatio.R80_20)
+            expected = compute_bundle(split.train, split.test, predicted).as_dict()
+            assert all(values[m] == expected[m] for m in METRIC_NAMES if m != "exec_time")
 
 
 def synth_rows(

@@ -1,9 +1,10 @@
-"""The solver hot loops against frozen copies of their earlier scalar forms.
+"""The solver and scoring hot loops against frozen copies of their earlier forms.
 
-Each ``_reference_*`` function below is the loop as it stood before its
-per-element numpy calls were taken out, copied verbatim. The rewrites do the
-same floating-point operations in the same order, so every comparison here is
-exact: ``np.array_equal`` or ``==``, never a tolerance.
+Each ``_reference_*`` function below is the code as it stood before its
+per-element or per-call numpy overhead was taken out, copied verbatim. The
+rewrites do the same floating-point operations in the same order, so every
+comparison here is exact: ``np.array_equal``, ``==`` or ``repr``, never a
+tolerance; on bad input they raise the same error with the same message.
 """
 
 from __future__ import annotations
@@ -13,7 +14,15 @@ import math
 import numpy as np
 import pytest
 
-from hef_lab.errors import NonConvergenceError
+from hef_lab.errors import (
+    FlatTrainingSeriesError,
+    HefLabError,
+    NonConvergenceError,
+    SeriesTooShortError,
+    ZeroTotalVolumeError,
+    ZeroVarianceError,
+)
+from hef_lab.metrics import TargetWindow, _as_pair, _as_vector, _matching, compute_bundle
 from hef_lab.models import create
 from hef_lab.models.linear import _median, _solve_normal_equations, coordinate_descent_enet
 from hef_lab.models.tree import _best_split
@@ -110,6 +119,131 @@ def _reference_best_split(X, y):
                 best_cost = cost
                 best = (j, float((xs[i] + xs[i + 1]) / 2.0))
     return best
+
+
+def _reference_ses_level(y, alpha):
+    level = y[0]
+    for value in y[1:]:
+        level = alpha * value + (1.0 - alpha) * level
+    return level
+
+
+class _ReferenceWindow:
+    def __init__(self, actual) -> None:
+        self.actual = _as_vector(actual, "actual")
+        self.ss_tot = float(np.sum((self.actual - self.actual.mean()) ** 2))
+
+    def errors(self, predicted):
+        yhat = _matching(self.actual, predicted)
+        with np.errstate(over="ignore"):  # a far-off forecast gets infinite errors, which scoring refuses
+            e = self.actual - yhat
+            squared = e**2
+            r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
+            return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
+
+    def mae(self, predicted):
+        yhat = _matching(self.actual, predicted)
+        with np.errstate(over="ignore"):
+            return float(np.mean(np.abs(self.actual - yhat)))
+
+
+def _reference_defined_errors(actual, predicted):
+    window = _ReferenceWindow(actual)
+    errors = window.errors(predicted)
+    if window.ss_tot == 0.0:
+        raise ZeroVarianceError("actual values are constant; r2 is undefined")
+    return errors
+
+
+def _reference_gra(actual, predicted):
+    y, yhat = _as_pair(actual, predicted)
+    total = float(np.sum(np.abs(y)))
+    if total == 0.0:
+        raise ZeroTotalVolumeError("actual values have zero total absolute volume")
+    return 1.0 - abs(float(np.sum(np.abs(yhat))) - total) / total
+
+
+def _reference_scaled_error(train, actual_test, predicted_test, *, squared):
+    tr = _as_vector(train, "train")
+    if tr.size < 2:
+        raise SeriesTooShortError("train needs at least 2 observations")
+    y, yhat = _as_pair(actual_test, predicted_test)
+    magnitude = np.square if squared else np.abs
+    denom = float(np.mean(magnitude(np.diff(tr))))
+    if denom == 0.0:
+        raise FlatTrainingSeriesError("training series has no variation; naive error is zero")
+    return np.mean(magnitude(y - yhat)) / denom
+
+
+def _reference_bundle(train, actual_test, predicted_test, exec_time=0.0) -> dict:
+    r2_value, mae_value, rmse_value = _reference_defined_errors(actual_test, predicted_test)
+    return dict(
+        r2=r2_value,
+        mae=mae_value,
+        rmse=rmse_value,
+        gra=_reference_gra(actual_test, predicted_test),
+        rmsse=float(np.sqrt(_reference_scaled_error(train, actual_test, predicted_test, squared=True))),
+        mase=float(_reference_scaled_error(train, actual_test, predicted_test, squared=False)),
+        exec_time=exec_time,
+    )
+
+
+def _bundle(*args) -> dict:
+    return compute_bundle(*args).as_dict()
+
+
+def _outcome(fn, *args) -> str:
+    """``repr`` of what ``fn(*args)`` returns, or the type and message of the
+    ``HefLabError`` it raises."""
+    try:
+        return repr(fn(*args))
+    except HefLabError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _window(rng, n: int, kind: str) -> np.ndarray:
+    """A demand-like window of ``n`` values at a random scale from 1e-3 to 1e6."""
+    scale = 10.0 ** rng.uniform(-3.0, 6.0)
+    if kind == "constant":
+        return np.full(n, round(rng.uniform(0.0, 100.0), 1) * scale)
+    values = scale * (50.0 + 0.2 * np.arange(n) + rng.normal(0.0, 8.0, n))
+    if kind == "negative":
+        return -values
+    if kind == "spiky":
+        values = scale * rng.exponential(1.0, n)
+        values[rng.random(n) < 0.05] *= 40.0
+        values[rng.random(n) < 0.5] = 0.0
+    return values
+
+
+def _forecasts(rng, actual: np.ndarray) -> list[np.ndarray]:
+    """Forecasts of ``actual``: flat at its first or mean value, near it, all
+    zero, negative, and far off."""
+    n = actual.size
+    spread = float(np.abs(actual).max()) or 1.0
+    return [
+        np.full(n, actual[0]),
+        np.full(n, actual.mean()),
+        actual + rng.normal(0.0, 0.1 * spread, n),
+        np.zeros(n),
+        -np.abs(actual) - 1.0,
+        actual.copy(),
+        np.full(n, 1e6 * spread),
+    ]
+
+
+def _bad_forecasts() -> list:
+    return [
+        np.array([1.0, np.nan, 2.0]),
+        np.array([1.0, 2.0, np.inf]),
+        np.array([1.0, 2.0]),
+        [],
+        np.ones((3, 1)),
+    ]
+
+
+WINDOW_KINDS = ("level", "negative", "spiky", "constant")
+LENGTHS = (1, 2, 3, 4, 7, 12, 13, 36, 48, 60, 146, 365, 584, 729, 730)
 
 
 def _standardized(X: np.ndarray) -> np.ndarray:
@@ -298,3 +432,61 @@ class TestBestSplit:
         assert _best_split(X, y) == _reference_best_split(X, y)
         for mask in (X[:, 0] <= 50.0, X[:, 5] > 45.0):
             assert _best_split(X[mask], y[mask]) == _reference_best_split(X[mask], y[mask])
+
+
+class TestSesLevel:
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_equals_reference(self, kind) -> None:
+        rng = np.random.default_rng(len(kind))
+        model = create("ses")
+        for n in (*LENGTHS[2:], *rng.integers(3, 731, size=20)):
+            y = _window(rng, int(n), kind)
+            for alpha in (0.0, 0.01, 0.2, rng.uniform(), 0.99, 1.0):
+                expected = _reference_ses_level(y, alpha)
+                assert repr(model.fit(y, {"alpha": alpha}).level) == repr(float(expected))
+
+
+class TestTargetWindow:
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_errors_and_mae_equal_reference(self, kind) -> None:
+        rng = np.random.default_rng(10 + len(kind))
+        for n in (*LENGTHS, *rng.integers(1, 731, size=20)):
+            actual = _window(rng, int(n), kind)
+            window, reference = TargetWindow(actual), _ReferenceWindow(actual)
+            for predicted in _forecasts(rng, actual):
+                assert repr(window.errors(predicted)) == repr(reference.errors(predicted))
+                assert repr(window.mae(predicted)) == repr(reference.mae(predicted))
+
+    def test_bad_forecasts_raise_alike(self) -> None:
+        actual = np.array([3.0, 5.0, 4.0])
+        window, reference = TargetWindow(actual), _ReferenceWindow(actual)
+        for predicted in _bad_forecasts():
+            for method in ("errors", "mae"):
+                expected = _outcome(getattr(reference, method), predicted)
+                assert "Error: " in expected
+                assert _outcome(getattr(window, method), predicted) == expected
+
+
+class TestComputeBundle:
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_equals_reference(self, kind) -> None:
+        rng = np.random.default_rng(20 + len(kind))
+        for n in (*LENGTHS, *rng.integers(1, 731, size=12)):
+            train = _window(rng, int(rng.integers(2, 731)), rng.choice(WINDOW_KINDS[:3]))
+            actual = _window(rng, int(n), kind)
+            for predicted in _forecasts(rng, actual):
+                expected = _outcome(_reference_bundle, train, actual, predicted, 0.25)
+                assert _outcome(_bundle, train, actual, predicted, 0.25) == expected
+
+    def test_bad_inputs_raise_alike_and_in_order(self) -> None:
+        good_train, flat_train = np.array([1.0, 4.0, 2.0, 6.0]), np.full(4, 3.0)
+        good_test, flat_test = np.array([5.0, 7.0, 6.0]), np.full(3, 5.0)
+        trains = [good_train, flat_train, np.array([2.0]), np.array([1.0, np.nan]), np.ones((2, 2)), []]
+        tests = [good_test, flat_test, np.zeros(3), np.array([5.0, np.inf, 1.0]), [], np.ones((3, 1))]
+        for train in trains:
+            for actual in tests:
+                for predicted in [np.array([5.5, 6.0, 6.5]), *_bad_forecasts()]:
+                    expected = _outcome(_reference_bundle, train, actual, predicted)
+                    got = _outcome(_bundle, train, actual, predicted)
+                    assert got == expected, (train, actual, predicted)
+
