@@ -1,8 +1,10 @@
 """Forecast accuracy metrics and the per-run metric bundle.
 
-All metrics are pure functions over 1-D sequences. The scaled errors
-(``rmsse``, ``mase``) normalize test-window error by the training series'
-one-step naive error, so values below 1 beat the naive forecast.
+``TargetWindow`` (r2, MAE, RMSE and gra of one test window) and
+``BundleScorer`` (all six metrics of one split) are the one implementation of
+each metric; the public functions score one forecast through them. The scaled
+errors (``rmsse``, ``mase``) normalize test-window error by the training
+series' one-step naive error, so values below 1 beat the naive forecast.
 """
 
 from __future__ import annotations
@@ -53,11 +55,6 @@ def _as_vector(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
-def _as_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    y = _as_vector(actual, "actual")
-    return y, _matching(y, predicted)
-
-
 def _matching(y: np.ndarray, predicted: Sequence[float]) -> np.ndarray:
     yhat = _as_vector(predicted, "predicted")
     if y.size != yhat.size:
@@ -67,12 +64,16 @@ def _matching(y: np.ndarray, predicted: Sequence[float]) -> np.ndarray:
 
 class TargetWindow:
     """The actual values of one test window, validated once, with their total
-    sum of squares; ``errors`` and ``mae`` score any number of forecasts of
-    the window."""
+    sum of squares and total absolute volume; ``errors`` and ``mae`` score any
+    number of forecasts of the window. The window is constant when all its
+    values are equal, or when the sum of squares underflows to zero; r2 is
+    then undefined."""
 
     def __init__(self, actual: Sequence[float]) -> None:
         self.actual = _as_vector(actual, "actual")
         self.ss_tot = float(np.sum((self.actual - self.actual.mean()) ** 2))
+        self.constant = self.ss_tot == 0.0 or bool((self.actual == self.actual[0]).all())
+        self.volume = float(np.sum(np.abs(self.actual)))
 
     def errors(self, predicted: Sequence[float]) -> tuple[float, float, float]:
         """``(r2, mae, rmse)`` of one forecast, from a single residual vector;
@@ -87,8 +88,14 @@ class TargetWindow:
         with np.errstate(over="ignore"):  # a far-off forecast gets infinite errors, which scoring refuses
             e = self.actual - yhat
             sse = float((e**2).sum())
-            r2_value = 1.0 - sse / self.ss_tot if self.ss_tot != 0.0 else math.nan
+            r2_value = math.nan if self.constant else 1.0 - sse / self.ss_tot
             return r2_value, float(np.abs(e).sum()) / e.size, sse / e.size
+
+    def _gra(self, yhat: np.ndarray) -> float:
+        """Global relative accuracy of a validated forecast."""
+        if self.volume == 0.0:
+            raise ZeroTotalVolumeError("actual values have zero total absolute volume")
+        return 1.0 - abs(float(np.sum(np.abs(yhat))) - self.volume) / self.volume
 
     def mae(self, predicted: Sequence[float]) -> float:
         """The MAE of one forecast, validated as ``errors`` validates it and
@@ -112,7 +119,7 @@ def r2(actual: Sequence[float], predicted: Sequence[float]) -> float:
     """Coefficient of determination; may be negative for fits worse than the mean."""
     window = TargetWindow(actual)
     value = window.errors(predicted)[0]
-    if window.ss_tot == 0.0:
+    if window.constant:
         raise ZeroVarianceError("actual values are constant; r2 is undefined")
     return value
 
@@ -124,31 +131,25 @@ def gra(actual: Sequence[float], predicted: Sequence[float]) -> float:
     the actual volume exactly, and the value goes negative once the absolute
     gap exceeds the actual volume.
     """
-    y, yhat = _as_pair(actual, predicted)
-    total = float(np.sum(np.abs(y)))
-    if total == 0.0:
-        raise ZeroTotalVolumeError("actual values have zero total absolute volume")
-    return 1.0 - abs(float(np.sum(np.abs(yhat))) - total) / total
+    window = TargetWindow(actual)
+    return window._gra(_matching(window.actual, predicted))
 
 
-def _scaled_error(
-    train: Sequence[float],
-    actual_test: Sequence[float],
-    predicted_test: Sequence[float],
-    *,
-    squared: bool,
-) -> float:
-    """Mean test error over the mean one-step naive error of the training
-    series, both squared or both absolute."""
+def _naive_errors(train: Sequence[float]) -> tuple[float, float]:
+    """The mean squared and mean absolute one-step naive errors of the
+    training series (Hyndman & Koehler 2006)."""
     tr = _as_vector(train, "train")
     if tr.size < 2:
         raise SeriesTooShortError("train needs at least 2 observations")
-    y, yhat = _as_pair(actual_test, predicted_test)
-    magnitude = np.square if squared else np.abs
-    denom = float(np.mean(magnitude(np.diff(tr))))
-    if denom == 0.0:
+    step = np.diff(tr)
+    return float(np.mean(np.square(step))), float(np.mean(np.abs(step)))
+
+
+def _scaled(error: float, naive: float) -> float:
+    """A mean test error over the matching naive error of the training series."""
+    if naive == 0.0:
         raise FlatTrainingSeriesError("training series has no variation; naive error is zero")
-    return np.mean(magnitude(y - yhat)) / denom
+    return error / naive
 
 
 def rmsse(
@@ -161,7 +162,10 @@ def rmsse(
     The squared test error is scaled by the mean squared one-step naive error
     of the training series.
     """
-    return float(np.sqrt(_scaled_error(train, actual_test, predicted_test, squared=True)))
+    naive_squared = _naive_errors(train)[0]
+    window = TargetWindow(actual_test)
+    mse = window._errors(_matching(window.actual, predicted_test))[2]
+    return math.sqrt(_scaled(mse, naive_squared))
 
 
 def mase(
@@ -174,7 +178,10 @@ def mase(
     Values below 1 beat the one-step naive forecast measured on the training
     series.
     """
-    return float(_scaled_error(train, actual_test, predicted_test, squared=False))
+    naive_absolute = _naive_errors(train)[1]
+    window = TargetWindow(actual_test)
+    mae_value = window._errors(_matching(window.actual, predicted_test))[1]
+    return _scaled(mae_value, naive_absolute)
 
 
 @dataclass(frozen=True)
@@ -203,46 +210,34 @@ class MetricBundle:
 
 class BundleScorer:
     """The metric bundle of any number of forecasts of one (train, test)
-    split. The test window, its total volume and the training series' two
-    naive errors are computed once; each forecast is validated and scored,
-    and refused in the order ``compute_bundle`` refuses it."""
+    split. The test ``window`` and the training series' naive errors are
+    computed once; each forecast is validated and scored, and refused in the
+    order ``compute_bundle`` refuses it. A forecast equal to the last one
+    scored takes its six accuracy metrics; only ``exec_time`` is its own."""
 
     def __init__(self, train: Sequence[float], actual_test: Sequence[float]) -> None:
-        self._window = TargetWindow(actual_test)
-        self._volume = float(np.sum(np.abs(self._window.actual)))
+        self.window = TargetWindow(actual_test)
         self._train = train
-        self._naive: tuple[float, float] | None = None  # (squared, absolute), once train passes
-
-    def _naive_errors(self) -> tuple[float, float]:
-        """The mean squared and mean absolute one-step naive errors of train."""
-        if self._naive is None:
-            tr = _as_vector(self._train, "train")
-            if tr.size < 2:
-                raise SeriesTooShortError("train needs at least 2 observations")
-            step = np.diff(tr)
-            squared, absolute = float(np.mean(np.square(step))), float(np.mean(np.abs(step)))
-            if squared == 0.0 or absolute == 0.0:
-                raise FlatTrainingSeriesError("training series has no variation; naive error is zero")
-            self._naive = squared, absolute
-        return self._naive
+        self._naive: tuple[float, float] | None = None  # (squared, absolute), once a forecast reaches train
+        self._last: tuple[np.ndarray, tuple[float, ...]] | None = None  # a copy of the forecast, its metrics
 
     def __call__(self, predicted_test: Sequence[float], exec_time: float = 0.0) -> MetricBundle:
-        yhat = _matching(self._window.actual, predicted_test)
-        r2_value, mae_value, mse = self._window._errors(yhat)
-        if self._window.ss_tot == 0.0:
+        yhat = _matching(self.window.actual, predicted_test)
+        if self._last is None or not np.array_equal(yhat, self._last[0]):
+            self._last = yhat.copy(), self._metrics(yhat)
+        return MetricBundle(*self._last[1], exec_time=exec_time)
+
+    def _metrics(self, yhat: np.ndarray) -> tuple[float, ...]:
+        """The six accuracy metrics of a validated forecast, in bundle order."""
+        r2_value, mae_value, mse = self.window._errors(yhat)
+        if self.window.constant:
             raise ZeroVarianceError("actual values are constant; r2 is undefined")
-        if self._volume == 0.0:
-            raise ZeroTotalVolumeError("actual values have zero total absolute volume")
-        naive_squared, naive_absolute = self._naive_errors()
-        return MetricBundle(
-            r2=r2_value,
-            mae=mae_value,
-            rmse=math.sqrt(mse),
-            gra=1.0 - abs(float(np.sum(np.abs(yhat))) - self._volume) / self._volume,
-            rmsse=math.sqrt(mse / naive_squared),
-            mase=mae_value / naive_absolute,
-            exec_time=exec_time,
-        )
+        gra_value = self.window._gra(yhat)
+        if self._naive is None:
+            self._naive = _naive_errors(self._train)
+        naive_squared, naive_absolute = self._naive
+        rmsse_value = math.sqrt(_scaled(mse, naive_squared))
+        return r2_value, mae_value, math.sqrt(mse), gra_value, rmsse_value, _scaled(mae_value, naive_absolute)
 
 
 def compute_bundle(

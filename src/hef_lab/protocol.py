@@ -33,7 +33,7 @@ import numpy as np
 from . import evaluation
 from .errors import HefLabError, InvalidParameterError
 from .evaluation import MetricWeights, PenaltySchedule
-from .metrics import HIGHER_BETTER, METRIC_NAMES, BundleScorer, MetricBundle, TargetWindow
+from .metrics import HIGHER_BETTER, METRIC_NAMES, BundleScorer, TargetWindow
 from .metrics import compute_bundle, mae, r2, rmse  # noqa: F401  (not called; perfbench's tracer wraps these names)
 from .models import ForecastModel, create as create_model, model_class
 from .optimizers import (
@@ -289,20 +289,20 @@ class ResultsStore:
 class _Objective:
     """Fit -> predict -> the condition's score: ``maef`` scores the MAE alone,
     ``hef`` scores r2, MAE and RMSE with the configured weights and penalties.
-    The test window and the hef thresholds of the training series are built
-    once, when the objective is made."""
+    The test window is the unit's, and the hef thresholds of the training
+    series are built once, when the objective is made."""
 
     def __init__(
         self,
         model: ForecastModel,
         train: np.ndarray,
-        test: np.ndarray,
+        window: TargetWindow,
         condition: str,
         config: ExperimentConfig,
     ) -> None:
         self._model = model
         self._train = train
-        self._window = TargetWindow(test)
+        self._window = window
         self._hef = None
         if condition != "maef":
             self._hef = evaluation.hef_scorer(
@@ -321,8 +321,7 @@ class _Objective:
 class _Reps:
     """What the pending reps of one (cell, condition) share; the first rep to
     reach them makes the split (retried if it fails) with its bundle scorer,
-    and the grid search. ``scored`` is the last final forecast scored, with
-    its bundle."""
+    and the grid search."""
 
     series: TimeSeries
     model: ForecastModel
@@ -331,16 +330,6 @@ class _Reps:
     split: Split | None = None
     scorer: BundleScorer | None = None
     grid: OptimizationResult | None = None
-    scored: tuple[np.ndarray, MetricBundle] | None = None
-
-    def bundle(self, predicted: np.ndarray, exec_time: float) -> MetricBundle:
-        """The bundle of a final forecast; one equal to the last forecast
-        scored, as every rep of a grid or baseline unit gives, takes its six
-        accuracy metrics and only ``exec_time`` is its own."""
-        if self.scored is not None and np.array_equal(predicted, self.scored[0]):
-            return replace(self.scored[1], exec_time=exec_time)
-        self.scored = predicted, self.scorer(predicted, exec_time)
-        return self.scored[1]
 
 
 _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
@@ -351,7 +340,7 @@ def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> Optimization
     run once and kept in ``reps``, or a swarm or Parzen search seeded per rep."""
     if reps.grid is not None:
         return reps.grid
-    objective = _Objective(reps.model, reps.split.train, reps.split.test, key.condition, config)
+    objective = _Objective(reps.model, reps.split.train, reps.scorer.window, key.condition, config)
     if reps.label == "grid":
         reps.grid = grid_search(reps.space, objective, cap=config.grid_cap)
         return reps.grid
@@ -379,7 +368,7 @@ def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outco
         fitted = reps.model.fit(reps.split.train, point)
         predicted = fitted.predict(reps.split.horizon)
         exec_time = time.perf_counter() - started
-        return key, reps.label, {**reps.bundle(predicted, exec_time).as_dict(), **trace_summary}, None
+        return key, reps.label, {**reps.scorer(predicted, exec_time).as_dict(), **trace_summary}, None
     except HefLabError as exc:
         return key, reps.label, None, f"{type(exc).__name__}: {exc}"
 

@@ -20,7 +20,7 @@ from hef_lab.evaluation import (
     recommend_mae_tolerance,
     recommend_rmse_tolerance,
 )
-from hef_lab.metrics import mae, r2, rmse
+from hef_lab.metrics import TargetWindow, mae, r2, rmse
 from hef_lab.models import create
 from hef_lab.protocol import ExperimentConfig, _Objective
 
@@ -194,7 +194,7 @@ class TestInterface:
             hef_penalties=PenaltySchedule(1.1, 1.4, 1.6, 2.0),
         )
         model = create("ses")
-        return _Objective(model, TestInterface.TRAIN, test, condition, config), model, config
+        return _Objective(model, TestInterface.TRAIN, TargetWindow(test), condition, config), model, config
 
     def test_objective_matches_functions(self) -> None:
         test = np.array([57.0, 61.0, 60.0])
@@ -217,14 +217,17 @@ class TestInterface:
         assert maef(self.POINT) == maef_score(mae(test, predicted))
 
     def test_flat_test_window(self) -> None:
-        # r2 is undefined on a constant test window: hef cannot score, maef can
-        test = np.array([60.0, 60.0, 60.0])
-        hef, model, _ = self.objective("hef", test)
-        maef, _, _ = self.objective("maef", test)
-        with pytest.raises(NonFiniteInputError):
-            hef(self.POINT)
-        predicted = model.fit(self.TRAIN, self.POINT).predict(len(test))
-        assert maef(self.POINT) == maef_score(mae(test, predicted))
+        # r2 is undefined on a constant test window, also where its mean
+        # misses its value by round-off: hef cannot score, maef can
+        for value in (60.0, 0.1, 12.3, 33.7, 0.0071):
+            for n in (3, 12, 730):
+                test = np.full(n, value)
+                hef, model, _ = self.objective("hef", test)
+                maef, _, _ = self.objective("maef", test)
+                with pytest.raises(NonFiniteInputError):
+                    hef(self.POINT)
+                predicted = model.fit(self.TRAIN, self.POINT).predict(n)
+                assert maef(self.POINT) == maef_score(mae(test, predicted))
 
 
 class _Replay:
@@ -261,8 +264,8 @@ class TestHoistedScoring:
                 for miss in (3.0, 6.0, 12.0, 30.0):  # one large error: MAE can pass while RMSE fails
                     forecasts.append(test + np.where(np.arange(8) == 7, miss, 0.01))
                 model = _Replay(forecasts)
-                hef = _Objective(model, train, test, "hef", self.CONFIG)
-                maef = _Objective(model, train, test, "maef", self.CONFIG)
+                hef = _Objective(model, train, TargetWindow(test), "hef", self.CONFIG)
+                maef = _Objective(model, train, TargetWindow(test), "maef", self.CONFIG)
                 for i, predicted in enumerate(forecasts):
                     point = {"i": i}
                     assert maef(point) == maef_score(mae(test, predicted))

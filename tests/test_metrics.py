@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hef_lab.errors import (
 from hef_lab.evaluation import hef_scorer
 from hef_lab.metrics import (
     METRIC_NAMES,
+    BundleScorer,
     MetricBundle,
     TargetWindow,
     compute_bundle,
@@ -196,6 +198,30 @@ class TestBundle:
         assert bundle.rmse >= bundle.mae
         assert bundle.exec_time == 0.25
 
+    def test_equal_forecast_reuses_metrics_with_its_own_exec_time(self, monkeypatch) -> None:
+        train, test = [1.0, 2.0, 4.0, 3.0], [5.0, 7.0, 6.0]
+        scorer, computed = BundleScorer(train, test), []
+        compute = BundleScorer._metrics
+
+        def counting(self, yhat):
+            computed.append(yhat.copy())
+            return compute(self, yhat)
+
+        monkeypatch.setattr(BundleScorer, "_metrics", counting)
+        first = scorer(np.array([4.0, 8.0, 6.5]), 0.25)
+        again = scorer([4.0, 8.0, 6.5], 0.5)
+        assert len(computed) == 1
+        assert again == replace(first, exec_time=0.5)
+        assert first == compute_bundle(train, test, [4.0, 8.0, 6.5], 0.25)
+
+    def test_forecast_mutated_after_scoring_is_scored_afresh(self) -> None:
+        train, test = [1.0, 2.0, 4.0, 3.0], [5.0, 7.0, 6.0]
+        scorer, forecast = BundleScorer(train, test), np.array([4.0, 8.0, 6.5])
+        scorer(forecast)
+        forecast += 1.0  # the caller reuses its array for the next forecast
+        assert scorer(forecast) == compute_bundle(train, test, forecast)
+        assert scorer(forecast) != compute_bundle(train, test, forecast - 1.0)
+
     def test_negative_exec_time_rejected(self) -> None:
         with pytest.raises(NonFiniteInputError):
             MetricBundle(r2=1, mae=0, rmse=0, gra=1, rmsse=0, mase=0, exec_time=-1.0)
@@ -226,14 +252,30 @@ class TestTargetWindow:
                     assert (bundle.r2, bundle.mae, bundle.rmse) == want
 
     def test_flat_window_gives_nan_r2(self) -> None:
-        y, yhat = np.full(6, 4.0), np.array([3.0, 5.0, 4.5, 4.0, 2.0, 6.0])
-        r2_value, mae_value, rmse_value = TargetWindow(y).errors(yhat)
-        assert math.isnan(r2_value)
-        assert (mae_value, rmse_value) == (mae(y, yhat), rmse(y, yhat))
+        # 0.1 * 3 is not 0.3 in floating point, so the mean of a constant
+        # window can miss its value and leave a round-off sum of squares
+        residues = 0
+        for value in (4.0, 0.1, 12.3, 33.7, 0.0071):
+            for n in (3, 6, 12, 730):
+                y = np.full(n, value)
+                yhat = y + np.linspace(-1.0, 2.0, n)
+                window = TargetWindow(y)
+                residues += window.ss_tot != 0.0
+                r2_value, mae_value, rmse_value = window.errors(yhat)
+                assert math.isnan(r2_value)
+                assert (mae_value, rmse_value) == (mae(y, yhat), rmse(y, yhat))
+                with pytest.raises(ZeroVarianceError):
+                    r2(y, yhat)
+                with pytest.raises(ZeroVarianceError):
+                    compute_bundle(np.arange(10.0), y, yhat)
+        assert residues > 0
+
+    def test_underflowing_window_is_constant(self) -> None:
+        # distinct values whose squared deviations underflow: r2 would divide by 0
+        window = TargetWindow([1e-200, 2e-200, 3e-200])
+        assert window.ss_tot == 0.0 and window.constant
         with pytest.raises(ZeroVarianceError):
-            r2(y, yhat)
-        with pytest.raises(ZeroVarianceError):
-            compute_bundle(np.arange(10.0), y, yhat)
+            r2([1e-200, 2e-200, 3e-200], [0.0, 0.0, 0.0])
 
     def test_validation(self) -> None:
         with pytest.raises(EmptyInputError):

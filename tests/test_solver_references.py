@@ -5,11 +5,15 @@ per-element or per-call numpy overhead was taken out, copied verbatim. The
 rewrites do the same floating-point operations in the same order, so every
 comparison here is exact: ``np.array_equal``, ``==`` or ``repr``, never a
 tolerance; on bad input they raise the same error with the same message.
+``_as_pair`` is a verbatim copy of the helper the scoring references call.
+One difference is deliberate: r2 is undefined on every constant test window,
+also where the reference divided by the round-off left in its sum of squares.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -22,7 +26,19 @@ from hef_lab.errors import (
     ZeroTotalVolumeError,
     ZeroVarianceError,
 )
-from hef_lab.metrics import TargetWindow, _as_pair, _as_vector, _matching, compute_bundle
+from hef_lab.metrics import (
+    BundleScorer,
+    TargetWindow,
+    _as_vector,
+    _matching,
+    compute_bundle,
+    gra,
+    mae,
+    mase,
+    r2,
+    rmse,
+    rmsse,
+)
 from hef_lab.models import create
 from hef_lab.models.linear import _median, _solve_normal_equations, coordinate_descent_enet
 from hef_lab.models.tree import _best_split
@@ -128,6 +144,11 @@ def _reference_ses_level(y, alpha):
     return level
 
 
+def _as_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    y = _as_vector(actual, "actual")
+    return y, _matching(y, predicted)
+
+
 class _ReferenceWindow:
     def __init__(self, actual) -> None:
         self.actual = _as_vector(actual, "actual")
@@ -173,6 +194,14 @@ def _reference_scaled_error(train, actual_test, predicted_test, *, squared):
     if denom == 0.0:
         raise FlatTrainingSeriesError("training series has no variation; naive error is zero")
     return np.mean(magnitude(y - yhat)) / denom
+
+
+def _reference_rmsse(train, actual_test, predicted_test):
+    return float(np.sqrt(_reference_scaled_error(train, actual_test, predicted_test, squared=True)))
+
+
+def _reference_mase(train, actual_test, predicted_test):
+    return float(_reference_scaled_error(train, actual_test, predicted_test, squared=False))
 
 
 def _reference_bundle(train, actual_test, predicted_test, exec_time=0.0) -> dict:
@@ -446,6 +475,32 @@ class TestSesLevel:
                 assert repr(model.fit(y, {"alpha": alpha}).level) == repr(float(expected))
 
 
+def _bundle_cases(kind: str):
+    """Seeded (train, actual, forecast) triples of one window kind."""
+    rng = np.random.default_rng(20 + len(kind))
+    for n in (*LENGTHS, *rng.integers(1, 731, size=12)):
+        train = _window(rng, int(rng.integers(2, 731)), rng.choice(WINDOW_KINDS[:3]))
+        actual = _window(rng, int(n), kind)
+        for predicted in _forecasts(rng, actual):
+            yield train, actual, predicted
+
+
+def _bad_cases():
+    """Every train, actual and forecast from a matrix of good, flat, short,
+    non-finite, empty and two-dimensional inputs."""
+    good_train, flat_train = np.array([1.0, 4.0, 2.0, 6.0]), np.full(4, 3.0)
+    good_test, flat_test = np.array([5.0, 7.0, 6.0]), np.full(3, 5.0)
+    trains = [good_train, flat_train, np.array([2.0]), np.array([1.0, np.nan]), np.ones((2, 2)), []]
+    tests = [good_test, flat_test, np.zeros(3), np.array([5.0, np.inf, 1.0]), [], np.ones((3, 1))]
+    for train in trains:
+        for actual in tests:
+            for predicted in [np.array([5.5, 6.0, 6.5]), *_bad_forecasts()]:
+                yield train, actual, predicted
+
+
+CONSTANT_WINDOW = "ZeroVarianceError: actual values are constant; r2 is undefined"
+
+
 class TestTargetWindow:
     @pytest.mark.parametrize("kind", WINDOW_KINDS)
     def test_errors_and_mae_equal_reference(self, kind) -> None:
@@ -454,7 +509,11 @@ class TestTargetWindow:
             actual = _window(rng, int(n), kind)
             window, reference = TargetWindow(actual), _ReferenceWindow(actual)
             for predicted in _forecasts(rng, actual):
-                assert repr(window.errors(predicted)) == repr(reference.errors(predicted))
+                got, expected = window.errors(predicted), reference.errors(predicted)
+                if kind == "constant":  # r2 is NaN on every constant window, not only where ss_tot is 0
+                    assert math.isnan(got[0])
+                    got, expected = got[1:], expected[1:]
+                assert repr(got) == repr(expected)
                 assert repr(window.mae(predicted)) == repr(reference.mae(predicted))
 
     def test_bad_forecasts_raise_alike(self) -> None:
@@ -467,26 +526,95 @@ class TestTargetWindow:
                 assert _outcome(getattr(window, method), predicted) == expected
 
 
+def _five(train, actual, predicted) -> tuple:
+    """The bundle's metrics besides r2, each from its public function."""
+    return (
+        *TargetWindow(actual).errors(predicted)[1:],
+        gra(actual, predicted),
+        rmsse(train, actual, predicted),
+        mase(train, actual, predicted),
+    )
+
+
+def _reference_five(train, actual, predicted) -> tuple:
+    return (
+        *_ReferenceWindow(actual).errors(predicted)[1:],
+        _reference_gra(actual, predicted),
+        _reference_rmsse(train, actual, predicted),
+        _reference_mase(train, actual, predicted),
+    )
+
+
 class TestComputeBundle:
     @pytest.mark.parametrize("kind", WINDOW_KINDS)
     def test_equals_reference(self, kind) -> None:
-        rng = np.random.default_rng(20 + len(kind))
-        for n in (*LENGTHS, *rng.integers(1, 731, size=12)):
-            train = _window(rng, int(rng.integers(2, 731)), rng.choice(WINDOW_KINDS[:3]))
-            actual = _window(rng, int(n), kind)
-            for predicted in _forecasts(rng, actual):
-                expected = _outcome(_reference_bundle, train, actual, predicted, 0.25)
-                assert _outcome(_bundle, train, actual, predicted, 0.25) == expected
+        residue = 0  # constant windows whose ss_tot is round-off, not 0
+        for train, actual, predicted in _bundle_cases(kind):
+            expected = _outcome(_reference_bundle, train, actual, predicted, 0.25)
+            got = _outcome(_bundle, train, actual, predicted, 0.25)
+            if kind != "constant":
+                assert got == expected
+                continue
+            # r2 is undefined on every constant window, where the reference
+            # divided by the round-off left in ss_tot; the other five
+            # metrics keep their bits
+            assert got == CONSTANT_WINDOW
+            residue += expected != CONSTANT_WINDOW
+            assert _outcome(_five, train, actual, predicted) == _outcome(_reference_five, train, actual, predicted)
+        assert kind != "constant" or residue > 0
 
     def test_bad_inputs_raise_alike_and_in_order(self) -> None:
-        good_train, flat_train = np.array([1.0, 4.0, 2.0, 6.0]), np.full(4, 3.0)
-        good_test, flat_test = np.array([5.0, 7.0, 6.0]), np.full(3, 5.0)
-        trains = [good_train, flat_train, np.array([2.0]), np.array([1.0, np.nan]), np.ones((2, 2)), []]
-        tests = [good_test, flat_test, np.zeros(3), np.array([5.0, np.inf, 1.0]), [], np.ones((3, 1))]
-        for train in trains:
-            for actual in tests:
-                for predicted in [np.array([5.5, 6.0, 6.5]), *_bad_forecasts()]:
-                    expected = _outcome(_reference_bundle, train, actual, predicted)
-                    got = _outcome(_bundle, train, actual, predicted)
-                    assert got == expected, (train, actual, predicted)
+        for train, actual, predicted in _bad_cases():
+            expected = _outcome(_reference_bundle, train, actual, predicted)
+            got = _outcome(_bundle, train, actual, predicted)
+            assert got == expected, (train, actual, predicted)
 
+
+def _public_and_reference(train, actual, predicted) -> list[tuple[str, str]]:
+    """The outcome of ``gra``, ``rmsse`` and ``mase`` on one case, each
+    paired with the outcome of its frozen form."""
+    return [
+        (_outcome(gra, actual, predicted), _outcome(_reference_gra, actual, predicted)),
+        (_outcome(rmsse, train, actual, predicted), _outcome(_reference_rmsse, train, actual, predicted)),
+        (_outcome(mase, train, actual, predicted), _outcome(_reference_mase, train, actual, predicted)),
+    ]
+
+
+class TestPublicMetrics:
+    """``gra``, ``rmsse`` and ``mase`` against their frozen forms, and every
+    field of ``BundleScorer`` against its public function."""
+
+    @pytest.mark.parametrize("kind", WINDOW_KINDS)
+    def test_equal_reference(self, kind) -> None:
+        scored = 0
+        for case in _bundle_cases(kind):
+            for got, expected in _public_and_reference(*case):
+                scored += "Error: " not in expected
+                assert got == expected
+        assert scored > 0
+
+    def test_bad_inputs_raise_alike_and_in_order(self) -> None:
+        for case in _bad_cases():
+            for got, expected in _public_and_reference(*case):
+                assert got == expected, case
+
+    @pytest.mark.parametrize("kind", WINDOW_KINDS[:3])
+    def test_bundle_scorer_fields_equal_public_functions(self, kind) -> None:
+        scored = 0
+        for train, actual, predicted in _bundle_cases(kind):
+            try:
+                bundle = BundleScorer(train, actual)(predicted, 0.25)
+            except HefLabError:  # a one-point or all-zero window
+                continue
+            scored += 1
+            public = dict(
+                r2=r2(actual, predicted),
+                mae=mae(actual, predicted),
+                rmse=rmse(actual, predicted),
+                gra=gra(actual, predicted),
+                rmsse=rmsse(train, actual, predicted),
+                mase=mase(train, actual, predicted),
+                exec_time=0.25,
+            )
+            assert repr(bundle.as_dict()) == repr(public)
+        assert scored > 0
