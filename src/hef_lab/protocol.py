@@ -119,8 +119,7 @@ class ExperimentConfig:
             raise InvalidParameterError(f"repetitions must be >= {MIN_REPETITIONS} for compare to test them")
         if self.scs_optimizer not in ("pso", "tpe"):
             raise InvalidParameterError(f"scs_optimizer must be pso or tpe, got {self.scs_optimizer!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise InvalidParameterError("alpha must lie in (0, 1)")
+        _check_alpha(self.alpha)
 
     def search_space(self, model: ForecastModel) -> HyperparameterSpace:
         """The space ``model`` is searched over: the override, else its declared space."""
@@ -485,6 +484,12 @@ class CaseTable:
         return c[VERDICT_A], c[VERDICT_B], c[VERDICT_NONE]
 
 
+def _check_alpha(alpha: float) -> None:
+    """Refuse a significance level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidParameterError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 # (series_id, model, split, condition) -> (optimizer label, metric -> rep -> value)
 _Index = dict[tuple[str, str, str, str], tuple[str, dict[str, dict[int, float]]]]
 
@@ -587,6 +592,7 @@ def count_cases(
     labels are refused, as is a pair that does not name two distinct
     conditions.
     """
+    _check_alpha(alpha)
     return _case_table(_index(rows, pair), pair, alpha, split, optimizer)
 
 
@@ -594,6 +600,7 @@ def case_tables_by_group(
     rows: Iterable[Mapping], pair: tuple[str, str], alpha: float = 0.05
 ) -> list[CaseTable]:
     """One case table per (split, optimizer) group present for the pair."""
+    _check_alpha(alpha)
     index = _index(rows, pair)
     groups = {
         (split, label)
@@ -608,6 +615,7 @@ def z_summary(table: CaseTable, metric: str | None = None, alpha: float = 0.05) 
 
     Positive Z means the pair's first condition improves more cases.
     """
+    _check_alpha(alpha)
     if metric is None:
         x1 = sum(table.counts[m][VERDICT_A] for m in METRIC_NAMES)
         x2 = sum(table.counts[m][VERDICT_B] for m in METRIC_NAMES)

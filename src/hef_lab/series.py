@@ -233,6 +233,8 @@ def stratified_sample(dataset: Dataset, target: int, seed: int) -> Dataset:
     """
     if not isinstance(target, int) or isinstance(target, bool) or target < 1:
         raise InvalidParameterError(f"target must be a positive integer, got {target!r}")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed!r}")
     if target > len(dataset):
         raise TargetTooLargeError(
             f"target {target} exceeds population of {len(dataset)} series"
@@ -279,93 +281,97 @@ class Issue:
 def scan_dataset_csv(path: str | Path) -> tuple[list[TimeSeries], list[Issue]]:
     """Parse a long-format CSV, collecting every schema violation found.
 
-    Returns the series that parsed cleanly and the list of issues; a clean
+    Returns the series that parsed cleanly and the list of issues: the row
+    findings in line order, then at most one ``t`` finding per series, in
+    series order. A byte that does not decode or a field over the csv
+    module's size limit ends the scan with one issue at that line. A clean
     file yields an empty issue list.
     """
     path = Path(path)
     issues: list[Issue] = []
-    rows_by_series: dict[str, list[tuple[int, int, float]]] = {}
+    t_issues: list[Issue] = []
     freq_by_series: dict[str, str] = {}
+    # a series' values so far; None once its t sequence has broken
+    values_by_series: dict[str, list[float] | None] = {}
     finished: set[str] = set()
     current: str | None = None
 
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            return [], [Issue(line=1, series_id=None, message="file is empty")]
-        if tuple(h.strip() for h in header) != _HEADER:
-            return [], [
-                Issue(
-                    line=1,
-                    series_id=None,
-                    message=f"bad header {header!r}; expected {','.join(_HEADER)}",
-                )
-            ]
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                issues.append(Issue(lineno, None, f"expected 4 columns, got {len(row)}"))
-                continue
-            sid, freq, t_raw, v_raw = (c.strip() for c in row)
-            if not sid:
-                issues.append(Issue(lineno, None, "empty series_id"))
-                continue
-            if sid != current:
-                if sid in finished:
-                    issues.append(Issue(lineno, sid, "rows for this series are not contiguous"))
+            header = next(reader, None)
+            if header is None:
+                return [], [Issue(line=1, series_id=None, message="file is empty")]
+            if tuple(h.strip() for h in header) != _HEADER:
+                message = f"bad header {header!r}; expected {','.join(_HEADER)}"
+                return [], [Issue(line=1, series_id=None, message=message)]
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
                     continue
-                if current is not None:
-                    finished.add(current)
-                current = sid
-            try:
-                t = int(t_raw)
-            except ValueError:
-                issues.append(Issue(lineno, sid, f"t is not an integer: {t_raw!r}"))
-                continue
-            try:
-                value = float(v_raw)
-            except ValueError:
-                issues.append(Issue(lineno, sid, f"value is not numeric: {v_raw!r}"))
-                continue
-            if not math.isfinite(value):
-                issues.append(Issue(lineno, sid, f"value is not finite: {v_raw!r}"))
-                continue
-            try:
-                Frequency.parse(freq)
-            except InvalidParameterError:
-                issues.append(Issue(lineno, sid, f"unknown frequency: {freq!r}"))
-                continue
-            prior = freq_by_series.setdefault(sid, freq.lower())
-            if prior != freq.lower():
-                issues.append(
-                    Issue(lineno, sid, f"frequency changed within series: {prior!r} -> {freq!r}")
-                )
-                continue
-            rows_by_series.setdefault(sid, []).append((lineno, t, value))
+                if len(row) != 4:
+                    issues.append(Issue(lineno, None, f"expected 4 columns, got {len(row)}"))
+                    continue
+                sid, freq, t_raw, v_raw = (c.strip() for c in row)
+                if not sid:
+                    issues.append(Issue(lineno, None, "empty series_id"))
+                    continue
+                if sid != current:
+                    if sid in finished:
+                        issues.append(Issue(lineno, sid, "rows for this series are not contiguous"))
+                        continue
+                    if current is not None:
+                        finished.add(current)
+                    current = sid
+                try:
+                    t = int(t_raw)
+                except ValueError:
+                    issues.append(Issue(lineno, sid, f"t is not an integer: {t_raw!r}"))
+                    continue
+                try:
+                    value = float(v_raw)
+                except ValueError:
+                    issues.append(Issue(lineno, sid, f"value is not numeric: {v_raw!r}"))
+                    continue
+                if not math.isfinite(value):
+                    issues.append(Issue(lineno, sid, f"value is not finite: {v_raw!r}"))
+                    continue
+                if freq != freq_by_series.get(sid):
+                    try:
+                        Frequency.parse(freq)
+                    except InvalidParameterError:
+                        issues.append(Issue(lineno, sid, f"unknown frequency: {freq!r}"))
+                        continue
+                    prior = freq_by_series.setdefault(sid, freq.lower())
+                    if prior != freq.lower():
+                        issues.append(
+                            Issue(lineno, sid, f"frequency changed within series: {prior!r} -> {freq!r}")
+                        )
+                        continue
+                values = values_by_series.setdefault(sid, [])
+                if values is None:
+                    continue
+                expected = len(values) + 1
+                if t != expected:
+                    kind = "gap" if t > expected else "out-of-order or duplicate t"
+                    t_issues.append(Issue(lineno, sid, f"{kind} in t: expected {expected}, got {t}"))
+                    values_by_series[sid] = None
+                    continue
+                values.append(value)
+        except UnicodeDecodeError as exc:
+            # the file decodes a chunk at a time, so the bad byte can lie lines past the last row read
+            line = reader.line_num + 1 + exc.object.count(b"\n", 0, exc.start)
+            issues.append(Issue(line, None, f"not {exc.encoding} text ({exc.reason}); scan stopped here"))
+            values_by_series.pop(current, None)  # its later rows, if any, went unread
+        except csv.Error as exc:
+            issues.append(Issue(reader.line_num, None, f"{exc}; scan stopped here"))
+            values_by_series.pop(current, None)
 
-    series: list[TimeSeries] = []
-    for sid, rows in rows_by_series.items():
-        bad = False
-        expected = 1
-        for lineno, t, _ in rows:
-            if t != expected:
-                kind = "gap" if t > expected else "out-of-order or duplicate t"
-                issues.append(Issue(lineno, sid, f"{kind} in t: expected {expected}, got {t}"))
-                bad = True
-                break
-            expected += 1
-        if not bad:
-            series.append(
-                TimeSeries(
-                    id=sid,
-                    frequency=Frequency.parse(freq_by_series[sid]),
-                    values=[v for _, _, v in rows],
-                )
-            )
-    return series, issues
+    series = [
+        TimeSeries(id=sid, frequency=Frequency(freq_by_series[sid]), values=values)
+        for sid, values in values_by_series.items()
+        if values is not None
+    ]
+    return series, issues + t_issues
 
 
 def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:

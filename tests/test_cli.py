@@ -106,7 +106,45 @@ class TestValidate:
         assert issues[0]["line"] == 3
 
 
+# a byte that is not utf-8, and a field past the csv module's size limit
+UNREADABLE = {
+    "undecodable": (b"series_id,frequency,t,value\nsk\xff1,monthly,1,3.0\n", "not utf-8 text"),
+    "huge_field": (
+        b"series_id,frequency,t,value\nsk1,monthly,1," + b"9" * 200_000 + b"\n",
+        "field larger than field limit",
+    ),
+}
+
+
+class TestUnreadableData:
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    def test_validate_reports_and_exits_1(self, workdir, capsys, kind) -> None:
+        data, message = UNREADABLE[kind]
+        (workdir / "bad.csv").write_bytes(data)
+        assert run_cli("validate", "--data", str(workdir / "bad.csv")) == 1
+        out = capsys.readouterr().out
+        assert "0 series parsed, 1 issue(s)" in out
+        assert f"line 2: {message}" in out
+
+    @pytest.mark.parametrize("kind", UNREADABLE)
+    @pytest.mark.parametrize("command", ["sample", "run"])
+    def test_sample_and_run_exit_1(self, workdir, capsys, kind, command) -> None:
+        data, message = UNREADABLE[kind]
+        (workdir / "bad.csv").write_bytes(data)
+        extra = ("--config", str(workdir / "exp.cfg")) if command == "run" else ()
+        assert run_cli(command, "--data", str(workdir / "bad.csv"), "--out", str(workdir / "out"), *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line 2: {message}" in err
+        assert not (workdir / "out").exists()
+
+
 class TestSample:
+    def test_negative_seed_exits_1(self, workdir, capsys) -> None:
+        out = workdir / "out"
+        assert run_cli("sample", "--data", str(workdir / "data.csv"), "--out", str(out), "--seed", "-1") == 1
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out.exists()
+
     def test_writes_loadable_sample(self, workdir) -> None:
         code = run_cli(
             "sample", "--data", str(workdir / "data.csv"), "--out", str(workdir / "out"),
@@ -437,6 +475,13 @@ class TestCompareOutput:
         write_store(tmp_path / "results.csv")
         assert run_cli(command, "--out", str(tmp_path), "--pair", pair) == 1
         assert "two distinct conditions" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
+    @pytest.mark.parametrize("alpha", ["1.5", "nan", "0", "1", "-0.05"])
+    def test_alpha_outside_the_unit_interval_exits_1(self, tmp_path, capsys, alpha) -> None:
+        write_store(tmp_path / "results.csv")
+        assert run_cli("compare", "--out", str(tmp_path), "--alpha", alpha) == 1
+        assert capsys.readouterr().err == f"error: alpha must lie in (0, 1), got {float(alpha)!r}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
     @pytest.mark.parametrize("command", ["compare", "report"])

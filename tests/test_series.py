@@ -16,6 +16,7 @@ from hef_lab.errors import (
 from hef_lab.series import (
     Dataset,
     Frequency,
+    Issue,
     SplitRatio,
     TimeSeries,
     load_dataset_csv,
@@ -192,6 +193,12 @@ class TestStratifiedSample:
         with pytest.raises(InvalidParameterError):
             stratified_sample(ds, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+    def test_bad_seed(self, seed) -> None:
+        ds = _dataset_with_strata({"x": 6, "y": 4})
+        with pytest.raises(InvalidParameterError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            stratified_sample(ds, 5, seed=seed)
+
     def test_proportions_within_one(self) -> None:
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -266,3 +273,100 @@ class TestCsv:
         path = self._write(tmp_path, "series_id,frequency,t,value\na,hourly,1,5\n")
         _, issues = scan_dataset_csv(path)
         assert any("frequency" in issue.message for issue in issues)
+
+    @pytest.mark.parametrize(
+        "data, line, message",
+        [
+            (b"series_id,frequency,t,value\nsk\xff1,monthly,1,3.0\n", 2, "not utf-8 text (invalid start byte)"),
+            (
+                b"series_id,frequency,t,value\na,monthly,1,3.0\nb,monthly,1," + b"9" * 200_000 + b"\n",
+                3,
+                "field larger than field limit (131072)",
+            ),
+        ],
+    )
+    def test_unreadable_input_ends_the_scan(self, tmp_path, data, line, message) -> None:
+        path = tmp_path / "data.csv"
+        path.write_bytes(data + b"c,monthly,1,2.0\n")
+        series, issues = scan_dataset_csv(path)
+        assert series == []
+        assert issues == [Issue(line, None, f"{message}; scan stopped here")]
+        with pytest.raises(DatasetFormatError, match=f"line {line}: "):
+            load_dataset_csv(path)
+
+    def test_undecodable_byte_past_the_first_chunk(self, tmp_path) -> None:
+        rows = [f"{sid},daily,{t},{t}.25\n" for sid in ("a", "b") for t in range(1, 2001)]
+        rows[3499] = "b,daily,1500,\xff\n"
+        path = tmp_path / "data.csv"
+        path.write_bytes(("series_id,frequency,t,value\n" + "".join(rows)).encode("latin-1"))
+        series, issues = scan_dataset_csv(path)
+        assert [s.id for s in series] == ["a"]  # b's rows were not all read
+        assert issues == [Issue(3501, None, "not utf-8 text (invalid start byte); scan stopped here")]
+
+    def test_every_finding_in_order(self, tmp_path) -> None:
+        path = self._write(
+            tmp_path,
+            "series_id,frequency,t,value\n"  # 1
+            "a,monthly,1,10\n"  # 2
+            "a,monthly,2\n"  # 3
+            ",monthly,2,11\n"  # 4
+            "\n"  # 5
+            "a,monthly,2,11\n"  # 6
+            "b,weekly,1,5\n"  # 7
+            "a,monthly,3,12\n"  # 8
+            "b,weekly,x,6\n"  # 9
+            "b,weekly,2,oops\n"  # 10
+            "b,weekly,2,inf\n"  # 11
+            "b,hourly,2,6\n"  # 12
+            "b,daily,2,6\n"  # 13
+            "b, Weekly ,2,6\n"  # 14
+            "b,weekly,4,7\n"  # 15
+            "b,weekly,5,oops\n"  # 16
+            "c,monthly,1,1\n"  # 17
+            "c,monthly,1,2\n"  # 18
+            "d,monthly,1,nan\n"  # 19
+            "e,daily,1,3\n"  # 20
+            "e,DAILY,2,4.5\n",  # 21
+        )
+        series, issues = scan_dataset_csv(path)
+        assert [(i.line, i.series_id, i.message) for i in issues] == [
+            (3, None, "expected 4 columns, got 3"),
+            (4, None, "empty series_id"),
+            (8, "a", "rows for this series are not contiguous"),
+            (9, "b", "t is not an integer: 'x'"),
+            (10, "b", "value is not numeric: 'oops'"),
+            (11, "b", "value is not finite: 'inf'"),
+            (12, "b", "unknown frequency: 'hourly'"),
+            (13, "b", "frequency changed within series: 'weekly' -> 'daily'"),
+            (16, "b", "value is not numeric: 'oops'"),
+            (19, "d", "value is not finite: 'nan'"),
+            (15, "b", "gap in t: expected 3, got 4"),
+            (18, "c", "out-of-order or duplicate t in t: expected 2, got 1"),
+        ]
+        assert [(s.id, s.frequency, s.values.tolist()) for s in series] == [
+            ("a", Frequency.MONTHLY, [10.0, 11.0]),
+            ("e", Frequency.DAILY, [3.0, 4.5]),
+        ]
+
+    def test_frequency_parsed_once_per_series(self, tmp_path, monkeypatch) -> None:
+        dataset = Dataset(
+            "mixed",
+            (
+                make_series("m", range(1, 9)),
+                make_series("w", range(1, 6), Frequency.WEEKLY),
+                make_series("d", range(1, 12), Frequency.DAILY),
+            ),
+        )
+        path = tmp_path / "data.csv"
+        write_dataset_csv(dataset, path)
+        parse = Frequency.parse
+        labels: list[str] = []
+
+        def spy(label: str) -> Frequency:
+            labels.append(label)
+            return parse(label)
+
+        monkeypatch.setattr(Frequency, "parse", spy)
+        series, issues = scan_dataset_csv(path)
+        assert not issues and len(series) == 3
+        assert labels == ["monthly", "weekly", "daily"]

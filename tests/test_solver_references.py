@@ -1,7 +1,8 @@
-"""The solver and scoring hot loops against frozen copies of their earlier forms.
+"""The solver, scoring and CSV-scanning hot loops against frozen copies of
+their earlier forms.
 
 Each ``_reference_*`` function below is the code as it stood before its
-per-element or per-call numpy overhead was taken out, copied verbatim. The
+per-element or per-call overhead was taken out, copied verbatim. The
 rewrites do the same floating-point operations in the same order, so every
 comparison here is exact: ``np.array_equal``, ``==`` or ``repr``, never a
 tolerance; on bad input they raise the same error with the same message.
@@ -12,7 +13,10 @@ also where the reference divided by the round-off left in its sum of squares.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +25,7 @@ import pytest
 from hef_lab.errors import (
     FlatTrainingSeriesError,
     HefLabError,
+    InvalidParameterError,
     NonConvergenceError,
     SeriesTooShortError,
     ZeroTotalVolumeError,
@@ -43,6 +48,7 @@ from hef_lab.models import create
 from hef_lab.models.linear import _median, _solve_normal_equations, coordinate_descent_enet
 from hef_lab.models.tree import _best_split
 from hef_lab.optimizers import _CategoricalParzen, _NumericParzen
+from hef_lab.series import _HEADER, Frequency, Issue, TimeSeries, scan_dataset_csv
 from hef_lab.spaces import GridDomain, IntervalDomain
 
 
@@ -142,6 +148,98 @@ def _reference_ses_level(y, alpha):
     for value in y[1:]:
         level = alpha * value + (1.0 - alpha) * level
     return level
+
+
+def _reference_scan_dataset_csv(path: str | Path) -> tuple[list[TimeSeries], list[Issue]]:
+    """Parse a long-format CSV, collecting every schema violation found.
+
+    Returns the series that parsed cleanly and the list of issues; a clean
+    file yields an empty issue list.
+    """
+    path = Path(path)
+    issues: list[Issue] = []
+    rows_by_series: dict[str, list[tuple[int, int, float]]] = {}
+    freq_by_series: dict[str, str] = {}
+    finished: set[str] = set()
+    current: str | None = None
+
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            return [], [Issue(line=1, series_id=None, message="file is empty")]
+        if tuple(h.strip() for h in header) != _HEADER:
+            return [], [
+                Issue(
+                    line=1,
+                    series_id=None,
+                    message=f"bad header {header!r}; expected {','.join(_HEADER)}",
+                )
+            ]
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != 4:
+                issues.append(Issue(lineno, None, f"expected 4 columns, got {len(row)}"))
+                continue
+            sid, freq, t_raw, v_raw = (c.strip() for c in row)
+            if not sid:
+                issues.append(Issue(lineno, None, "empty series_id"))
+                continue
+            if sid != current:
+                if sid in finished:
+                    issues.append(Issue(lineno, sid, "rows for this series are not contiguous"))
+                    continue
+                if current is not None:
+                    finished.add(current)
+                current = sid
+            try:
+                t = int(t_raw)
+            except ValueError:
+                issues.append(Issue(lineno, sid, f"t is not an integer: {t_raw!r}"))
+                continue
+            try:
+                value = float(v_raw)
+            except ValueError:
+                issues.append(Issue(lineno, sid, f"value is not numeric: {v_raw!r}"))
+                continue
+            if not math.isfinite(value):
+                issues.append(Issue(lineno, sid, f"value is not finite: {v_raw!r}"))
+                continue
+            try:
+                Frequency.parse(freq)
+            except InvalidParameterError:
+                issues.append(Issue(lineno, sid, f"unknown frequency: {freq!r}"))
+                continue
+            prior = freq_by_series.setdefault(sid, freq.lower())
+            if prior != freq.lower():
+                issues.append(
+                    Issue(lineno, sid, f"frequency changed within series: {prior!r} -> {freq!r}")
+                )
+                continue
+            rows_by_series.setdefault(sid, []).append((lineno, t, value))
+
+    series: list[TimeSeries] = []
+    for sid, rows in rows_by_series.items():
+        bad = False
+        expected = 1
+        for lineno, t, _ in rows:
+            if t != expected:
+                kind = "gap" if t > expected else "out-of-order or duplicate t"
+                issues.append(Issue(lineno, sid, f"{kind} in t: expected {expected}, got {t}"))
+                bad = True
+                break
+            expected += 1
+        if not bad:
+            series.append(
+                TimeSeries(
+                    id=sid,
+                    frequency=Frequency.parse(freq_by_series[sid]),
+                    values=[v for _, _, v in rows],
+                )
+            )
+    return series, issues
 
 
 def _as_pair(actual: Sequence[float], predicted: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -618,3 +716,77 @@ class TestPublicMetrics:
             )
             assert repr(bundle.as_dict()) == repr(public)
         assert scored > 0
+
+
+_HEADERS = ("series_id,frequency,t,value", " series_id , frequency,t,value", "series_id,frequency,t", "id,freq,t,v")
+_SERIES_IDS = ("a", "b", "c", " d ", "e", "")
+_LABELS = ("monthly", "weekly", "daily", "Monthly", " DAILY ", "hourly", "")
+_BAD_TS = ("x", "1.5", "", " 2 ")
+_BAD_VALUES = ("oops", "inf", "-inf", "nan", "1e400", "", "1,5")
+_FINDINGS = (
+    "file is empty",
+    "bad header",
+    "expected 4 columns",
+    "empty series_id",
+    "rows for this series are not contiguous",
+    "t is not an integer",
+    "value is not numeric",
+    "value is not finite",
+    "unknown frequency",
+    "frequency changed within series",
+    "gap in t",
+    "out-of-order or duplicate t in t",
+)
+
+
+def _malformed_csv(rng) -> bytes:
+    """A long-format CSV whose rows carry every kind of finding at random: a
+    series resumed after another, a changed or unknown label, a skipped or
+    repeated ``t``, bad cells, a wrong column count, blank lines. A few files
+    are empty or have a bad header. Fields are short ASCII."""
+    roll = rng.random()
+    if roll < 0.01:
+        return b""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\r\n" if rng.random() < 0.2 else "\n")
+    text.write(_HEADERS[0 if roll < 0.9 else rng.integers(1, len(_HEADERS))] + "\n")
+    for _ in range(rng.integers(1, 7)):
+        sid = str(rng.choice(_SERIES_IDS, p=[0.25, 0.2, 0.2, 0.15, 0.15, 0.05]))
+        label = str(rng.choice(_LABELS, p=[0.4, 0.2, 0.2, 0.05, 0.05, 0.05, 0.05]))
+        t = 1
+        for _ in range(rng.integers(0, 13)):
+            r = rng.random(5)
+            t += 1 if r[0] < 0.88 else 2 if r[0] < 0.94 else 0
+            row = [sid, label, str(t - 1), repr(float(rng.normal(50.0, 20.0)))]
+            if r[1] < 0.04:
+                row[1] = str(rng.choice(_LABELS))
+            if r[2] < 0.05:
+                row[2] = str(rng.choice(_BAD_TS))
+            if r[3] < 0.06:
+                row[3] = str(rng.choice(_BAD_VALUES))
+            if r[4] < 0.03:
+                row = row[:3] if r[4] < 0.015 else row + ["extra"]
+            writer.writerow(row)
+            if rng.random() < 0.02:
+                text.write("\n")
+    return text.getvalue().encode()
+
+
+class TestScanDatasetCsv:
+    def test_equals_reference_on_seeded_malformed_files(self, tmp_path) -> None:
+        path = tmp_path / "data.csv"
+        rng = np.random.default_rng(16)
+        messages: set[str] = set()
+        parsed = 0
+        for _ in range(1_200):
+            path.write_bytes(_malformed_csv(rng))
+            series, issues = scan_dataset_csv(path)
+            ref_series, ref_issues = _reference_scan_dataset_csv(path)
+            assert issues == ref_issues
+            assert [(s.id, s.frequency, s.values.tobytes()) for s in series] == [
+                (s.id, s.frequency, s.values.tobytes()) for s in ref_series
+            ]
+            messages.update(issue.message for issue in issues)
+            parsed += len(series)
+        assert {f for f in _FINDINGS if any(m.startswith(f) for m in messages)} == set(_FINDINGS)
+        assert parsed > 500
