@@ -15,10 +15,8 @@ Every key must be one the configuration reads (``_SCALAR_KEYS``,
 any other key is an error. A missing key keeps the default of the settings
 dataclass field it maps to. A space override replaces the domain of the one
 parameter it names; the model's other parameters keep their declared
-domains. It must name a registered model and a parameter that model declares.
-A model whose space holds only grids is grid searched, up to ``opt.grid.cap``
-points, any other by ``experiment.scs_optimizer``; PSO searches intervals only,
-so an override that leaves a space of both kinds needs ``tpe``.
+domains. ``ExperimentConfig`` refuses a search the sweep cannot run, and the
+refusal names the keys that led to it.
 Seed precedence: ``--seed`` flag > ``HEF_LAB_SEED`` env var > config file.
 """
 
@@ -31,10 +29,9 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, InvalidParameterError, UnknownModelError
-from .models import create as create_model
-from .protocol import ExperimentConfig, optimizer_label
+from .protocol import ExperimentConfig
 from .series import SplitRatio
-from .spaces import Domain, GridDomain, HyperparameterSpace, IntervalDomain
+from .spaces import Domain, GridDomain, IntervalDomain
 
 __all__ = ["parse_config_file", "parse_override", "build_experiment_config", "SEED_ENV_VAR"]
 
@@ -127,18 +124,6 @@ def _domain_from_value(key: str, value: object) -> Domain:
     raise ConfigError(f"{key}: needs either 'grid' or 'min'/'max'")
 
 
-def _merged_space(model: str, params: Mapping[str, Domain]) -> HyperparameterSpace:
-    """The model's declared space with the overridden parameters' domains replaced."""
-    try:
-        declared = create_model(model).space().params
-    except UnknownModelError as exc:
-        raise ConfigError(f"models.{model}.space: {exc}") from None
-    undeclared = ", ".join(sorted(set(params) - set(declared)))
-    if undeclared:
-        raise ConfigError(f"models.{model}.space: {model} declares no parameter {undeclared}")
-    return HyperparameterSpace({**declared, **params})
-
-
 def _replace(settings, given: Mapping[str, tuple[str, object]]):
     """``settings`` with each named field set to the value of its (key, value)."""
     changes = {}
@@ -155,7 +140,7 @@ def _replace(settings, given: Mapping[str, tuple[str, object]]):
         changes[name] = value
     try:
         return replace(settings, **changes)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, UnknownModelError) as exc:
         raise ConfigError(f"{', '.join(key for key, _ in given.values())}: {exc}") from None
 
 
@@ -163,17 +148,16 @@ def build_experiment_config(
     flat: Mapping[str, object], seed_override: int | None = None
 ) -> ExperimentConfig:
     """The settings dataclasses' defaults with the given flat keys applied."""
-    per_model_params: dict[str, dict[str, Domain]] = {}
+    space_overrides: dict[str, dict[str, Domain]] = {}
     unknown: list[str] = []
     for key, value in flat.items():
         parts = key.split(".")
         if len(parts) == 4 and parts[0] == "models" and parts[2] == "space":
-            per_model_params.setdefault(parts[1], {})[parts[3]] = _domain_from_value(key, value)
+            space_overrides.setdefault(parts[1], {})[parts[3]] = _domain_from_value(key, value)
         elif key not in _SCALAR_KEYS and key not in _LIST_KEYS:
             unknown.append(key)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    space_overrides = {name: _merged_space(name, params) for name, params in per_model_params.items()}
 
     for key in _LIST_KEYS:
         if key in flat and (not isinstance(flat[key], Sequence) or isinstance(flat[key], str)):
@@ -181,7 +165,10 @@ def build_experiment_config(
     if not flat.get("experiment.models"):
         raise ConfigError("experiment.models must be a non-empty list of model names")
     models = tuple(str(m) for m in flat["experiment.models"])
-    config = ExperimentConfig(models=models, space_overrides=space_overrides)
+    try:
+        config = ExperimentConfig(models=models)
+    except (InvalidParameterError, UnknownModelError) as exc:
+        raise ConfigError(f"experiment.models: {exc}") from None
     if "experiment.splits" in flat:
         try:
             splits = tuple(SplitRatio.parse(str(s)) for s in flat["experiment.splits"])
@@ -194,30 +181,21 @@ def build_experiment_config(
 
     # a settings object's checks may span its fields, so its keys apply together
     nested: dict[str, dict[str, tuple[str, object]]] = {}
+    search: dict[str, tuple[str, object]] = {}  # set together, last, so a refusal names every key given
     for key, (name, *inner) in _SCALAR_KEYS.items():
         if key not in flat:
             continue
         if inner:
             nested.setdefault(name, {})[inner[0]] = (key, flat[key])
+        elif key in ("experiment.scs_optimizer", "opt.grid.cap"):
+            search[name] = (key, flat[key])
         else:
             config = _replace(config, {name: (key, flat[key])})
     for name, given in nested.items():
         config = replace(config, **{name: _replace(getattr(config, name), given)})
-    if config.scs_optimizer == "pso":
-        for name, space in space_overrides.items():
-            if 0 < len(space.interval_names()) < len(space):  # grids and intervals both
-                keys = ", ".join(f"models.{name}.space.{param}" for param in per_model_params[name])
-                raise ConfigError(
-                    f"{keys}: leaves {name} a space of grid and interval domains, which pso cannot"
-                    ' search; use experiment.scs_optimizer = "tpe"'
-                )
-    for name in models:  # of two distinct conditions, at least one searches, as hef does
-        space = config.search_space(create_model(name))
-        if optimizer_label(space, "hef", config.scs_optimizer) == "grid" and space.grid_size() > config.grid_cap:
-            keys = "".join(f", models.{name}.space.{param}" for param in per_model_params.get(name, ()))
-            raise ConfigError(
-                f"opt.grid.cap{keys}: {name} has {space.grid_size()} grid points, cap is {config.grid_cap}"
-            )
+    if space_overrides:
+        search["space_overrides"] = (", ".join(key for key in flat if key.startswith("models.")), space_overrides)
+    config = _replace(config, search)
 
     if seed_override is not None:
         return replace(config, master_seed=int(seed_override))

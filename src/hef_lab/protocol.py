@@ -3,8 +3,8 @@
 A run sweeps (series x split x model x condition x repetition). Conditions are
 ``baseline`` (the fixed benchmark configuration, no search), ``hef`` and
 ``maef`` (optimizer-guided search scored by the respective evaluation
-function). A task's search follows from its model's effective space (the
-config's override, else the declared space): grid search when every domain
+function). A task's search follows from its model's space (the declared
+space with the config's overridden domains): grid search when every domain
 is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
 work is one (series, split, model) cell and condition with its pending reps,
 which share one grid search and one scorer of the final forecasts. Every
@@ -46,7 +46,7 @@ from .optimizers import (
     tpe_minimize,
 )
 from .series import Dataset, Split, SplitRatio, TimeSeries, temporal_split
-from .spaces import HyperparameterSpace
+from .spaces import Domain, HyperparameterSpace
 from .stats import MIN_REPETITIONS, TestResult, compare_paired_runs, two_proportion_z
 
 __all__ = [
@@ -89,7 +89,9 @@ def required_metrics(condition: str) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a sweep needs besides the dataset itself."""
+    """Everything a sweep needs besides the dataset itself. ``space_overrides``
+    maps a model name to the domains that replace its declared ones, by
+    parameter name; a search the sweep cannot run is refused here."""
 
     models: tuple[str, ...]
     splits: tuple[SplitRatio, ...] = (SplitRatio.R80_20,)
@@ -103,27 +105,51 @@ class ExperimentConfig:
     grid_cap: int = DEFAULT_GRID_CAP
     hef_weights: MetricWeights = field(default_factory=MetricWeights)
     hef_penalties: PenaltySchedule = field(default_factory=PenaltySchedule)
-    space_overrides: Mapping[str, HyperparameterSpace] = field(default_factory=dict)
+    space_overrides: Mapping[str, Mapping[str, Domain]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.models:
             raise InvalidParameterError("at least one model is required")
         if not self.splits:
             raise InvalidParameterError("at least one split ratio is required")
+        if not all(isinstance(split, SplitRatio) for split in self.splits):
+            raise InvalidParameterError(f"splits must be SplitRatio members, got {self.splits!r}")
         if len(set(self.conditions)) < 2:
             raise InvalidParameterError("need at least two distinct conditions to compare")
         unknown = set(self.conditions) - set(CONDITIONS)
         if unknown:
             raise InvalidParameterError(f"unknown conditions: {sorted(unknown)}")
-        if self.repetitions < MIN_REPETITIONS:
-            raise InvalidParameterError(f"repetitions must be >= {MIN_REPETITIONS} for compare to test them")
+        for name in ("models", "splits", "conditions"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):  # each would run, and store its rows, twice
+                repeated = dict.fromkeys(getattr(v, "label", v) for v in values if values.count(v) > 1)
+                raise InvalidParameterError(f"{name} repeat {', '.join(repeated)}")
+        if type(self.repetitions) is not int or self.repetitions < MIN_REPETITIONS:
+            raise InvalidParameterError(
+                f"repetitions must be an integer >= {MIN_REPETITIONS} for compare to test them,"
+                f" got {self.repetitions!r}"
+            )
         if self.scs_optimizer not in ("pso", "tpe"):
             raise InvalidParameterError(f"scs_optimizer must be pso or tpe, got {self.scs_optimizer!r}")
         _check_alpha(self.alpha)
+        for name, params in self.space_overrides.items():
+            declared = model_class(name).declared_space  # an unregistered name raises UnknownModelError
+            if not isinstance(params, Mapping):
+                raise InvalidParameterError(f"{name}'s override must map parameter names to domains, got {params!r}")
+            undeclared = ", ".join(sorted(set(params) - set(declared.names)))
+            if undeclared:
+                raise InvalidParameterError(f"{name} declares no parameter {undeclared}")
+        for name in self.models:  # of two distinct conditions, at least one searches, as hef does
+            space = self.search_space(name)
+            label = optimizer_label(space, "hef", self.scs_optimizer)
+            if label == "pso" and len(space.interval_names()) < len(space):
+                raise InvalidParameterError(f"{name} mixes grid and interval domains; pso searches intervals only")
+            if label == "grid" and space.grid_size() > self.grid_cap:
+                raise InvalidParameterError(f"{name} has {space.grid_size()} grid points, cap is {self.grid_cap}")
 
-    def search_space(self, model: ForecastModel) -> HyperparameterSpace:
-        """The space ``model`` is searched over: the override, else its declared space."""
-        return self.space_overrides.get(model.name, model.space())
+    def search_space(self, name: str) -> HyperparameterSpace:
+        """Model ``name``'s declared space with the overridden domains replaced."""
+        return HyperparameterSpace({**model_class(name).declared_space.params, **self.space_overrides.get(name, {})})
 
 
 @dataclass(frozen=True)
@@ -376,7 +402,7 @@ def _execute_reps(keys: Sequence[TaskKey], dataset: Dataset, config: ExperimentC
     """Run the pending reps of one (cell, condition) in order, yielding each outcome."""
     series = dataset.get(keys[0].series_id)
     model = create_model(keys[0].model, season_length=series.frequency.periods_per_year)
-    space = config.search_space(model)
+    space = config.search_space(model.name)
     reps = _Reps(series, model, space, optimizer_label(space, keys[0].condition, config.scs_optimizer))
     for key in keys:
         # _execute_task is looked up at call time, so a wrapper installed on the module runs
@@ -412,8 +438,6 @@ def run_experiment(
     sends only its keys. The store is written by this process only, in
     deterministic task order.
     """
-    for name in config.models:  # unknown names fail before any work
-        model_class(name)
     store = ResultsStore(store_path)
     units = [
         [TaskKey(series.id, model, condition, split.label, rep) for rep in range(config.repetitions)]

@@ -213,6 +213,11 @@ class TestRun:
         assert err.count("\n") == 1 and "prophet" in err and "available" in err
         assert not (workdir / "out" / "results.csv").exists()
 
+    def test_repeated_model_exits_1(self, workdir, capsys) -> None:
+        assert self._run_with(workdir, 'experiment.models=["ses", "knn", "ses"]') == 1
+        assert capsys.readouterr().err == "error: experiment.models: models repeat ses\n"
+        assert not (workdir / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize(
         "override",
         [
@@ -231,11 +236,15 @@ class TestRun:
         [
             ('models.ses.space.alpah={"min": 0.1, "max": 0.5}', "alpah"),
             ('models.prophet.space.x={"min": 0.1, "max": 0.5}', "prophet"),
+            ('models.zzz.space.alpha={"min": 0.1, "max": 0.5}', "zzz"),
+            ('models.ses.space.beta={"min": 0.1, "max": 0.5}', "beta"),
         ],
     )
     def test_override_of_undeclared_name_exits_1(self, workdir, capsys, override, named) -> None:
         assert self._run_with(workdir, override) == 1
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        model_key = override.split("=")[0].rsplit(".", 1)[0]
+        assert err.startswith(f"error: {model_key}") and named in err and err.count("\n") == 1
         assert not (workdir / "out" / "results.csv").exists()
 
     def test_too_few_repetitions_exits_1(self, workdir, capsys) -> None:
@@ -579,10 +588,27 @@ class TestConfigModule:
             "experiment.models": ["enr"],
             "models.enr.space.alpha": {"min": 0.01, "max": 1.0},
         }
-        space = build_experiment_config(flat).space_overrides["enr"]
+        space = build_experiment_config(flat).search_space("enr")
         assert space.names == ("alpha", "l1_ratio")
         assert space["alpha"].upper == 1.0
         assert space["l1_ratio"] == create("enr").space()["l1_ratio"]
+
+    @pytest.mark.parametrize("key, named", [("models.zzz.space.alpha", "zzz"), ("models.ses.space.beta", "beta")])
+    def test_override_of_undeclared_name_refused(self, key, named) -> None:
+        with pytest.raises(ConfigError, match=re.escape(key.rsplit(".", 1)[0]) + ".*" + named):
+            build_experiment_config({"experiment.models": ["ses"], key: {"min": 0.1, "max": 0.5}})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("experiment.models", ["ses", "ses"]),
+            ("experiment.splits", ["80:20", "70:30", "80:20"]),
+            ("experiment.conditions", ["hef", "hef", "maef"]),
+        ],
+    )
+    def test_repeated_list_value_refused(self, key, value) -> None:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            build_experiment_config({"experiment.models": ["ses"], key: value})
 
     def test_unknown_keys_rejected(self) -> None:
         for key in ("opt.pso.swarmsize", "hef.stack_level4", "experiment.model", "models.ses.alpha"):
@@ -610,9 +636,9 @@ class TestConfigModule:
         flat = {"experiment.models": ["enr"], "models.enr.space.l1_ratio": {"grid": [0.1, 0.5]}}
         with pytest.raises(ConfigError, match="models.enr.space.l1_ratio"):
             build_experiment_config(flat)
-        config = build_experiment_config({**flat, "experiment.scs_optimizer": "tpe"})
-        assert config.space_overrides["enr"]["l1_ratio"].values == (0.1, 0.5)
-        assert config.space_overrides["enr"]["alpha"] == create("enr").space()["alpha"]
+        space = build_experiment_config({**flat, "experiment.scs_optimizer": "tpe"}).search_space("enr")
+        assert space["l1_ratio"].values == (0.1, 0.5)
+        assert space["alpha"] == create("enr").space()["alpha"]
 
     @pytest.mark.parametrize(
         "flat, keys",

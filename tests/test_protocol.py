@@ -5,13 +5,14 @@ from __future__ import annotations
 import csv
 import itertools
 import multiprocessing
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hef_lab import protocol
-from hef_lab.errors import InsufficientDataError, InvalidParameterError
+from hef_lab.errors import InsufficientDataError, InvalidParameterError, UnknownModelError
 from hef_lab.metrics import METRIC_NAMES, compute_bundle
 from hef_lab.models import create, model_class
 from hef_lab.models.smoothing import FittedSes
@@ -33,7 +34,7 @@ from hef_lab.protocol import (
     z_summary,
 )
 from hef_lab.series import Dataset, SplitRatio, temporal_split
-from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain
+from hef_lab.spaces import GridDomain, IntervalDomain
 
 from conftest import make_series, random_series
 
@@ -70,6 +71,22 @@ class TestConfig:
             tiny_config(scs_optimizer="annealing")
         with pytest.raises(InvalidParameterError):
             tiny_config(models=())
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(repetitions=3.5), "repetitions must be an integer >= 3"),
+            (dict(splits=("80:20",)), "splits must be SplitRatio members"),
+            (dict(models=("ses", "knn", "ses")), "models repeat ses"),
+            (dict(splits=(SplitRatio.R80_20, SplitRatio.R70_30, SplitRatio.R80_20)), "splits repeat 80:20"),
+            (dict(conditions=("hef", "hef", "maef")), "conditions repeat hef"),
+        ],
+        ids=["float-repetitions", "split-label", "repeated-model", "repeated-split", "repeated-condition"],
+    )
+    def test_fields_the_sweep_would_misread_refused(self, fields, message) -> None:
+        # each repeated value would run its tasks, and store their rows, twice
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            tiny_config(**fields)
 
 
 class TestSeeds:
@@ -334,12 +351,35 @@ class TestRunExperiment:
             for rep in range(3)
         }
 
-    def test_stub_model_aborts_before_any_work(self, tmp_path, small_dataset) -> None:
-        from hef_lab.errors import UnknownModelError
+    @pytest.mark.parametrize(
+        "fields, error, message",
+        [
+            (
+                dict(models=("ses",), space_overrides={"ses": {"beta": IntervalDomain(0.1, 0.9)}}),
+                InvalidParameterError,
+                "ses declares no parameter beta",
+            ),
+            (dict(grid_cap=3), InvalidParameterError, "knn has 15 grid points, cap is 3"),
+            (
+                dict(models=("enr",), space_overrides={"enr": {"l1_ratio": GridDomain((0.1, 0.5))}}),
+                InvalidParameterError,
+                "enr mixes grid and interval domains; pso searches intervals only",
+            ),
+            (dict(space_overrides={"prophet": {"x": IntervalDomain(0.1, 0.9)}}), UnknownModelError, "'prophet'"),
+        ],
+        ids=["undeclared-parameter", "grid-above-the-cap", "mixed-space-under-pso", "unregistered-model"],
+    )
+    def test_unrunnable_search_refused_while_the_config_is_built(
+        self, tmp_path, small_dataset, fields, error, message
+    ) -> None:
+        with pytest.raises(error, match=re.escape(message)) as refused:
+            run_experiment(small_dataset, tiny_config(**fields), tmp_path / "r.csv")
+        assert any(entry.name == "__post_init__" for entry in refused.traceback)
+        assert not (tmp_path / "r.csv").exists()
 
-        config = tiny_config(models=("ses", "mlp"))
+    def test_stub_model_aborts_before_any_work(self, tmp_path, small_dataset) -> None:
         with pytest.raises(UnknownModelError):
-            run_experiment(small_dataset, config, tmp_path / "r.csv")
+            run_experiment(small_dataset, tiny_config(models=("ses", "mlp")), tmp_path / "r.csv")
         assert not (tmp_path / "r.csv").exists()
 
     def test_baseline_ignores_optimizer_settings(self, tmp_path) -> None:
@@ -385,12 +425,11 @@ class TestSearchBudget:
         # the route follows the overridden domain, not the model
         rng = np.random.default_rng(5)
         dataset = Dataset("d", (random_series(rng, "s0"),))
-        space = HyperparameterSpace({"n_neighbors": IntervalDomain(1, 9, integer=True)})
         config = tiny_config(
             models=("knn",),
             scs_optimizer=optimizer,
             tpe=TpeConfig(trials=7, startup=3),
-            space_overrides={"knn": space},
+            space_overrides={"knn": {"n_neighbors": IntervalDomain(1, 9, integer=True)}},
         )
         summary = run_experiment(dataset, config, tmp_path / "r.csv")
         assert summary.executed == 6 and not summary.failures
@@ -401,8 +440,7 @@ class TestSearchBudget:
     def test_continuous_model_over_a_grid_runs_a_grid_search(self, tmp_path) -> None:
         rng = np.random.default_rng(5)
         dataset = Dataset("d", (random_series(rng, "s0"),))
-        space = HyperparameterSpace({"alpha": GridDomain((0.1, 0.3, 0.5))})
-        config = tiny_config(models=("ses",), space_overrides={"ses": space})
+        config = tiny_config(models=("ses",), space_overrides={"ses": {"alpha": GridDomain((0.1, 0.3, 0.5))}})
         summary = run_experiment(dataset, config, tmp_path / "r.csv")
         assert summary.executed == 6 and not summary.failures
         rows = ResultsStore(tmp_path / "r.csv").rows
@@ -579,8 +617,7 @@ class TestFinalBundle:
             return FittedSes(fit(self, train, config).level + next(drift))
 
         monkeypatch.setattr(ses, "fit", drifting)
-        one_point = HyperparameterSpace({"alpha": GridDomain((0.3,))})
-        config = tiny_config(models=("ses",), space_overrides={"ses": one_point})
+        config = tiny_config(models=("ses",), space_overrides={"ses": {"alpha": GridDomain((0.3,))}})
         store = tmp_path / "r.csv"
         summary = run_experiment(small_dataset, config, store)
         assert summary.executed == len(scored) and not summary.failures

@@ -1,10 +1,13 @@
 """Robustness boundary: every registered model, at its fixed config and at the
 corners of its declared space, on five series shapes, either forecasts and
-scores or raises a ``HefLabError``; no other exception escapes."""
+scores or raises a ``HefLabError``; no other exception escapes. A sweep over
+seeded overrides of each model's space is either refused when its config is
+built or stores or records every task."""
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -13,10 +16,12 @@ from hef_lab.errors import HefLabError
 from hef_lab.evaluation import hef_score, maef_score
 from hef_lab.metrics import TargetWindow, compute_bundle
 from hef_lab.models import CLASSICAL_MODELS, create
-from hef_lab.series import SplitRatio, temporal_split
-from hef_lab.spaces import GridDomain
+from hef_lab.optimizers import DEFAULT_GRID_CAP, PsoConfig, TpeConfig
+from hef_lab.protocol import ExperimentConfig, ResultsStore, run_experiment
+from hef_lab.series import Dataset, SplitRatio, temporal_split
+from hef_lab.spaces import GridDomain, IntervalDomain
 
-from conftest import make_series
+from conftest import make_series, random_series
 
 
 def _shapes() -> dict[str, np.ndarray]:
@@ -71,3 +76,62 @@ def test_fit_forecast_and_score_raise_only_hef_lab_errors(name) -> None:
                 _attempt(maef_score, errors[1])
                 _attempt(hef_score, predicted, *errors, train)
     assert forecasts > 0  # the boundary is not met by refusing every input
+
+
+def _random_override(name: str, rng: np.random.Generator) -> dict:
+    """Domains for a random subset of ``name``'s declared parameters, each a
+    grid or an interval inside the declared domain; arima gets one-point grids
+    for every parameter, which keeps its fits few."""
+    override = {}
+    for param, domain in create(name).space().params.items():
+        if name == "arima":
+            override[param] = GridDomain((domain.values[int(rng.integers(len(domain.values)))],))
+        elif rng.random() < 0.5:
+            continue
+        elif isinstance(domain, GridDomain):  # every declared grid holds integers, dtr's None aside
+            values = [v for v in domain.values if v is not None]
+            chosen = sorted(rng.choice(values, size=int(rng.integers(1, 4)), replace=False).tolist())
+            bounds = min(chosen), max(chosen)
+            override[param] = GridDomain(tuple(chosen)) if rng.random() < 0.5 else IntervalDomain(*bounds, integer=True)
+        else:
+            chosen = sorted(dict.fromkeys(domain.sample(rng) for _ in range(int(rng.integers(1, 4)))))
+            bounds = chosen[0], chosen[-1]
+            override[param] = GridDomain(tuple(chosen)) if rng.random() < 0.5 else IntervalDomain(*bounds, domain.scale)
+    return override
+
+
+@pytest.mark.parametrize("name", CLASSICAL_MODELS)
+def test_sweep_over_overridden_spaces_is_refused_or_completes(name, tmp_path) -> None:
+    rng = np.random.default_rng(CLASSICAL_MODELS.index(name))
+    dataset = Dataset("d", (random_series(rng, "s0"),))
+    declared = create(name).space().params
+    for trial, scs_optimizer in enumerate(["pso", "tpe"] * 4):
+        override = _random_override(name, rng)
+        undeclared = trial == 0
+        if undeclared:
+            override["zz"] = IntervalDomain(0.0, 1.0)
+        grid_cap = int(rng.choice([4, DEFAULT_GRID_CAP]))
+        space = {**declared, **override}
+        grids = [len(d.values) for d in space.values() if isinstance(d, GridDomain)]
+        runnable = not undeclared and (
+            (len(grids) == len(space) and math.prod(grids) <= grid_cap)
+            or (0 < len(space) - len(grids) and (scs_optimizer == "tpe" or not grids))
+        )
+        try:
+            config = ExperimentConfig(
+                models=(name,),
+                repetitions=3,
+                scs_optimizer=scs_optimizer,
+                pso=PsoConfig(swarm_size=3, iterations=2),
+                tpe=TpeConfig(trials=4, startup=2),
+                grid_cap=grid_cap,
+                space_overrides={name: override},
+            )
+        except HefLabError:
+            assert not runnable, override
+            continue
+        assert runnable, override
+        store = tmp_path / f"{trial}.csv"
+        summary = run_experiment(dataset, config, store)
+        assert summary.executed == summary.total == 6
+        assert len(ResultsStore(store)) + len(summary.failures) == 6
