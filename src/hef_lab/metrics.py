@@ -212,8 +212,9 @@ class BundleScorer:
     """The metric bundle of any number of forecasts of one (train, test)
     split. The test ``window`` and the training series' naive errors are
     computed once; each forecast is validated and scored, and refused in the
-    order ``compute_bundle`` refuses it. A forecast equal to the last one
-    scored takes its six accuracy metrics; only ``exec_time`` is its own."""
+    order ``compute_bundle`` refuses it, or when a metric is not finite. A
+    forecast equal to the last one scored takes its six accuracy metrics;
+    only ``exec_time`` is its own."""
 
     def __init__(self, train: Sequence[float], actual_test: Sequence[float]) -> None:
         self.window = TargetWindow(actual_test)
@@ -237,7 +238,11 @@ class BundleScorer:
             self._naive = _naive_errors(self._train)
         naive_squared, naive_absolute = self._naive
         rmsse_value = math.sqrt(_scaled(mse, naive_squared))
-        return r2_value, mae_value, math.sqrt(mse), gra_value, rmsse_value, _scaled(mae_value, naive_absolute)
+        metrics = r2_value, mae_value, math.sqrt(mse), gra_value, rmsse_value, _scaled(mae_value, naive_absolute)
+        for name, value in zip(METRIC_NAMES, metrics):
+            if not math.isfinite(value):  # a forecast or series so large that an error overflows
+                raise NonFiniteInputError(f"{name} is not finite: {value!r}")
+        return metrics
 
 
 def compute_bundle(

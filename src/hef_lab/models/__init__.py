@@ -30,7 +30,6 @@ __all__ = [
     "create",
     "model_class",
     "available_models",
-    "CLASSICAL_MODELS",
 ]
 
 
@@ -48,7 +47,7 @@ class FittedModel(ABC):
 class ForecastModel(ABC):
     """One named model family. A subclass declares its hyperparameter space
     (``declared_space``) and the point the baseline condition fits
-    (``fixed_point``) as class data; ``space`` and ``fixed_config`` read them."""
+    (``fixed_point``) as class data; ``fixed_config`` copies the fixed point."""
 
     name: ClassVar[str]
     declared_space: ClassVar[HyperparameterSpace]
@@ -58,10 +57,6 @@ class ForecastModel(ABC):
         if season_length < 1:
             raise InsufficientDataError("season_length must be >= 1")
         self.season_length = int(season_length)
-
-    def space(self) -> HyperparameterSpace:
-        """The declared space, shared: a space cannot be changed."""
-        return self.declared_space
 
     def fixed_config(self) -> dict:
         """A fresh copy of the fixed point, free for the caller to change."""
@@ -159,5 +154,3 @@ def available_models() -> tuple[str, ...]:
 
 
 from . import arima, linear, neighbors, smoothing, tree  # noqa: E402,F401  (registration side effects)
-
-CLASSICAL_MODELS = available_models()

@@ -57,7 +57,6 @@ class PsoConfig:
     cognitive: float = 1.49445
     social: float = 1.49445
     velocity_clamp: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
@@ -81,7 +80,6 @@ class TpeConfig:
     gamma: float = 0.25
     candidates: int = 24
     bandwidth_factor: float = 1.06
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -152,6 +150,7 @@ def pso_minimize(
     space: HyperparameterSpace,
     objective: Objective,
     config: PsoConfig = PsoConfig(),
+    seed: int = 0,
 ) -> OptimizationResult:
     """Batch-synchronous particle swarm over the box of interval dimensions.
 
@@ -164,7 +163,7 @@ def pso_minimize(
         raise EmptySpaceError("pso_minimize needs a space of interval domains only")
     lo, hi = space.box_bounds()
     widths = hi - lo
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     S, D = config.swarm_size, len(lo)
     vmax = config.velocity_clamp * widths
 
@@ -288,6 +287,7 @@ def tpe_minimize(
     space: HyperparameterSpace,
     objective: Objective,
     config: TpeConfig = TpeConfig(),
+    seed: int = 0,
 ) -> OptimizationResult:
     """Sequential model-based search ranking candidates by good/bad density ratio.
 
@@ -298,7 +298,7 @@ def tpe_minimize(
     """
     if len(space) == 0:
         raise EmptySpaceError("tpe_minimize needs at least one parameter")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     tally = _Tally(objective)
     points: list[dict] = []
     scores: list[float] = []

@@ -7,10 +7,10 @@ function). A task's search follows from its model's space (the declared
 space with the config's overridden domains): grid search when every domain
 is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
 work is one (series, split, model) cell and condition with its pending reps,
-which share one grid search and one scorer of the final forecasts. Every
-completed task persists its test-set metric bundle to an append-only CSV
-store before any analysis, and reruns over an existing store skip completed
-tasks.
+which share one objective, one grid search and one final-forecast scorer.
+Every completed task persists its test-set metric bundle to an append-only
+CSV store before any analysis, and reruns over an existing store skip
+completed tasks.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -344,9 +344,9 @@ class _Objective:
 
 @dataclass
 class _Reps:
-    """What the pending reps of one (cell, condition) share; the first rep to
-    reach them makes the split (retried if it fails) with its bundle scorer,
-    and the grid search."""
+    """What the pending reps of one (cell, condition) share: the split, made by
+    the first rep to reach it (retried if it fails), its bundle scorer, the
+    objective of a searched condition and the grid search."""
 
     series: TimeSeries
     model: ForecastModel
@@ -354,6 +354,7 @@ class _Reps:
     label: str
     split: Split | None = None
     scorer: BundleScorer | None = None
+    objective: _Objective | None = None
     grid: OptimizationResult | None = None
 
 
@@ -361,18 +362,17 @@ _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
 
 
 def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> OptimizationResult:
-    """The search ``reps.label`` names: the grid search of the (cell, condition),
+    """The search ``reps.label`` names over the unit's objective: the grid search,
     run once and kept in ``reps``, or a swarm or Parzen search seeded per rep."""
     if reps.grid is not None:
         return reps.grid
-    objective = _Objective(reps.model, reps.split.train, reps.scorer.window, key.condition, config)
     if reps.label == "grid":
-        reps.grid = grid_search(reps.space, objective, cap=config.grid_cap)
+        reps.grid = grid_search(reps.space, reps.objective, cap=config.grid_cap)
         return reps.grid
     seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
     if reps.label == "pso":
-        return pso_minimize(reps.space, objective, replace(config.pso, seed=seed))
-    return tpe_minimize(reps.space, objective, replace(config.tpe, seed=seed))
+        return pso_minimize(reps.space, reps.objective, config.pso, seed)
+    return tpe_minimize(reps.space, reps.objective, config.tpe, seed)
 
 
 def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outcome:
@@ -384,6 +384,8 @@ def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outco
         if key.condition == "baseline":
             point, trace_summary = reps.model.fixed_config(), {}
         else:
+            if reps.objective is None:
+                reps.objective = _Objective(reps.model, reps.split.train, reps.scorer.window, key.condition, config)
             result = _search(key, reps, config)
             if not math.isfinite(result.best_score):
                 raise InvalidParameterError("every candidate configuration failed to score")
@@ -521,9 +523,9 @@ _Index = dict[tuple[str, str, str, str], tuple[str, dict[str, dict[int, float]]]
 def _index(rows: Iterable[Mapping], pair: tuple[str, str]) -> _Index:
     """Each run of the rows with its one optimizer label and its values, for
     an analysis of ``pair``. Refused: a pair that does not name two distinct
-    conditions, a run stored under two labels, and a cell whose searched
-    conditions ran under two labels; a resume with another optimizer writes
-    the last two."""
+    conditions, a non-finite value, a run stored under two labels, and a cell
+    whose searched conditions ran under two labels; a resume with another
+    optimizer writes the last two."""
     if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(CONDITIONS):
         raise InvalidParameterError(
             f"pair must name two distinct conditions of {', '.join(CONDITIONS)}, got {', '.join(pair)}"
@@ -538,7 +540,10 @@ def _index(rows: Iterable[Mapping], pair: tuple[str, str]) -> _Index:
             raise InvalidParameterError(
                 f"run {'/'.join(run)} holds reps under two optimizer labels, {entry[0]} and {row['optimizer']}"
             )
-        entry[1].setdefault(row["metric"], {})[int(row["rep"])] = float(row["value"])
+        value = float(row["value"])
+        if not math.isfinite(value):  # written before scoring refused it, or by hand
+            raise InvalidParameterError(f"run {'/'.join(run)} holds {row['metric']} = {value!r} at rep {row['rep']}")
+        entry[1].setdefault(row["metric"], {})[int(row["rep"])] = value
     searched: dict[tuple[str, ...], tuple[str, str]] = {}  # cell -> (condition, label)
     for (*cell, condition), (label, _) in index.items():
         if condition == "baseline":

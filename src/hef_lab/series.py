@@ -145,8 +145,6 @@ class Split:
     """Chronological prefix/suffix partition of one series; ``train`` and
     ``test`` are read-only views of the series' values."""
 
-    series_id: str
-    ratio: SplitRatio
     train: np.ndarray
     test: np.ndarray
 
@@ -170,12 +168,7 @@ def temporal_split(series: TimeSeries, ratio: SplitRatio) -> Split:
         raise SeriesTooShortError(
             f"series {series.id!r}: split {ratio.label} leaves {train_len} training points; need at least 3"
         )
-    return Split(
-        series_id=series.id,
-        ratio=ratio,
-        train=series.values[:train_len],
-        test=series.values[train_len:],
-    )
+    return Split(series.values[:train_len], series.values[train_len:])
 
 
 def sample_size(
@@ -374,8 +367,8 @@ def scan_dataset_csv(path: str | Path) -> tuple[list[TimeSeries], list[Issue]]:
     return series, issues + t_issues
 
 
-def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
-    """Load a dataset, raising on the first schema violation."""
+def load_dataset_csv(path: str | Path) -> Dataset:
+    """Load a dataset named after the file, raising on the first schema violation."""
     series, issues = scan_dataset_csv(path)
     if issues:
         first = issues[0]
@@ -383,7 +376,7 @@ def load_dataset_csv(path: str | Path, name: str | None = None) -> Dataset:
         raise DatasetFormatError(f"{path}: {where}: {first.message} ({len(issues)} issue(s) total)")
     if not series:
         raise DatasetFormatError(f"{path}: no series found")
-    return Dataset(name=name or Path(path).stem, series=tuple(series))
+    return Dataset(name=Path(path).stem, series=tuple(series))
 
 
 def write_dataset_csv(dataset: Dataset, path: str | Path) -> None:

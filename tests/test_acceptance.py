@@ -25,7 +25,7 @@ from hef_lab.evaluation import (
     recommend_rmse_tolerance,
 )
 from hef_lab.metrics import gra, mae, mase, r2, rmse, rmsse
-from hef_lab.optimizers import PsoConfig, TpeConfig, grid_search, pso_minimize, tpe_minimize
+from hef_lab.optimizers import PsoConfig, grid_search, pso_minimize, tpe_minimize
 from hef_lab.protocol import (
     ExperimentConfig,
     ResultsStore,
@@ -169,7 +169,7 @@ def test_criterion_06_optimizer_correctness() -> None:
         {"x": IntervalDomain(-5.0, 5.0), "y": IntervalDomain(-5.0, 5.0)}
     )
     result = pso_minimize(
-        sphere_space, lambda p: p["x"] ** 2 + p["y"] ** 2, PsoConfig(seed=42)
+        sphere_space, lambda p: p["x"] ** 2 + p["y"] ** 2, seed=42
     )
     assert result.best_score <= 1e-3
 
@@ -182,7 +182,7 @@ def test_criterion_06_optimizer_correctness() -> None:
     tpe_space = HyperparameterSpace({"x": IntervalDomain(0.0, 10.0)})
     wins = 0
     for seed in range(20):
-        tpe_best = tpe_minimize(tpe_space, bimodal, TpeConfig(seed=seed)).best_score
+        tpe_best = tpe_minimize(tpe_space, bimodal, seed=seed).best_score
         draw = np.random.default_rng(10_000 + seed)
         random_best = min(bimodal({"x": float(draw.uniform(0.0, 10.0))}) for _ in range(60))
         wins += tpe_best <= random_best

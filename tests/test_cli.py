@@ -505,6 +505,20 @@ class TestCompareOutput:
         assert "cell p0/ses/80:20 holds hef reps under pso and maef reps under tpe" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
 
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_stored_value_exits_1(self, tmp_path, capsys, command, value) -> None:
+        path = tmp_path / "results.csv"
+        write_store(path)
+        data = path.read_bytes()
+        row = b"p1,knn,maef,grid,80:20,2,rmse,"
+        start = data.index(row) + len(row)
+        path.write_bytes(data[:start] + value.encode() + data[data.index(b"\r\n", start) :])
+        assert len(ResultsStore(path)) == 40  # the edited store is whole
+        assert run_cli(command, "--out", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: run p1/knn/80:20/maef holds rmse = {value} at rep 2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["results.csv"]
+
 
 class TestConfigModule:
     def test_parse_file_and_overrides(self, tmp_path) -> None:
@@ -591,7 +605,7 @@ class TestConfigModule:
         space = build_experiment_config(flat).search_space("enr")
         assert space.names == ("alpha", "l1_ratio")
         assert space["alpha"].upper == 1.0
-        assert space["l1_ratio"] == create("enr").space()["l1_ratio"]
+        assert space["l1_ratio"] == create("enr").declared_space["l1_ratio"]
 
     @pytest.mark.parametrize("key, named", [("models.zzz.space.alpha", "zzz"), ("models.ses.space.beta", "beta")])
     def test_override_of_undeclared_name_refused(self, key, named) -> None:
@@ -638,7 +652,7 @@ class TestConfigModule:
             build_experiment_config(flat)
         space = build_experiment_config({**flat, "experiment.scs_optimizer": "tpe"}).search_space("enr")
         assert space["l1_ratio"].values == (0.1, 0.5)
-        assert space["alpha"] == create("enr").space()["alpha"]
+        assert space["alpha"] == create("enr").declared_space["alpha"]
 
     @pytest.mark.parametrize(
         "flat, keys",

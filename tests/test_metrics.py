@@ -226,6 +226,19 @@ class TestBundle:
         with pytest.raises(NonFiniteInputError):
             MetricBundle(r2=1, mae=0, rmse=0, gra=1, rmsse=0, mase=0, exec_time=-1.0)
 
+    def test_overflowing_forecast_is_refused_naming_the_metric(self) -> None:
+        # the forecast is finite, but its squared errors overflow: r2 -inf, rmse and rmsse inf
+        rng = np.random.default_rng(31)
+        series = 50.0 + rng.normal(0.0, 2.0, 60)
+        train, test = series[:48], series[48:]
+        with pytest.raises(NonFiniteInputError, match=r"^r2 is not finite: -inf$"):
+            compute_bundle(train, test, np.full(12, 1e170))
+        scorer = BundleScorer(train, test)
+        with pytest.raises(NonFiniteInputError, match=r"^r2 is not finite"):
+            scorer(np.full(12, 1e170))
+        # the refused forecast leaves nothing behind for the next one
+        assert scorer(np.full(12, 50.0)) == compute_bundle(train, test, np.full(12, 50.0))
+
 
 def separate_formulas(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float, float]:
     """r2, mae and rmse as separate expressions over the pair, each

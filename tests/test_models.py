@@ -34,14 +34,14 @@ def trend_series(n: int = 60, seed: int = 0) -> np.ndarray:
 
 class TestRegistry:
     def test_classical_set(self) -> None:
-        assert set(models.CLASSICAL_MODELS) == ES_MODELS | SCS_MODELS
+        assert set(models.available_models()) == ES_MODELS | SCS_MODELS
 
     def test_search_kind_grouping(self) -> None:
         # a model is grid searched exactly when every domain of its space is a grid
         for name in ES_MODELS:
-            assert create(name).space().is_finite(), name
+            assert create(name).declared_space.is_finite(), name
         for name in SCS_MODELS:
-            assert not create(name).space().is_finite(), name
+            assert not create(name).declared_space.is_finite(), name
 
     def test_stubs_fail_loudly(self) -> None:
         # names once reserved as stubs are unknown like any other, and the
@@ -50,7 +50,7 @@ class TestRegistry:
             with pytest.raises(UnknownModelError) as info:
                 create(name)
             assert str(info.value) == f"unknown model {name!r}; available: " + ", ".join(
-                models.CLASSICAL_MODELS
+                models.available_models()
             )
 
     def test_unknown_model(self) -> None:
@@ -58,9 +58,9 @@ class TestRegistry:
             create("prophet")
 
     def test_every_space_contains_its_fixed_point(self) -> None:
-        for name in models.CLASSICAL_MODELS:
+        for name in models.available_models():
             model = create(name)
-            space = model.space()
+            space = model.declared_space
             fixed = model.fixed_config()
             if len(space) == 0:
                 assert fixed == {}
@@ -68,7 +68,7 @@ class TestRegistry:
                 assert space.contains(fixed), name
 
     def test_fixed_config_is_a_fresh_dict(self) -> None:
-        for name in models.CLASSICAL_MODELS:
+        for name in models.available_models():
             model = create(name)
             point = model.fixed_config()
             expected = dict(point)
@@ -86,7 +86,7 @@ class TestRegistry:
 class TestDeterminism:
     def test_identical_inputs_identical_forecasts(self) -> None:
         train = trend_series()
-        for name in models.CLASSICAL_MODELS:
+        for name in models.available_models():
             model_a, model_b = create(name), create(name)
             fc_a = model_a.fit(train, model_a.fixed_config()).predict(6)
             fc_b = model_b.fit(train, model_b.fixed_config()).predict(6)
@@ -94,7 +94,7 @@ class TestDeterminism:
 
     def test_forecast_length_and_finiteness(self) -> None:
         train = trend_series(seed=3)
-        for name in models.CLASSICAL_MODELS:
+        for name in models.available_models():
             model = create(name)
             for h in (1, 7):
                 fc = model.fit(train, model.fixed_config()).predict(h)

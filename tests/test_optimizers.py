@@ -176,13 +176,13 @@ class TestIntervalDomain:
 
 class TestPso:
     def test_sphere_convergence_default_config(self) -> None:
-        result = pso_minimize(SPHERE_SPACE, sphere, PsoConfig(seed=42))
+        result = pso_minimize(SPHERE_SPACE, sphere, seed=42)
         assert result.best_score <= 1e-3
 
     def test_budget_exact(self) -> None:
-        config = PsoConfig(swarm_size=7, iterations=9, seed=1)
+        config = PsoConfig(swarm_size=7, iterations=9)
         objective = Recording(sphere)
-        result = pso_minimize(SPHERE_SPACE, objective, config)
+        result = pso_minimize(SPHERE_SPACE, objective, config, seed=1)
         assert result.evals == len(objective.points) == 7 * 9
         assert result.failed_evals == 0
         # the swarm is seeded by a uniform draw, evaluated particle by particle
@@ -196,11 +196,11 @@ class TestPso:
 
     def test_determinism(self) -> None:
         a, b, c = Recording(sphere), Recording(sphere), Recording(sphere)
-        ra = pso_minimize(SPHERE_SPACE, a, PsoConfig(seed=11))
-        rb = pso_minimize(SPHERE_SPACE, b, PsoConfig(seed=11))
+        ra = pso_minimize(SPHERE_SPACE, a, seed=11)
+        rb = pso_minimize(SPHERE_SPACE, b, seed=11)
         assert ra == rb
         assert a.points == b.points
-        pso_minimize(SPHERE_SPACE, c, PsoConfig(seed=12))
+        pso_minimize(SPHERE_SPACE, c, seed=12)
         assert a.points != c.points
 
     def test_best_equals_trace_minimum(self) -> None:
@@ -210,20 +210,21 @@ class TestPso:
             assert result.best_point == objective.points[best]
 
         objective = Recording(sphere)
-        check(pso_minimize(SPHERE_SPACE, objective, PsoConfig(seed=3, iterations=10)), objective)
+        check(pso_minimize(SPHERE_SPACE, objective, PsoConfig(iterations=10), seed=3), objective)
         objective = Recording(lambda p: -p["a"])
         check(grid_search(HyperparameterSpace({"a": GridDomain((1, 2, 3))}), objective), objective)
         objective = Recording(lambda p: p["x"])
         result = tpe_minimize(
             HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)}),
             objective,
-            TpeConfig(trials=25, startup=5, seed=8),
+            TpeConfig(trials=25, startup=5),
+            seed=8,
         )
         check(result, objective)
 
     def test_positions_stay_in_box(self) -> None:
         objective = Recording(sphere)
-        pso_minimize(SPHERE_SPACE, objective, PsoConfig(seed=5, iterations=5))
+        pso_minimize(SPHERE_SPACE, objective, PsoConfig(iterations=5), seed=5)
         for point in objective.points:
             assert -5.0 <= point["x"] <= 5.0
             assert -5.0 <= point["y"] <= 5.0
@@ -238,7 +239,8 @@ class TestPso:
         result = pso_minimize(
             space,
             lambda p: (p["k"] - 7) ** 2 + (math.log10(p["alpha"]) - 0.0) ** 2,
-            PsoConfig(seed=0, swarm_size=10, iterations=20),
+            PsoConfig(swarm_size=10, iterations=20),
+            seed=0,
         )
         assert isinstance(result.best_point["k"], int)
         assert result.best_point["k"] == 7
@@ -262,30 +264,30 @@ class TestTpe:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 10.0)})
         fn = lambda p: (p["x"] - 7.0) ** 2
         a, b = Recording(fn), Recording(fn)
-        ra = tpe_minimize(space, a, TpeConfig(seed=21))
-        rb = tpe_minimize(space, b, TpeConfig(seed=21))
+        ra = tpe_minimize(space, a, seed=21)
+        rb = tpe_minimize(space, b, seed=21)
         assert ra.evals == len(a.points) == 60
         assert ra == rb
         assert a.points == b.points
 
     def test_trials_equal_startup_is_pure_random(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)})
-        config = TpeConfig(trials=15, startup=15, seed=4)
+        config = TpeConfig(trials=15, startup=15)
         objective = Recording(lambda p: p["x"])
-        tpe_minimize(space, objective, config)
+        tpe_minimize(space, objective, config, seed=4)
         rng = np.random.default_rng(4)
         expected = [space.sample(rng)["x"] for _ in range(15)]
         assert [point["x"] for point in objective.points] == expected
 
     def test_constant_objective(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)})
-        result = tpe_minimize(space, lambda p: 1.0, TpeConfig(trials=20, startup=5, seed=9))
+        result = tpe_minimize(space, lambda p: 1.0, TpeConfig(trials=20, startup=5), seed=9)
         assert result.evals == 20
         assert result.best_score == 1.0
 
     def test_refines_smooth_objective(self) -> None:
         space = HyperparameterSpace({"x": IntervalDomain(0.0, 10.0)})
-        result = tpe_minimize(space, lambda p: (p["x"] - 7.0) ** 2, TpeConfig(seed=2))
+        result = tpe_minimize(space, lambda p: (p["x"] - 7.0) ** 2, seed=2)
         assert result.best_score < 1e-2
 
     def test_mixed_space(self) -> None:
@@ -300,7 +302,7 @@ class TestTpe:
             offset = 0.0 if point["kind"] == "high" else 2.0
             return offset + (point["x"] - 0.5) ** 2
 
-        result = tpe_minimize(space, objective, TpeConfig(seed=6))
+        result = tpe_minimize(space, objective, seed=6)
         assert result.best_point["kind"] == "high"
         assert result.best_score < 0.1
 
@@ -325,7 +327,7 @@ class TestTpe:
                 + (point["mix"] - 0.3) ** 2
             )
 
-        result = tpe_minimize(space, objective, TpeConfig(trials=30, startup=6, candidates=16, seed=11))
+        result = tpe_minimize(space, objective, TpeConfig(trials=30, startup=6, candidates=16), seed=11)
         assert (result.best_point["kind"], result.best_point["depth"]) == ("b", 6)
         assert result.best_point["alpha"] == pytest.approx(0.008445310807514301, rel=1e-12)
         assert result.best_point["mix"] == pytest.approx(-0.6104798109033431, rel=1e-12)
@@ -341,7 +343,7 @@ class TestTpe:
             return point["x"]
 
         recording = Recording(objective)
-        result = tpe_minimize(space, recording, TpeConfig(trials=30, startup=8, seed=7))
+        result = tpe_minimize(space, recording, TpeConfig(trials=30, startup=8), seed=7)
         assert math.isfinite(result.best_score)
         assert result.best_score >= 0.5
         assert result.evals == 30

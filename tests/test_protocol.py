@@ -107,18 +107,18 @@ class TestSeeds:
 
 class TestRouting:
     def test_optimizer_labels(self) -> None:
-        ses, knn = create("ses").space(), create("knn").space()
+        ses, knn = create("ses").declared_space, create("knn").declared_space
         assert optimizer_label(ses, "baseline", "pso") == "fixed"
         assert optimizer_label(knn, "hef", "pso") == "grid"
         assert optimizer_label(ses, "hef", "pso") == "pso"
         assert optimizer_label(ses, "maef", "tpe") == "tpe"
-        assert optimizer_label(create("lr").space(), "hef", "tpe") == "grid"  # no parameters
+        assert optimizer_label(create("lr").declared_space, "hef", "tpe") == "grid"  # no parameters
 
     def test_every_registered_model_routes_by_kind(self) -> None:
-        from hef_lab.models import CLASSICAL_MODELS
+        from hef_lab.models import available_models
 
-        for name in CLASSICAL_MODELS:
-            space = create(name).space()
+        for name in available_models():
+            space = create(name).declared_space
             label = optimizer_label(space, "hef", "pso")
             if space.is_finite():
                 assert label == "grid"
@@ -259,6 +259,22 @@ class TestRunExperiment:
         assert all(f.key.series_id == "tiny" for f in summary.failures)
         store = ResultsStore(tmp_path / "r.csv")
         assert len(store) == 6
+
+    # numpy warns as the sums of squares of 1e160-scale series overflow; the tasks record the failure
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bundle_with_a_non_finite_metric_is_a_failure(self, tmp_path) -> None:
+        rng = np.random.default_rng(4)
+        dataset = Dataset("d", tuple(make_series(f"s{i}", 1e160 * random_series(rng, f"s{i}").values) for i in range(3)))
+        config = tiny_config(models=("lr", "ses"), conditions=("baseline", "hef", "maef"), pso=PsoConfig(3, 2))
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert summary.total == len(summary.failures) == 54
+        assert ResultsStore(tmp_path / "r.csv").rows == ()
+        reasons = {f.key.condition: set() for f in summary.failures}
+        for f in summary.failures:
+            reasons[f.key.condition].add(f.reason)
+        # r2 is NaN, as the test window's total sum of squares is infinite
+        assert reasons["baseline"] == reasons["maef"] == {"NonFiniteInputError: r2 is not finite: nan"}
+        assert reasons["hef"] == {"InvalidParameterError: every candidate configuration failed to score"}
 
     def test_parallel_matches_serial(self, tmp_path, small_dataset) -> None:
         # the too-short series fails at the split, so failures must match too
@@ -414,7 +430,7 @@ class TestSearchBudget:
             if r["metric"] == "opt_evals"
         }
         # ses searches its box under the optimizer, knn walks its whole grid
-        expected = {"ses": search_evals, "knn": create("knn").space().grid_size()}
+        expected = {"ses": search_evals, "knn": create("knn").declared_space.grid_size()}
         assert len(stored) == 2 * 2 * 3
         assert all(value == expected[model] for (model, _, _), value in stored.items())
 
@@ -468,7 +484,7 @@ class TestSearchBudget:
             f.reason == "InvalidParameterError: every candidate configuration failed to score"
             for f in summary.failures
         )
-        grid_size = create("knn").space().grid_size()
+        grid_size = create("knn").declared_space.grid_size()
         # one grid search per (cell, condition); its reps reuse the result
         assert [(r.evals, r.failed_evals) for r in results] == [(grid_size, grid_size)] * 2
 
@@ -544,6 +560,44 @@ class TestSearchMemo:
             # a maef search's best score is the MAE of the winner's final fit on this data
             assert all(m["opt_best_score"] == m["mae"] for m in maef.values())
         assert essence(tmp_path / "a.csv") != essence(tmp_path / "b.csv")
+
+
+class TestSearchInputs:
+    @pytest.mark.parametrize(
+        "conditions, optimizer, objectives",
+        [(("hef", "maef"), "pso", 2), (("hef", "maef"), "tpe", 2), (("baseline", "hef"), "pso", 1)],
+    )
+    def test_one_objective_per_unit_that_searches(
+        self, tmp_path, monkeypatch, conditions, optimizer, objectives
+    ) -> None:
+        built = _count_calls(monkeypatch, protocol._Objective, "__init__")
+        dataset = Dataset("d", (random_series(np.random.default_rng(8), "s0"),))
+        config = tiny_config(
+            models=("ses",), conditions=conditions, scs_optimizer=optimizer, tpe=TpeConfig(trials=4, startup=2)
+        )
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 6 and not summary.failures
+        assert built[0] == objectives
+
+    @pytest.mark.parametrize("optimizer", ["pso", "tpe"])
+    def test_each_rep_searches_with_its_derived_seed(self, tmp_path, monkeypatch, optimizer) -> None:
+        seeds = []
+        name = f"{optimizer}_minimize"
+        search = getattr(protocol, name)
+
+        def recording(space, objective, settings, seed):
+            seeds.append(seed)
+            return search(space, objective, settings, seed)
+
+        monkeypatch.setattr(protocol, name, recording)
+        dataset = Dataset("d", (random_series(np.random.default_rng(8), "s0"),))
+        config = tiny_config(models=("ses",), scs_optimizer=optimizer, tpe=TpeConfig(trials=4, startup=2))
+        run_experiment(dataset, config, tmp_path / "r.csv")
+        assert seeds == [
+            derive_seed(config.master_seed, "s0", "ses", condition, rep)
+            for condition in config.conditions
+            for rep in range(config.repetitions)
+        ]
 
 
 def _record_scored(monkeypatch) -> list[np.ndarray]:

@@ -15,7 +15,7 @@ import pytest
 from hef_lab.errors import HefLabError
 from hef_lab.evaluation import hef_score, maef_score
 from hef_lab.metrics import TargetWindow, compute_bundle
-from hef_lab.models import CLASSICAL_MODELS, create
+from hef_lab.models import available_models, create
 from hef_lab.optimizers import DEFAULT_GRID_CAP, PsoConfig, TpeConfig
 from hef_lab.protocol import ExperimentConfig, ResultsStore, run_experiment
 from hef_lab.series import Dataset, SplitRatio, temporal_split
@@ -42,7 +42,7 @@ def _corners(model) -> list[dict]:
     """Every combination of each dimension's two ends: the first and last
     grid values, or the interval's bounds."""
     ends = []
-    for name, domain in model.space().params.items():
+    for name, domain in model.declared_space.params.items():
         pair = (domain.values[0], domain.values[-1]) if isinstance(domain, GridDomain) else (domain.lower, domain.upper)
         ends.append([(name, value) for value in dict.fromkeys(pair)])
     return [dict(combo) for combo in itertools.product(*ends)]
@@ -56,7 +56,7 @@ def _attempt(fn, *args):
         return None
 
 
-@pytest.mark.parametrize("name", CLASSICAL_MODELS)
+@pytest.mark.parametrize("name", available_models())
 def test_fit_forecast_and_score_raise_only_hef_lab_errors(name) -> None:
     model = create(name)
     points = [model.fixed_config(), *_corners(model)]
@@ -83,7 +83,7 @@ def _random_override(name: str, rng: np.random.Generator) -> dict:
     grid or an interval inside the declared domain; arima gets one-point grids
     for every parameter, which keeps its fits few."""
     override = {}
-    for param, domain in create(name).space().params.items():
+    for param, domain in create(name).declared_space.params.items():
         if name == "arima":
             override[param] = GridDomain((domain.values[int(rng.integers(len(domain.values)))],))
         elif rng.random() < 0.5:
@@ -100,11 +100,11 @@ def _random_override(name: str, rng: np.random.Generator) -> dict:
     return override
 
 
-@pytest.mark.parametrize("name", CLASSICAL_MODELS)
+@pytest.mark.parametrize("name", available_models())
 def test_sweep_over_overridden_spaces_is_refused_or_completes(name, tmp_path) -> None:
-    rng = np.random.default_rng(CLASSICAL_MODELS.index(name))
+    rng = np.random.default_rng(available_models().index(name))
     dataset = Dataset("d", (random_series(rng, "s0"),))
-    declared = create(name).space().params
+    declared = create(name).declared_space.params
     for trial, scs_optimizer in enumerate(["pso", "tpe"] * 4):
         override = _random_override(name, rng)
         undeclared = trial == 0
