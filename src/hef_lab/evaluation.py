@@ -83,10 +83,12 @@ def _train_vector(y_train: Sequence[float]) -> np.ndarray:
 def coefficient_of_variation(y_train: Sequence[float]) -> float:
     """Std over |mean| of the training series, with the near-zero mean guard."""
     y = _train_vector(y_train)
-    mean = abs(float(y.mean()))
+    with np.errstate(over="ignore"):  # a huge series gets an infinite or NaN CV, which _tolerances places
+        mean = abs(float(y.mean()))
+        spread = float(y.std())
     if mean < MEAN_GUARD:
         mean = MEAN_GUARD
-    return float(y.std()) / mean
+    return spread / mean
 
 
 # Adaptive tolerance coefficients by band of the training CV, each band below

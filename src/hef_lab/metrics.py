@@ -71,9 +71,10 @@ class TargetWindow:
 
     def __init__(self, actual: Sequence[float]) -> None:
         self.actual = _as_vector(actual, "actual")
-        self.ss_tot = float(np.sum((self.actual - self.actual.mean()) ** 2))
+        with np.errstate(over="ignore"):  # a huge window gets infinite sums, which scoring refuses
+            self.ss_tot = float(np.sum((self.actual - self.actual.mean()) ** 2))
+            self.volume = float(np.sum(np.abs(self.actual)))
         self.constant = self.ss_tot == 0.0 or bool((self.actual == self.actual[0]).all())
-        self.volume = float(np.sum(np.abs(self.actual)))
 
     def errors(self, predicted: Sequence[float]) -> tuple[float, float, float]:
         """``(r2, mae, rmse)`` of one forecast, from a single residual vector;
@@ -141,8 +142,9 @@ def _naive_errors(train: Sequence[float]) -> tuple[float, float]:
     tr = _as_vector(train, "train")
     if tr.size < 2:
         raise SeriesTooShortError("train needs at least 2 observations")
-    step = np.diff(tr)
-    return float(np.mean(np.square(step))), float(np.mean(np.abs(step)))
+    with np.errstate(over="ignore"):  # a huge series gets infinite errors, which scoring refuses
+        step = np.diff(tr)
+        return float(np.mean(np.square(step))), float(np.mean(np.abs(step)))
 
 
 def _scaled(error: float, naive: float) -> float:

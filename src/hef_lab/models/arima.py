@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..errors import InsufficientDataError, NonConvergenceError
 from ..spaces import GridDomain, HyperparameterSpace
@@ -83,6 +82,8 @@ class ArimaModel(ForecastModel):
     fixed_point = {"p": 1, "d": 1, "q": 1}
 
     def fit(self, train: Sequence[float], config: Mapping) -> FittedArima:
+        from scipy.optimize import minimize  # imported here, so importing the models does not load scipy
+
         y = _validated_train(train, 3, self.name)
         p, d, q = int(config["p"]), int(config["d"]), int(config["q"])
         w = np.diff(y, n=d) if d else y.astype(float)

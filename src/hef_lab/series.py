@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     DatasetFormatError,
@@ -187,6 +186,8 @@ def sample_size(
     650 does not follow from this formula (it yields 456 for N=1454); the
     stated formula is implemented as-is.
     """
+    from scipy.special import ndtri  # imported here, so loading a dataset does not load scipy
+
     if not isinstance(population, int) or isinstance(population, bool) or population < 1:
         raise InvalidParameterError(f"population must be a positive integer, got {population!r}")
     for name, value in (("confidence", confidence), ("margin", margin), ("proportion", proportion)):

@@ -3,6 +3,9 @@
 The Z-test's p-value kernel works in the log domain so extreme statistics
 (|Z| well past 38, where a naive erfc underflows) still yield a usable
 ``log10_p`` alongside the (possibly subnormal or zero) p-value.
+
+scipy.special is imported inside the functions that call it: a sweep imports
+this module through ``protocol`` and calls none of them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr, ndtri, stdtr
 
 from .errors import (
     DegeneratePooledError,
@@ -97,6 +99,8 @@ def _unit_scaled(largest: float, *samples: np.ndarray) -> list[np.ndarray]:
 
 def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
     """W statistic and upper-tail p for normality, 3 <= n <= 5000."""
+    from scipy.special import ndtr, ndtri
+
     x = np.sort(np.asarray(sample, dtype=float))
     n = len(x)
     if n < 3:
@@ -161,6 +165,8 @@ def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
 
 
 def _welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
+    from scipy.special import stdtr
+
     na, nb = len(a), len(b)
     va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
     se2 = va / na + vb / nb
@@ -175,6 +181,8 @@ def _welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 def _mann_whitney(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Normal approximation with tie correction; returns (z, p, u1)."""
+    from scipy.special import ndtr
+
     n1, n2 = len(a), len(b)
     pooled = np.concatenate([a, b])
     _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
@@ -234,6 +242,8 @@ def compare_paired_runs(
 
 def zvalue_to_pvalue(z: float) -> tuple[float, float]:
     """Two-sided (p, log10_p) for a standard-normal statistic, log-domain safe."""
+    from scipy.special import log_ndtr
+
     log_p = min(_LN2 + float(log_ndtr(-abs(z))), 0.0)
     p = math.exp(log_p) if log_p > -745.0 else 0.0
     return p, log_p / _LN10

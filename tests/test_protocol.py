@@ -260,8 +260,6 @@ class TestRunExperiment:
         store = ResultsStore(tmp_path / "r.csv")
         assert len(store) == 6
 
-    # numpy warns as the sums of squares of 1e160-scale series overflow; the tasks record the failure
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bundle_with_a_non_finite_metric_is_a_failure(self, tmp_path) -> None:
         rng = np.random.default_rng(4)
         dataset = Dataset("d", tuple(make_series(f"s{i}", 1e160 * random_series(rng, f"s{i}").values) for i in range(3)))
