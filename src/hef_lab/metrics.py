@@ -96,7 +96,8 @@ class TargetWindow:
         """Global relative accuracy of a validated forecast."""
         if self.volume == 0.0:
             raise ZeroTotalVolumeError("actual values have zero total absolute volume")
-        return 1.0 - abs(float(np.sum(np.abs(yhat))) - self.volume) / self.volume
+        with np.errstate(over="ignore"):  # a far-off forecast gets an infinite volume and a gra of -inf
+            return 1.0 - abs(float(np.sum(np.abs(yhat))) - self.volume) / self.volume
 
     def mae(self, predicted: Sequence[float]) -> float:
         """The MAE of one forecast, validated as ``errors`` validates it and

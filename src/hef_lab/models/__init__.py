@@ -11,6 +11,7 @@ multi-step recursively.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
@@ -46,12 +47,14 @@ class FittedModel(ABC):
 
 class ForecastModel(ABC):
     """One named model family. A subclass declares its hyperparameter space
-    (``declared_space``) and the point the baseline condition fits
-    (``fixed_point``) as class data; ``fixed_config`` copies the fixed point."""
+    (``declared_space``), the point the baseline condition fits
+    (``fixed_point``) and the shortest series it fits (``min_train``) as class
+    data, and fits the series that ``fit`` has checked in ``_fit``."""
 
     name: ClassVar[str]
     declared_space: ClassVar[HyperparameterSpace]
     fixed_point: ClassVar[Mapping]
+    min_train: ClassVar[int] = 3
 
     def __init__(self, season_length: int = 12) -> None:
         if season_length < 1:
@@ -62,8 +65,19 @@ class ForecastModel(ABC):
         """A fresh copy of the fixed point, free for the caller to change."""
         return dict(self.fixed_point)
 
+    def fit(self, train: Sequence[float], config: Mapping) -> FittedModel:
+        """Fit ``config`` to ``train``: one-dimensional, finite and at least ``min_train`` values."""
+        y = np.asarray(train, dtype=float)
+        if y.ndim != 1:
+            raise InsufficientDataError(f"{self.name}: train must be one-dimensional")
+        if len(y) < self.min_train:
+            raise InsufficientDataError(f"{self.name}: needs at least {self.min_train} observations, got {len(y)}")
+        if not np.isfinite(y).all():
+            raise InsufficientDataError(f"{self.name}: train contains non-finite values")
+        return self._fit(y, config)
+
     @abstractmethod
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedModel: ...
+    def _fit(self, y: np.ndarray, config: Mapping) -> FittedModel: ...
 
 
 def lag_window_length(n_train: int, season_length: int) -> int:
@@ -79,14 +93,14 @@ def build_lag_matrix(values: np.ndarray, window: int) -> tuple[np.ndarray, np.nd
     return sliding_window_view(values[:-1], window).copy(), values[window:]
 
 
+@dataclass(frozen=True, eq=False)
 class FittedLagModel(FittedModel):
     """A one-step predictor on the last ``window`` values, rolled forward by
     feeding each forecast back in as the newest input."""
 
-    def __init__(self, history: np.ndarray, window: int, step: Step) -> None:
-        self._history = history
-        self._window = window
-        self._step = step
+    _history: np.ndarray
+    _window: int
+    _step: Step
 
     def predict(self, horizon: int) -> np.ndarray:
         n, window = len(self._history), self._window
@@ -100,26 +114,19 @@ class FittedLagModel(FittedModel):
         return out
 
 
-def _validated_train(train: Sequence[float], minimum: int, model: str) -> np.ndarray:
-    y = np.asarray(train, dtype=float)
-    if y.ndim != 1:
-        raise InsufficientDataError(f"{model}: train must be one-dimensional")
-    if len(y) < minimum:
-        raise InsufficientDataError(f"{model}: needs at least {minimum} observations, got {len(y)}")
-    if not np.isfinite(y).all():
-        raise InsufficientDataError(f"{model}: train contains non-finite values")
-    return y
-
-
 class LagModel(ForecastModel):
     """A model whose subclasses turn the lag matrix of the training series and
     its next-value targets into the one-step predictor that ``fit`` rolls."""
 
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedLagModel:
-        window = lag_window_length(len(train), self.season_length)
-        y = _validated_train(train, window + 2, self.name)
+    # a lag matrix needs window + 2 values; the window is 2 below 8 values and
+    # at most n/4 above, so every series of 4 or more values is long enough
+    min_train = 4
+
+    def _fit(self, y: np.ndarray, config: Mapping) -> FittedLagModel:
+        window = lag_window_length(len(y), self.season_length)
         X, targets = build_lag_matrix(y, window)
-        return FittedLagModel(y, window, self._fit_step(X, targets, config))
+        with np.errstate(all="ignore"):  # a huge series ends in predict's or scoring's refusal
+            return FittedLagModel(y, window, self._fit_step(X, targets, config))
 
     @abstractmethod
     def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step: ...

@@ -8,13 +8,14 @@ forecasts are produced recursively then integrated back.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import InsufficientDataError, NonConvergenceError
 from ..spaces import GridDomain, HyperparameterSpace
-from . import FittedModel, ForecastModel, _validated_train, register
+from . import FittedModel, ForecastModel, register
 
 _HUGE = 1e300
 
@@ -31,24 +32,15 @@ def _css_residuals(w: np.ndarray, c: float, phi: np.ndarray, theta: np.ndarray) 
     return e
 
 
+@dataclass(frozen=True, eq=False)
 class FittedArima(FittedModel):
-    def __init__(
-        self,
-        original: np.ndarray,
-        d: int,
-        c: float,
-        phi: np.ndarray,
-        theta: np.ndarray,
-        w: np.ndarray,
-        residuals: np.ndarray,
-    ) -> None:
-        self._y = original
-        self._d = d
-        self._c = c
-        self._phi = phi
-        self._theta = theta
-        self._w = w
-        self._e = residuals
+    _y: np.ndarray
+    _d: int
+    _c: float
+    _phi: np.ndarray
+    _theta: np.ndarray
+    _w: np.ndarray
+    _e: np.ndarray
 
     def predict(self, horizon: int) -> np.ndarray:
         p, q = len(self._phi), len(self._theta)
@@ -81,41 +73,38 @@ class ArimaModel(ForecastModel):
     )
     fixed_point = {"p": 1, "d": 1, "q": 1}
 
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedArima:
+    def _fit(self, y: np.ndarray, config: Mapping) -> FittedArima:
         from scipy.optimize import minimize  # imported here, so importing the models does not load scipy
 
-        y = _validated_train(train, 3, self.name)
         p, d, q = int(config["p"]), int(config["d"]), int(config["q"])
-        w = np.diff(y, n=d) if d else y.astype(float)
-        T = len(w)
-        if T <= max(p, q) or T - p < 1:
-            raise InsufficientDataError(
-                f"arima({p},{d},{q}): differenced series has {T} points; too few"
-            )
+        with np.errstate(all="ignore"):  # a diverging search is capped or refused below
+            w = np.diff(y, n=d) if d else y
+            T = len(w)
+            if T <= max(p, q) or T - p < 1:
+                raise InsufficientDataError(f"arima({p},{d},{q}): differenced series has {T} points; too few")
 
-        def css(params: np.ndarray) -> float:
-            c = params[0]
-            phi = params[1 : 1 + p]
-            theta = params[1 + p :]
-            with np.errstate(all="ignore"):
+            def css(params: np.ndarray) -> float:
+                c = params[0]
+                phi = params[1 : 1 + p]
+                theta = params[1 + p :]
                 e = _css_residuals(w, c, phi, theta)
                 sse = float(e[p:] @ e[p:])
-            return sse if np.isfinite(sse) else _HUGE
+                return sse if np.isfinite(sse) else _HUGE
 
-        x0 = np.zeros(1 + p + q)
-        x0[0] = float(w.mean())
-        result = minimize(
-            css,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "maxfev": 4000, "xatol": 1e-8, "fatol": 1e-10},
-        )
-        if not np.isfinite(result.x).all():
-            raise NonConvergenceError(f"arima({p},{d},{q}): estimation produced non-finite parameters")
-        if not result.success:
-            raise NonConvergenceError(f"arima({p},{d},{q}): CSS minimization hit its iteration cap")
-        c = float(result.x[0])
-        phi = np.asarray(result.x[1 : 1 + p], dtype=float)
-        theta = np.asarray(result.x[1 + p :], dtype=float)
-        residuals = _css_residuals(w, c, phi, theta)
+            x0 = np.zeros(1 + p + q)
+            x0[0] = float(w.mean())
+            result = minimize(
+                css,
+                x0,
+                method="Nelder-Mead",
+                options={"maxiter": 2000, "maxfev": 4000, "xatol": 1e-8, "fatol": 1e-10},
+            )
+            if not np.isfinite(result.x).all():
+                raise NonConvergenceError(f"arima({p},{d},{q}): estimation produced non-finite parameters")
+            if not result.success:
+                raise NonConvergenceError(f"arima({p},{d},{q}): CSS minimization hit its iteration cap")
+            c = float(result.x[0])
+            phi = np.asarray(result.x[1 : 1 + p], dtype=float)
+            theta = np.asarray(result.x[1 + p :], dtype=float)
+            residuals = _css_residuals(w, c, phi, theta)
         return FittedArima(y, d, c, phi, theta, w, residuals)

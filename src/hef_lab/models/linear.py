@@ -98,8 +98,7 @@ class _LagRegressionModel(LagModel):
     def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
         feats = self._expand(X, config)
         mean = feats.mean(axis=0)
-        with np.errstate(over="ignore"):  # a huge series gets an infinite scale and a flat forecast
-            scale = feats.std(axis=0)
+        scale = feats.std(axis=0)  # infinite on a huge series, which gives a flat forecast
         scale[scale == 0.0] = 1.0
         Xs = (feats - mean) / scale
         ybar = float(targets.mean())

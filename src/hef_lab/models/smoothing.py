@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
 from ..errors import InvalidParameterError
 from ..spaces import HyperparameterSpace, IntervalDomain
-from . import FittedModel, ForecastModel, _validated_train, register
+from . import FittedModel, ForecastModel, register
 
 
+@dataclass(frozen=True, eq=False)
 class FittedSes(FittedModel):
-    def __init__(self, level: float) -> None:
-        self.level = float(level)
+    level: float
 
     def predict(self, horizon: int) -> np.ndarray:
         return np.full(horizon, self.level, dtype=float)
@@ -29,8 +30,7 @@ class SesModel(ForecastModel):
     declared_space = HyperparameterSpace({"alpha": IntervalDomain(0.01, 0.99)})
     fixed_point = {"alpha": 0.2}
 
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedSes:
-        y = _validated_train(train, 3, self.name)
+    def _fit(self, y: np.ndarray, config: Mapping) -> FittedSes:
         alpha = float(config["alpha"])
         if not 0.0 <= alpha <= 1.0:
             raise InvalidParameterError(f"{self.name}: alpha must lie in [0, 1], got {alpha!r}")

@@ -239,6 +239,18 @@ class TestBundle:
         # the refused forecast leaves nothing behind for the next one
         assert scorer(np.full(12, 50.0)) == compute_bundle(train, test, np.full(12, 50.0))
 
+    def test_forecast_whose_volume_overflows_is_refused_quietly(self) -> None:
+        # each value is finite, but the forecast's absolute sum overflows: gra
+        # is -inf as mae is inf, and the bundle refuses r2 first
+        rng = np.random.default_rng(31)
+        series = 50.0 + rng.normal(0.0, 2.0, 60)
+        train, test = series[:48], series[48:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert gra(test, np.full(12, 1e308)) == -math.inf
+            with pytest.raises(NonFiniteInputError, match=r"^r2 is not finite: -inf$"):
+                compute_bundle(train, test, np.full(12, 1e308))
+
 
 def separate_formulas(y: np.ndarray, yhat: np.ndarray) -> tuple[float, float, float]:
     """r2, mae and rmse as separate expressions over the pair, each

@@ -12,6 +12,7 @@ from hef_lab.errors import (
     InsufficientDataError,
     InvalidParameterError,
     NonConvergenceError,
+    SingularDesignError,
     UnknownModelError,
 )
 from hef_lab.models import (
@@ -347,6 +348,13 @@ class TestLinearFamily:
     def test_insufficient_data(self) -> None:
         with pytest.raises(InsufficientDataError):
             create("lr", season_length=12).fit([1.0, 2.0, 3.0], {})
+
+    def test_huber_with_negative_epsilon_is_refused_quietly(self) -> None:
+        # a negative epsilon makes every IRLS weight negative and divides by a
+        # zero residual; the fit ends in an error and lets no RuntimeWarning
+        # out, which pytest would turn into an error
+        with pytest.raises(SingularDesignError):
+            create("hr").fit(trend_series(), {"epsilon": -3.0, "alpha": 1e-4})
 
 
 class TestTree:

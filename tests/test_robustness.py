@@ -1,5 +1,5 @@
 """Robustness boundary: every registered model, at its fixed config and at the
-corners of its declared space, on five series shapes, either forecasts and
+corners of its declared space, on six series shapes, either forecasts and
 scores or raises a ``HefLabError``; no other exception escapes. A sweep over
 seeded overrides of each model's space is either refused when its config is
 built or stores or records every task."""
@@ -29,12 +29,14 @@ def _shapes() -> dict[str, np.ndarray]:
     t = np.arange(36, dtype=float)
     spiky = 20.0 + rng.normal(0.0, 1.0, 36)
     spiky[[5, 17, 30, 34]] += 400.0
+    seasonal = 50.0 + 0.3 * np.arange(48) + 15.0 * np.sin(2.0 * np.pi * np.arange(48) / 12.0)
     return {
         "short": np.array([12.0, 15.0, 11.0, 14.0, 13.0, 16.0, 12.0, 15.0]),
         "flat": np.full(36, 50.0),
         "spiky": spiky,
         "negative": -30.0 - 0.5 * t + rng.normal(0.0, 2.0, 36),
-        "seasonal": 50.0 + 0.3 * np.arange(48) + 15.0 * np.sin(2.0 * np.pi * np.arange(48) / 12.0),
+        "seasonal": seasonal,
+        "huge": seasonal * 1e160,  # squares and products overflow in fitting and scoring
     }
 
 
