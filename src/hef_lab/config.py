@@ -46,16 +46,8 @@ _SCALAR_KEYS: dict[str, tuple[str, ...]] = {
     "experiment.alpha": ("alpha",),
     "opt.pso.swarm_size": ("pso", "swarm_size"),
     "opt.pso.iterations": ("pso", "iterations"),
-    "opt.pso.inertia": ("pso", "inertia"),
-    "opt.pso.cognitive": ("pso", "cognitive"),
-    "opt.pso.social": ("pso", "social"),
-    "opt.pso.velocity_clamp": ("pso", "velocity_clamp"),
     "opt.tpe.trials": ("tpe", "trials"),
     "opt.tpe.startup": ("tpe", "startup"),
-    "opt.tpe.gamma": ("tpe", "gamma"),
-    "opt.tpe.candidates": ("tpe", "candidates"),
-    "opt.tpe.bandwidth_factor": ("tpe", "bandwidth_factor"),
-    "opt.grid.cap": ("grid_cap",),
     "hef.weights.r2": ("hef_weights", "r2"),
     "hef.weights.mae": ("hef_weights", "mae"),
     "hef.weights.rmse": ("hef_weights", "rmse"),
@@ -187,7 +179,7 @@ def build_experiment_config(
             continue
         if inner:
             nested.setdefault(name, {})[inner[0]] = (key, flat[key])
-        elif key in ("experiment.scs_optimizer", "opt.grid.cap"):
+        elif key == "experiment.scs_optimizer":
             search[name] = (key, flat[key])
         else:
             config = _replace(config, {name: (key, flat[key])})

@@ -34,7 +34,17 @@ __all__ = [
 
 Objective = Callable[[Mapping], float]
 
-DEFAULT_GRID_CAP = 1_000_000
+# Fixed search constants. PSO: the constriction coefficients of Clerc & Kennedy
+# (2002), velocity clamped to half the box width. TPE: hyperopt's gamma and
+# candidate count for the estimator of Bergstra et al. (2011), and Silverman's
+# bandwidth constant.
+GRID_CAP = 1_000_000
+_INERTIA = 0.729
+_COGNITIVE = _SOCIAL = 1.49445
+_VELOCITY_CLAMP = 0.5
+_GAMMA = 0.25
+_CANDIDATES = 24
+_BANDWIDTH_FACTOR = 1.06
 
 
 @dataclass(frozen=True)
@@ -49,49 +59,30 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm settings; the constriction-style defaults are standard practice."""
+    """Swarm size and iteration count."""
 
     swarm_size: int = 20
     iterations: int = 50
-    inertia: float = 0.729
-    cognitive: float = 1.49445
-    social: float = 1.49445
-    velocity_clamp: float = 0.5
 
     def __post_init__(self) -> None:
         if self.swarm_size < 2:
             raise InvalidParameterError("swarm_size must be >= 2")
         if self.iterations < 1:
             raise InvalidParameterError("iterations must be >= 1")
-        if not (0.0 < self.inertia < 1.0):
-            raise InvalidParameterError("inertia must lie in (0, 1)")
-        if not (0 < self.cognitive < math.inf and 0 < self.social < math.inf):
-            raise InvalidParameterError("cognitive and social factors must be finite and > 0")
-        if not (0.0 < self.velocity_clamp <= 1.0):
-            raise InvalidParameterError("velocity_clamp must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
 class TpeConfig:
-    """Sequential Parzen-estimator settings; bandwidths follow a scaled Silverman rule."""
+    """Trial count and how many of the first trials are uniform draws."""
 
     trials: int = 60
     startup: int = 10
-    gamma: float = 0.25
-    candidates: int = 24
-    bandwidth_factor: float = 1.06
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
         if not (1 <= self.startup <= self.trials):
             raise InvalidParameterError("startup must lie in [1, trials]")
-        if not (0.0 < self.gamma < 1.0):
-            raise InvalidParameterError("gamma must lie in (0, 1)")
-        if self.candidates < 1:
-            raise InvalidParameterError("candidates must be >= 1")
-        if not (0 < self.bandwidth_factor < math.inf):
-            raise InvalidParameterError("bandwidth_factor must be finite and > 0")
 
 
 @dataclass
@@ -126,11 +117,7 @@ class _Tally:
         return OptimizationResult(self.best_point, self.best_score, self.evals, self.failed_evals)
 
 
-def grid_search(
-    space: HyperparameterSpace,
-    objective: Objective,
-    cap: int = DEFAULT_GRID_CAP,
-) -> OptimizationResult:
+def grid_search(space: HyperparameterSpace, objective: Objective) -> OptimizationResult:
     """Exhaustive minimum over the full Cartesian product.
 
     Ties go to the first point in declared-parameter/declared-value order.
@@ -138,8 +125,8 @@ def grid_search(
     if not space.is_finite():
         raise InvalidParameterError("grid_search requires finite grid domains for every parameter")
     size = space.grid_size()
-    if size > cap:
-        raise GridTooLargeError(f"grid has {size} points, cap is {cap}")
+    if size > GRID_CAP:
+        raise GridTooLargeError(f"grid has {size} points, cap is {GRID_CAP}")
     tally = _Tally(objective)
     for point in space.grid_points():
         tally.score(point)
@@ -155,7 +142,7 @@ def pso_minimize(
     """Batch-synchronous particle swarm over the box of interval dimensions.
 
     Velocities follow ``v <- w v + c1 r1 (pbest - x) + c2 r2 (gbest - x)``,
-    clamped to a fraction of the box width; positions are clipped to the box.
+    clamped to half the box width; positions are clipped to the box.
     It makes exactly swarm_size * iterations evaluations and the running
     global best never worsens.
     """
@@ -165,7 +152,7 @@ def pso_minimize(
     widths = hi - lo
     rng = np.random.default_rng(seed)
     S, D = config.swarm_size, len(lo)
-    vmax = config.velocity_clamp * widths
+    vmax = _VELOCITY_CLAMP * widths
 
     positions = rng.uniform(lo, hi, size=(S, D))
     velocities = np.zeros((S, D))
@@ -183,9 +170,9 @@ def pso_minimize(
         r1 = rng.uniform(size=(S, D))
         r2 = rng.uniform(size=(S, D))
         velocities = (
-            config.inertia * velocities
-            + config.cognitive * r1 * (pbest_pos - positions)
-            + config.social * r2 * (gbest_pos - positions)
+            _INERTIA * velocities
+            + _COGNITIVE * r1 * (pbest_pos - positions)
+            + _SOCIAL * r2 * (gbest_pos - positions)
         )
         velocities = np.clip(velocities, -vmax, vmax)
         positions = np.clip(positions + velocities, lo, hi)
@@ -292,8 +279,8 @@ def tpe_minimize(
     """Sequential model-based search ranking candidates by good/bad density ratio.
 
     The first ``startup`` points are uniform; afterwards the history splits at
-    the gamma-quantile into good and bad sets, per-dimension Parzen estimators
-    l(x) and g(x) are fitted, ``candidates`` draws from l are ranked by
+    the ``_GAMMA``-quantile into good and bad sets, per-dimension Parzen estimators
+    l(x) and g(x) are fitted, ``_CANDIDATES`` draws from l are ranked by
     ``log l - log g``, and the best candidate is evaluated.
     """
     if len(space) == 0:
@@ -309,14 +296,12 @@ def tpe_minimize(
         else:
             # a stable sort, so equal scores keep evaluation order
             history = [points[i] for i in sorted(range(t), key=scores.__getitem__)]
-            n_good = max(1, math.ceil(config.gamma * t))
+            n_good = max(1, math.ceil(_GAMMA * t))
             good = history[:n_good]
             bad = history[n_good:] or good
-            l_est = _fit_parzen(space, good, config.bandwidth_factor)
-            g_est = _fit_parzen(space, bad, config.bandwidth_factor)
-            candidates = [
-                {name: est.sample(rng) for name, est in l_est.items()} for _ in range(config.candidates)
-            ]
+            l_est = _fit_parzen(space, good, _BANDWIDTH_FACTOR)
+            g_est = _fit_parzen(space, bad, _BANDWIDTH_FACTOR)
+            candidates = [{name: est.sample(rng) for name, est in l_est.items()} for _ in range(_CANDIDATES)]
             # one row of log densities per parameter, in space order, which is
             # the order each candidate's l and g sums add them in
             l_rows = [est.log_densities([c[n] for c in candidates]) for n, est in l_est.items()]

@@ -37,7 +37,7 @@ from .metrics import HIGHER_BETTER, METRIC_NAMES, BundleScorer, TargetWindow
 from .metrics import compute_bundle, mae, r2, rmse  # noqa: F401  (not called; perfbench's tracer wraps these names)
 from .models import ForecastModel, create as create_model, model_class
 from .optimizers import (
-    DEFAULT_GRID_CAP,
+    GRID_CAP,
     OptimizationResult,
     PsoConfig,
     TpeConfig,
@@ -102,7 +102,6 @@ class ExperimentConfig:
     alpha: float = 0.05
     pso: PsoConfig = field(default_factory=PsoConfig)
     tpe: TpeConfig = field(default_factory=TpeConfig)
-    grid_cap: int = DEFAULT_GRID_CAP
     hef_weights: MetricWeights = field(default_factory=MetricWeights)
     hef_penalties: PenaltySchedule = field(default_factory=PenaltySchedule)
     space_overrides: Mapping[str, Mapping[str, Domain]] = field(default_factory=dict)
@@ -144,8 +143,8 @@ class ExperimentConfig:
             label = optimizer_label(space, "hef", self.scs_optimizer)
             if label == "pso" and len(space.interval_names()) < len(space):
                 raise InvalidParameterError(f"{name} mixes grid and interval domains; pso searches intervals only")
-            if label == "grid" and space.grid_size() > self.grid_cap:
-                raise InvalidParameterError(f"{name} has {space.grid_size()} grid points, cap is {self.grid_cap}")
+            if label == "grid" and space.grid_size() > GRID_CAP:
+                raise InvalidParameterError(f"{name} has {space.grid_size()} grid points, cap is {GRID_CAP}")
 
     def search_space(self, name: str) -> HyperparameterSpace:
         """Model ``name``'s declared space with the overridden domains replaced."""
@@ -235,10 +234,16 @@ class ResultsStore:
                 consumed += len(line)
                 yield line.decode("utf-8", "surrogateescape")
 
+        def records(fh):  # a line the csv module refuses, such as one with a stray \r, ends the prefix
+            try:
+                yield from csv.reader(whole_lines(fh))
+            except csv.Error:
+                return
+
         with self.path.open("rb") as fh:
-            reader = csv.reader(whole_lines(fh))
+            reader = records(fh)
             columns = next(reader, None)
-            if columns is None:  # not even the header line is whole: an empty store
+            if columns is None:  # no whole, readable header line: an empty store at most
                 fh.seek(0)
                 if not _HEADER_LINE.encode().startswith(fh.read()):
                     raise InvalidParameterError(f"{self.path}: not a results store")
@@ -367,7 +372,7 @@ def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> Optimization
     if reps.grid is not None:
         return reps.grid
     if reps.label == "grid":
-        reps.grid = grid_search(reps.space, reps.objective, cap=config.grid_cap)
+        reps.grid = grid_search(reps.space, reps.objective)
         return reps.grid
     seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
     if reps.label == "pso":

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hef_lab.cli import main
-from hef_lab.config import SEED_ENV_VAR, build_experiment_config, parse_config_file, parse_override
+from hef_lab.config import _SCALAR_KEYS, SEED_ENV_VAR, build_experiment_config, parse_config_file, parse_override
 from hef_lab.errors import ConfigError
 from hef_lab.metrics import METRIC_NAMES
 from hef_lab.models import create
@@ -41,16 +41,8 @@ SCALAR_KEYS = [
     ("experiment.alpha", ("alpha",), 0.1),
     ("opt.pso.swarm_size", ("pso", "swarm_size"), 7),
     ("opt.pso.iterations", ("pso", "iterations"), 9),
-    ("opt.pso.inertia", ("pso", "inertia"), 0.5),
-    ("opt.pso.cognitive", ("pso", "cognitive"), 2.0),
-    ("opt.pso.social", ("pso", "social"), 1.0),
-    ("opt.pso.velocity_clamp", ("pso", "velocity_clamp"), 0.25),
     ("opt.tpe.trials", ("tpe", "trials"), 30),
     ("opt.tpe.startup", ("tpe", "startup"), 5),
-    ("opt.tpe.gamma", ("tpe", "gamma"), 0.3),
-    ("opt.tpe.candidates", ("tpe", "candidates"), 10),
-    ("opt.tpe.bandwidth_factor", ("tpe", "bandwidth_factor"), 2.0),
-    ("opt.grid.cap", ("grid_cap",), 500),
     ("hef.weights.r2", ("hef_weights", "r2"), 2),
     ("hef.weights.mae", ("hef_weights", "mae"), 3),
     ("hef.weights.rmse", ("hef_weights", "rmse"), 0.75),
@@ -59,6 +51,22 @@ SCALAR_KEYS = [
     ("hef.penalties.l3", ("hef_penalties", "level_3"), 1.6),
     ("hef.penalties.l4", ("hef_penalties", "level_4"), 2.5),
 ]
+
+
+# search settings that are module constants of ``hef_lab.optimizers``, no longer keys
+REMOVED_KEYS = [
+    "opt.pso.inertia",
+    "opt.pso.cognitive",
+    "opt.pso.social",
+    "opt.pso.velocity_clamp",
+    "opt.tpe.gamma",
+    "opt.tpe.candidates",
+    "opt.tpe.bandwidth_factor",
+    "opt.grid.cap",
+]
+
+# p and q over 1,001 orders each, times arima's 3 declared d values: 3,006,003 grid points
+ARIMA_ORDERS = {f"models.arima.space.{p}": {"grid": list(range(1001))} for p in ("p", "q")}
 
 
 def settings_by_path(config: ExperimentConfig) -> dict[tuple[str, ...], object]:
@@ -278,13 +286,9 @@ class TestRun:
             ("hef.weights.r2", "NaN"),
             ("hef.weights.mae", "Infinity"),
             ("hef.weights.r2", "1" + "0" * 400),
-            ("opt.grid.cap", "1" * 5000),  # past the integer parser's digit limit
+            ("opt.pso.iterations", "1" * 5000),  # past the integer parser's digit limit
             ("hef.penalties.l1", "NaN"),
             ("hef.penalties.l4", "Infinity"),
-            ("opt.pso.cognitive", "Infinity"),
-            ("opt.pso.social", "NaN"),
-            ("opt.pso.inertia", "NaN"),
-            ("opt.tpe.bandwidth_factor", "Infinity"),
             ("experiment.alpha", "-Infinity"),
             ("models.ses.space.alpha", '{"min": 0, "max": 1' + "0" * 400 + "}"),
             ("models.ses.space.alpha", '{"min": NaN, "max": 1}'),
@@ -325,9 +329,12 @@ class TestRun:
         assert "failed 0" in capsys.readouterr().out
 
     def test_grid_above_the_cap_exits_1(self, workdir, capsys) -> None:
-        assert self._run_with(workdir, "opt.grid.cap=3") == 1
+        orders = (f"{key}={json.dumps(domain)}" for key, domain in ARIMA_ORDERS.items())
+        assert self._run_with(workdir, 'experiment.models=["arima"]', *orders) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: opt.grid.cap: knn has 15 grid points") and err.count("\n") == 1
+        assert err == (
+            "error: models.arima.space.p, models.arima.space.q: arima has 3006003 grid points, cap is 1000000\n"
+        )
         assert not (workdir / "out" / "results.csv").exists()
 
     def test_bad_dataset_exits_1(self, workdir) -> None:
@@ -396,6 +403,65 @@ class TestCompareAndReport:
         for metric in METRIC_NAMES:
             lines = (out / "report" / f"improvement_{metric}.csv").read_text().splitlines()
             assert len(lines) == 1  # baseline never ran in this sweep
+
+
+class TestStrayCarriageReturn:
+    """A ``\\r`` inside a line, which the csv module refuses to read."""
+
+    @pytest.fixture
+    def stores(self, workdir):
+        """The store of a finished run, the same store with a ``\\r`` inside the
+        fourth row of task 24 (the first task of p2), and its first 24 tasks only."""
+        out = workdir / "out"
+        assert run_cli("run", "--config", str(workdir / "exp.cfg"), "--data", str(workdir / "data.csv"),
+                       "--out", str(out)) == 0
+        whole = (out / "results.csv").read_bytes()
+        lines = whole.split(b"\r\n")
+        damaged = b"\r\n".join(lines[:220] + [lines[220][:1] + b"\r" + lines[220][1:]] + lines[221:])
+        prefix = b"\r\n".join(lines[:217]) + b"\r\n"
+        return out, whole, damaged, prefix
+
+    @staticmethod
+    def _outputs(out, command, capsys):
+        """The exit code, stdout and files of ``command`` on ``out``."""
+        code = run_cli(command, "--out", str(out))
+        stdout = capsys.readouterr().out.replace(str(out), "OUT")
+        written = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*.csv") if p.name != "results.csv"}
+        return code, stdout, written
+
+    @pytest.mark.parametrize("command", ["compare", "report"])
+    def test_in_a_row_analysis_reads_the_whole_tasks_before_it(self, tmp_path, stores, capsys, command) -> None:
+        out, _, damaged, prefix = stores
+        expected_dir, damaged_dir = tmp_path / "expected", tmp_path / "damaged"
+        for directory, data in ((expected_dir, prefix), (damaged_dir, damaged)):
+            directory.mkdir()
+            (directory / "results.csv").write_bytes(data)
+        expected = self._outputs(expected_dir, command, capsys)
+        assert expected[0] == 0
+        assert self._outputs(damaged_dir, command, capsys) == expected
+        assert (damaged_dir / "results.csv").read_bytes() == damaged
+
+    def test_in_a_row_run_drops_and_reruns_the_tasks_from_it(self, workdir, stores, capsys, caplog) -> None:
+        out, whole, damaged, prefix = stores
+        (out / "results.csv").write_bytes(damaged)
+        args = ("run", "--config", str(workdir / "exp.cfg"), "--data", str(workdir / "data.csv"), "--out", str(out))
+        assert run_cli(*args) == 0
+        assert "executed 12, resumed-skip 24, failed 0" in capsys.readouterr().out
+        assert f"dropping {len(damaged) - len(prefix)} bytes after the last whole task" in caplog.text
+        rerun = (out / "results.csv").read_bytes()
+        assert rerun.startswith(prefix)
+        without_exec_time = lambda data: [line for line in data.split(b"\r\n") if b",exec_time," not in line]
+        assert without_exec_time(rerun) == without_exec_time(whole)
+
+    @pytest.mark.parametrize("command", ["compare", "report", "run"])
+    def test_in_the_header_is_not_a_results_store(self, workdir, stores, capsys, command) -> None:
+        out, whole, _, _ = stores
+        damaged = whole[:3] + b"\r" + whole[3:]
+        (out / "results.csv").write_bytes(damaged)
+        args = ("--config", str(workdir / "exp.cfg"), "--data", str(workdir / "data.csv")) if command == "run" else ()
+        assert run_cli(command, *args, "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {out / 'results.csv'}: not a results store\n"
+        assert (out / "results.csv").read_bytes() == damaged
 
 
 def write_store(path, label_of=lambda model, rep: {"ses": "pso", "knn": "grid"}[model]) -> None:
@@ -566,9 +632,9 @@ class TestConfigModule:
             ("experiment.alpha", None),
             ("experiment.seed", None),
             ("opt.tpe.trials", 30.0),
-            ("opt.grid.cap", "big"),
+            ("opt.tpe.startup", "big"),
             ("experiment.scs_optimizer", "grid"),
-            ("opt.pso.inertia", 1.0),
+            ("opt.pso.iterations", 0),
             ("opt.tpe.trials", 5),  # fewer than the default 10 startup trials
             ("hef.penalties.l2", 1.6),  # above the default l3 of 1.5
             ("experiment.conditions", ["hef"]),
@@ -630,7 +696,7 @@ class TestConfigModule:
                 build_experiment_config({"experiment.models": ["ses"], key: 3})
 
     @pytest.mark.parametrize(
-        "key", ["opt.grid.cap", "hef.weights.r2", "opt.pso.iterations", "experiment.seed"]
+        "key", ["opt.tpe.startup", "hef.weights.r2", "opt.pso.iterations", "experiment.seed"]
     )
     def test_booleans_are_not_numbers(self, key) -> None:
         with pytest.raises(ConfigError, match=key):
@@ -657,19 +723,36 @@ class TestConfigModule:
     @pytest.mark.parametrize(
         "flat, keys",
         [
-            ({"experiment.models": ["ses", "knn"], "opt.grid.cap": 3}, "opt.grid.cap: knn has 15 grid points"),
             (
-                {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": [0.1, 0.5]}, "opt.grid.cap": 1},
-                "opt.grid.cap, models.ses.space.alpha: ses has 2 grid points",
+                {"experiment.models": ["ses", "arima"], **ARIMA_ORDERS},
+                "models.arima.space.p, models.arima.space.q: arima has 3006003 grid points, cap is 1000000",
+            ),
+            (
+                {"experiment.models": ["arima"], "experiment.scs_optimizer": "tpe", **ARIMA_ORDERS},
+                "experiment.scs_optimizer, models.arima.space.p, models.arima.space.q: arima has 3006003",
             ),
         ],
     )
     def test_grid_above_the_cap_refused(self, flat, keys) -> None:
         with pytest.raises(ConfigError, match=re.escape(keys)):
             build_experiment_config(flat)
-        # a cap that holds the grid, or a grid the run does not search, is accepted
-        build_experiment_config({**flat, "opt.grid.cap": 15})
+        # a grid of exactly the cap, or a grid the run does not search, is accepted
+        at_the_cap = {f"models.arima.space.{p}": {"grid": list(range(1000))} for p in ("p", "q")}
+        build_experiment_config({**flat, **at_the_cap, "models.arima.space.d": {"grid": [0]}})
         build_experiment_config({**flat, "experiment.models": ["lsr"]})
+
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_search_setting_is_an_unknown_key(self, key) -> None:
+        with pytest.raises(ConfigError, match=f"^unknown config keys: {re.escape(key)}$"):
+            build_experiment_config({"experiment.models": ["ses"], key: 1})
+
+    def test_each_settings_field_is_set_by_exactly_one_key(self) -> None:
+        config = ExperimentConfig(models=("ses",))
+        set_by_keys = list(_SCALAR_KEYS.values())
+        assert {key for key, _, _ in SCALAR_KEYS} == set(_SCALAR_KEYS)  # each key's row is checked above
+        for name in ("pso", "tpe", "hef_weights", "hef_penalties"):
+            for f in fields(getattr(config, name)):
+                assert set_by_keys.count((name, f.name)) == 1, (name, f.name)
 
     def test_bad_space_override(self) -> None:
         flat = {"experiment.models": ["ses"], "models.ses.space.alpha": {"grid": "oops"}}

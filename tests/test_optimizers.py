@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from hef_lab import optimizers
 from hef_lab.errors import (
     EmptySpaceError,
     GridTooLargeError,
@@ -83,9 +84,11 @@ class TestGridSearch:
         assert result.best_point == {"a": 2}
 
     def test_cap(self) -> None:
-        space = HyperparameterSpace({"a": GridDomain(tuple(range(100)))})
-        with pytest.raises(GridTooLargeError):
-            grid_search(space, lambda p: 0.0, cap=99)
+        space = HyperparameterSpace({"a": GridDomain(tuple(range(1001))), "b": GridDomain(tuple(range(1000)))})
+        recording = Recording(lambda p: 0.0)
+        with pytest.raises(GridTooLargeError, match="grid has 1001000 points, cap is 1000000"):
+            grid_search(space, recording)
+        assert recording.points == []
 
     def test_requires_finite_domains(self) -> None:
         space = HyperparameterSpace({"a": IntervalDomain(0, 1)})
@@ -252,11 +255,25 @@ class TestPso:
         with pytest.raises(EmptySpaceError):
             pso_minimize(HyperparameterSpace({}), sphere)
 
+    def test_result_is_frozen(self) -> None:
+        # frozen values: any change to the swarm's constants, draw order or
+        # arithmetic moves them
+        space = HyperparameterSpace({"x": IntervalDomain(-5.0, 5.0), "alpha": IntervalDomain(1e-3, 10.0, scale="log")})
+
+        def objective(point):
+            return (point["x"] - 1.3) ** 2 + (math.log10(point["alpha"]) - 0.2) ** 2
+
+        result = pso_minimize(space, objective, PsoConfig(swarm_size=5, iterations=10), seed=1)
+        assert result.best_point["x"] == pytest.approx(1.3158475767289113, rel=1e-12)
+        assert result.best_point["alpha"] == pytest.approx(1.9129947819327318, rel=1e-12)
+        assert result.best_score == pytest.approx(0.006928288413524713, rel=1e-12)
+        assert (result.evals, result.failed_evals) == (50, 0)
+
     def test_config_validation(self) -> None:
         with pytest.raises(InvalidParameterError):
             PsoConfig(swarm_size=1)
         with pytest.raises(InvalidParameterError):
-            PsoConfig(inertia=1.2)
+            PsoConfig(iterations=0)
 
 
 class TestTpe:
@@ -306,7 +323,7 @@ class TestTpe:
         assert result.best_point["kind"] == "high"
         assert result.best_score < 0.1
 
-    def test_mixed_space_result_is_frozen(self) -> None:
+    def test_mixed_space_result_is_frozen(self, monkeypatch) -> None:
         # frozen values: any change to the estimators' draw order or
         # arithmetic on grid, log and integer dimensions moves them
         space = HyperparameterSpace(
@@ -327,7 +344,8 @@ class TestTpe:
                 + (point["mix"] - 0.3) ** 2
             )
 
-        result = tpe_minimize(space, objective, TpeConfig(trials=30, startup=6, candidates=16), seed=11)
+        monkeypatch.setattr(optimizers, "_CANDIDATES", 16)
+        result = tpe_minimize(space, objective, TpeConfig(trials=30, startup=6), seed=11)
         assert (result.best_point["kind"], result.best_point["depth"]) == ("b", 6)
         assert result.best_point["alpha"] == pytest.approx(0.008445310807514301, rel=1e-12)
         assert result.best_point["mix"] == pytest.approx(-0.6104798109033431, rel=1e-12)
@@ -353,5 +371,5 @@ class TestTpe:
         with pytest.raises(InvalidParameterError):
             TpeConfig(trials=5, startup=9)
         with pytest.raises(InvalidParameterError):
-            TpeConfig(gamma=1.0)
+            TpeConfig(trials=0)
 

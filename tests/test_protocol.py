@@ -373,7 +373,14 @@ class TestRunExperiment:
                 InvalidParameterError,
                 "ses declares no parameter beta",
             ),
-            (dict(grid_cap=3), InvalidParameterError, "knn has 15 grid points, cap is 3"),
+            (
+                dict(
+                    models=("arima",),
+                    space_overrides={"arima": {p: GridDomain(tuple(range(1001))) for p in ("p", "q")}},
+                ),
+                InvalidParameterError,
+                "arima has 3006003 grid points, cap is 1000000",
+            ),
             (
                 dict(models=("enr",), space_overrides={"enr": {"l1_ratio": GridDomain((0.1, 0.5))}}),
                 InvalidParameterError,

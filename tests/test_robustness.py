@@ -16,7 +16,7 @@ from hef_lab.errors import HefLabError
 from hef_lab.evaluation import hef_score, maef_score
 from hef_lab.metrics import TargetWindow, compute_bundle
 from hef_lab.models import available_models, create
-from hef_lab.optimizers import DEFAULT_GRID_CAP, PsoConfig, TpeConfig
+from hef_lab.optimizers import GRID_CAP, PsoConfig, TpeConfig
 from hef_lab.protocol import ExperimentConfig, ResultsStore, run_experiment
 from hef_lab.series import Dataset, SplitRatio, temporal_split
 from hef_lab.spaces import GridDomain, IntervalDomain
@@ -112,11 +112,10 @@ def test_sweep_over_overridden_spaces_is_refused_or_completes(name, tmp_path) ->
         undeclared = trial == 0
         if undeclared:
             override["zz"] = IntervalDomain(0.0, 1.0)
-        grid_cap = int(rng.choice([4, DEFAULT_GRID_CAP]))
         space = {**declared, **override}
         grids = [len(d.values) for d in space.values() if isinstance(d, GridDomain)]
         runnable = not undeclared and (
-            (len(grids) == len(space) and math.prod(grids) <= grid_cap)
+            (len(grids) == len(space) and math.prod(grids) <= GRID_CAP)
             or (0 < len(space) - len(grids) and (scs_optimizer == "tpe" or not grids))
         )
         try:
@@ -126,7 +125,6 @@ def test_sweep_over_overridden_spaces_is_refused_or_completes(name, tmp_path) ->
                 scs_optimizer=scs_optimizer,
                 pso=PsoConfig(swarm_size=3, iterations=2),
                 tpe=TpeConfig(trials=4, startup=2),
-                grid_cap=grid_cap,
                 space_overrides={name: override},
             )
         except HefLabError:
