@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import InsufficientDataError, NonConvergenceError
+from ..errors import InsufficientDataError, InvalidParameterError, NonConvergenceError
 from ..spaces import GridDomain, HyperparameterSpace
 from . import FittedModel, ForecastModel, register
 
@@ -77,6 +77,8 @@ class ArimaModel(ForecastModel):
         from scipy.optimize import minimize  # imported here, so importing the models does not load scipy
 
         p, d, q = int(config["p"]), int(config["d"]), int(config["q"])
+        if min(p, d, q) < 0:
+            raise InvalidParameterError(f"arima({p},{d},{q}): orders must be non-negative")
         with np.errstate(all="ignore"):  # a diverging search is capped or refused below
             w = np.diff(y, n=d) if d else y
             T = len(w)

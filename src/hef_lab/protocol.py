@@ -21,12 +21,14 @@ import logging
 import math
 import os
 import time
+from bisect import bisect_right
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -200,6 +202,61 @@ def optimizer_label(space: HyperparameterSpace, condition: str, scs_optimizer: s
 STORE_COLUMNS = ("series_id", "model", "condition", "optimizer", "split", "rep", "metric", "value")
 _HEADER_LINE = ",".join(STORE_COLUMNS) + "\r\n"
 
+# One task's rows: its key (series_id, model, condition, split, rep) and each
+# row's optimizer label, metric and value, in row order.
+_Record = tuple[tuple[str, str, str, str, int], tuple[str, ...], tuple[str, ...], tuple[float, ...]]
+
+
+class _Rows(Sequence):
+    """A read-only sequence of row dicts over task records, each dict built
+    when it is read. It equals the tuple of those dicts."""
+
+    def __init__(self, records: Sequence[_Record]) -> None:
+        self.records = records
+        self._starts = [0, *accumulate(len(values) for *_, values in records)]
+
+    def __len__(self) -> int:
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]  # negative and out-of-range indices as a tuple takes them
+        r = bisect_right(self._starts, i) - 1
+        key, *columns = self.records[r]
+        return _row(key, *(column[i - self._starts[r]] for column in columns))
+
+    def __iter__(self) -> Iterator[dict]:
+        return (_row(key, *fields) for key, *columns in self.records for fields in zip(*columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Rows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _row(key: tuple[str, str, str, str, int], optimizer: str, metric: str, value: float) -> dict:
+    series_id, model, condition, split, rep = key
+    return dict(zip(STORE_COLUMNS, (series_id, model, condition, optimizer, split, rep, metric, value)))
+
+
+def _records(rows: Iterable[Mapping]) -> Iterable[_Record]:
+    """The task records of a store's rows, or of any row mappings in row
+    order: there each run of consecutive rows of one task is a record."""
+    if isinstance(rows, _Rows):
+        return rows.records
+    return (
+        (key, *zip(*((row["optimizer"], row["metric"], float(row["value"])) for row in group)))
+        for key, group in groupby(
+            rows, lambda row: (row["series_id"], row["model"], row["condition"], row["split"], int(row["rep"]))
+        )
+    )
+
 
 class ResultsStore:
     """Append-only long-format CSV of metric values, one writer at a time.
@@ -216,7 +273,7 @@ class ResultsStore:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._rows: list[dict] = []
+        self._rows = _Rows(())
         self._completed: set[tuple] = set()
         self._size = 0  # bytes of the header and the whole task blocks after it
         self._fh: TextIO | None = None
@@ -240,6 +297,8 @@ class ResultsStore:
             except csv.Error:
                 return
 
+        tasks: list[_Record] = []
+        shared: dict = {}  # one object per distinct string, label tuple and metric tuple
         with self.path.open("rb") as fh:
             reader = records(fh)
             columns = next(reader, None)
@@ -251,35 +310,39 @@ class ResultsStore:
             if tuple(columns) != STORE_COLUMNS:
                 raise InvalidParameterError(f"{self.path}: unexpected store columns {columns}")
             self._size = consumed
-            block: list[dict] = []
+            block_key = None
             for fields in reader:
                 try:
                     series_id, model, condition, optimizer, split, rep, metric, value = fields
-                    row = dict(zip(STORE_COLUMNS, fields), rep=int(rep), value=float(value))
+                    key, value = (series_id, model, condition, split, int(rep)), float(value)
                 except ValueError:  # a malformed line, such as rows glued onto a torn one
                     break
-                key = (series_id, model, condition, split, row["rep"])
-                if not block:
-                    block_key, names = key, required_metrics(condition)
+                if block_key is None:
+                    block_key, names, optimizers, metrics, values = key, required_metrics(condition), [], [], []
                 elif key != block_key:
                     break  # the task before this row was cut short
-                block.append(row)
-                if len(block) == len(names):
-                    if {r["metric"] for r in block} != set(names):
+                optimizers.append(optimizer)
+                metrics.append(metric)
+                values.append(value)
+                if len(values) == len(names):
+                    if set(metrics) != set(names):
                         break
-                    self._rows.extend(block)
+                    key = tuple(shared.setdefault(v, v) for v in key)
+                    optimizers, metrics = (shared.setdefault(t, t) for t in (tuple(optimizers), tuple(metrics)))
+                    tasks.append((key, optimizers, metrics, tuple(values)))
                     self._completed.add(key)
-                    block = []
+                    block_key = None
                     self._size = consumed
+        self._rows = _Rows(tasks)
 
     def __len__(self) -> int:
         return len(self._completed)
 
     @property
-    def rows(self) -> tuple[dict, ...]:
-        """The rows of whole task blocks read when the store was opened;
-        ``append`` writes the file only."""
-        return tuple(self._rows)
+    def rows(self) -> Sequence[Mapping]:
+        """The rows of whole task blocks read when the store was opened, each
+        a dict built when it is read; ``append`` writes the file only."""
+        return self._rows
 
     def is_complete(self, key: TaskKey) -> bool:
         return key.as_tuple() in self._completed
@@ -527,28 +590,29 @@ _Index = dict[tuple[str, str, str, str], tuple[str, dict[str, dict[int, float]]]
 
 def _index(rows: Iterable[Mapping], pair: tuple[str, str]) -> _Index:
     """Each run of the rows with its one optimizer label and its values, for
-    an analysis of ``pair``. Refused: a pair that does not name two distinct
-    conditions, a non-finite value, a run stored under two labels, and a cell
-    whose searched conditions ran under two labels; a resume with another
-    optimizer writes the last two."""
+    an analysis of ``pair``, read task record by task record. Refused: a pair
+    that does not name two distinct conditions, a non-finite value, a run
+    stored under two labels, and a cell whose searched conditions ran under
+    two labels; a resume with another optimizer writes the last two."""
     if len(pair) != 2 or pair[0] == pair[1] or not set(pair) <= set(CONDITIONS):
         raise InvalidParameterError(
             f"pair must name two distinct conditions of {', '.join(CONDITIONS)}, got {', '.join(pair)}"
         )
     index: _Index = {}
-    for row in rows:
-        run = (row["series_id"], row["model"], row["split"], row["condition"])
+    for (series_id, model, condition, split, rep), optimizers, metrics, values in _records(rows):
+        run = (series_id, model, split, condition)
         entry = index.get(run)
         if entry is None:
-            entry = index[run] = (row["optimizer"], {})
-        elif row["optimizer"] != entry[0]:
-            raise InvalidParameterError(
-                f"run {'/'.join(run)} holds reps under two optimizer labels, {entry[0]} and {row['optimizer']}"
-            )
-        value = float(row["value"])
-        if not math.isfinite(value):  # written before scoring refused it, or by hand
-            raise InvalidParameterError(f"run {'/'.join(run)} holds {row['metric']} = {value!r} at rep {row['rep']}")
-        entry[1].setdefault(row["metric"], {})[int(row["rep"])] = value
+            entry = index[run] = (optimizers[0], {})
+        label, by_metric = entry
+        for optimizer, metric, value in zip(optimizers, metrics, values):
+            if optimizer != label:
+                raise InvalidParameterError(
+                    f"run {'/'.join(run)} holds reps under two optimizer labels, {label} and {optimizer}"
+                )
+            if not math.isfinite(value):  # written before scoring refused it, or by hand
+                raise InvalidParameterError(f"run {'/'.join(run)} holds {metric} = {value!r} at rep {rep}")
+            by_metric.setdefault(metric, {})[rep] = value
     searched: dict[tuple[str, ...], tuple[str, str]] = {}  # cell -> (condition, label)
     for (*cell, condition), (label, _) in index.items():
         if condition == "baseline":

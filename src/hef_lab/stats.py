@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -97,26 +98,17 @@ def _unit_scaled(largest: float, *samples: np.ndarray) -> list[np.ndarray]:
     return [np.ldexp(s, -exponent) for s in samples]
 
 
-def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
-    """W statistic and upper-tail p for normality, 3 <= n <= 5000."""
-    from scipy.special import ndtr, ndtri
-
-    x = np.sort(np.asarray(sample, dtype=float))
-    n = len(x)
-    if n < 3:
-        raise SampleTooSmallError(f"shapiro_wilk needs n >= 3, got {n}")
-    if n > 5000:
-        raise SampleTooLargeError(f"shapiro_wilk needs n <= 5000, got {n}")
-    if x[-1] == x[0]:
-        raise DegenerateSampleError("all sample values are identical")
-    (x,) = _unit_scaled(max(-float(x[0]), float(x[-1])), x)  # W does not depend on scale
-
-    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    msq = float(m @ m)
+@lru_cache(maxsize=64)
+def _shapiro_coefficients(n: int) -> np.ndarray:
+    """Royston's coefficients ``a`` for a sorted sample of n, read-only."""
     a = np.empty(n)
     if n == 3:
         a[0], a[1], a[2] = -math.sqrt(0.5), 0.0, math.sqrt(0.5)
     else:
+        from scipy.special import ndtri
+
+        m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+        msq = float(m @ m)
         u = 1.0 / math.sqrt(n)
         c = m / math.sqrt(msq)
         a_last = float(c[-1]) + _poly(u, _C_LAST)
@@ -131,7 +123,25 @@ def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
             phi = (msq - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_last**2)
             a[1:-1] = m[1:-1] / math.sqrt(phi)
             a[-1], a[0] = a_last, -a_last
+    a.flags.writeable = False
+    return a
 
+
+def shapiro_wilk(sample: Sequence[float], alpha: float = 0.05) -> TestResult:
+    """W statistic and upper-tail p for normality, 3 <= n <= 5000."""
+    from scipy.special import ndtr
+
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    if n < 3:
+        raise SampleTooSmallError(f"shapiro_wilk needs n >= 3, got {n}")
+    if n > 5000:
+        raise SampleTooLargeError(f"shapiro_wilk needs n <= 5000, got {n}")
+    if x[-1] == x[0]:
+        raise DegenerateSampleError("all sample values are identical")
+    (x,) = _unit_scaled(max(-float(x[0]), float(x[-1])), x)  # W does not depend on scale
+
+    a = _shapiro_coefficients(n)
     w_num = float(a @ x) ** 2
     w_den = float(((x - x.mean()) ** 2).sum())
     w = min(w_num / w_den, 1.0 - 1e-15)

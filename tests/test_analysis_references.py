@@ -5,11 +5,13 @@ analysis grouped the store's rows on its own, copied verbatim. The analysis
 now reads one index of the rows; on stores where no run holds two optimizer
 labels it must give the same tables, verdicts, p-values and improvement rows,
 so every comparison here is by ``repr``. The Mann-Whitney ranks are checked
-the same way against the loop they replaced.
+the same way against the loop they replaced, and Shapiro-Wilk against the
+function that computed its coefficients on every call.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
@@ -17,21 +19,29 @@ import pytest
 from scipy.special import ndtr
 
 from hef_lab import stats
-from hef_lab.errors import HefLabError, InvalidParameterError
+from hef_lab.errors import (
+    DegenerateSampleError,
+    HefLabError,
+    InvalidParameterError,
+    SampleTooLargeError,
+    SampleTooSmallError,
+)
 from hef_lab.metrics import HIGHER_BETTER, METRIC_NAMES
 from hef_lab.protocol import (
+    STORE_COLUMNS,
     VERDICT_A,
     VERDICT_B,
     VERDICT_NONE,
     CaseOutcome,
     CaseTable,
+    ResultsStore,
     case_tables_by_group,
     count_cases,
     improvement_rows,
     required_metrics,
     z_summary,
 )
-from hef_lab.stats import compare_paired_runs
+from hef_lab.stats import _C_LAST, _C_SECOND, _poly, _unit_scaled, compare_paired_runs
 
 
 def _reference_group_cells(rows):
@@ -342,6 +352,71 @@ class TestMixedLabels:
         assert table.comparisons["mae"] == 1
 
 
+# --- the store's records and plain row mappings ----------------------------------
+
+
+def _write_store(rows, path) -> None:
+    """The rows as a results store file, values written as ``append`` writes them."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(STORE_COLUMNS)
+        writer.writerows([*(row[c] for c in STORE_COLUMNS[:-1]), repr(float(row["value"]))] for row in rows)
+
+
+def _edited(rows, at, **fields):
+    return [{**row, **fields} if i in at else row for i, row in enumerate(rows)]
+
+
+def _stores():
+    rows = synthetic_store(0)
+    maef = [i for i, row in enumerate(rows) if row["condition"] == "maef" and row["model"] == "rr"]
+    return {
+        "synthetic-0": rows,
+        "synthetic-1": synthetic_store(1),
+        "nan": _edited(rows, {40}, value=math.nan),
+        "-inf": _edited(rows, {41}, value=-math.inf),
+        "1e999": _edited(rows, {len(rows) - 3}, value=1e999),
+        "run-under-two-labels": TestMixedLabels.mixed_store(),
+        "label-inside-a-task": _edited(rows, {43}, optimizer="grid"),
+        "cell-under-two-labels": _edited(rows, set(maef), optimizer="pso"),
+    }
+
+
+def _analyses(rows, pair) -> list:
+    """Every analysis of ``rows`` for ``pair`` by ``repr``, and each refusal by its message."""
+    out = []
+    for analysis in (
+        lambda: [(repr(table), _z_summaries(table)) for table in case_tables_by_group(rows, pair)],
+        lambda: [
+            (repr(table), _z_summaries(table))
+            for split in (None, *SPLITS)
+            for optimizer in (None, "pso", "tpe", "grid", "fixed")
+            for table in [count_cases(rows, pair, split=split, optimizer=optimizer)]
+        ],
+        lambda: repr(improvement_rows(rows, pair)),
+    ):
+        try:
+            out.append(analysis())
+        except InvalidParameterError as exc:
+            out.append(f"refused: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("store", list(_stores()))
+def test_store_records_and_row_mappings_give_the_same_analysis(tmp_path, store) -> None:
+    # the store's rows are read from its task records, a list of dicts is grouped into records first
+    written = _stores()[store]
+    _write_store(written, tmp_path / "results.csv")
+    rows = ResultsStore(tmp_path / "results.csv").rows
+    assert len(rows) == len(written)
+    refusals = 0
+    for pair in PAIRS:
+        analyses = _analyses(rows, pair)
+        assert analyses == _analyses([dict(r) for r in rows], pair)
+        refusals += sum(isinstance(a, str) and a.startswith("refused: ") for a in analyses)
+    assert (refusals > 0) == (store not in ("synthetic-0", "synthetic-1"))
+
+
 # --- Mann-Whitney ranks -----------------------------------------------------------
 
 
@@ -379,3 +454,117 @@ class TestMannWhitneyRanks:
     def test_signed_zeros_infinities_and_full_ties(self, a, b) -> None:
         a, b = np.array(a), np.array(b)
         assert repr(stats._mann_whitney(a, b)) == repr(_reference_mann_whitney(a, b))
+
+
+# --- Shapiro-Wilk coefficients ------------------------------------------------------
+
+
+def _reference_shapiro_wilk(sample, alpha=0.05):
+    """W statistic and upper-tail p for normality, 3 <= n <= 5000."""
+    from scipy.special import ndtr, ndtri
+
+    x = np.sort(np.asarray(sample, dtype=float))
+    n = len(x)
+    if n < 3:
+        raise SampleTooSmallError(f"shapiro_wilk needs n >= 3, got {n}")
+    if n > 5000:
+        raise SampleTooLargeError(f"shapiro_wilk needs n <= 5000, got {n}")
+    if x[-1] == x[0]:
+        raise DegenerateSampleError("all sample values are identical")
+    (x,) = _unit_scaled(max(-float(x[0]), float(x[-1])), x)  # W does not depend on scale
+
+    m = ndtri((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    msq = float(m @ m)
+    a = np.empty(n)
+    if n == 3:
+        a[0], a[1], a[2] = -math.sqrt(0.5), 0.0, math.sqrt(0.5)
+    else:
+        u = 1.0 / math.sqrt(n)
+        c = m / math.sqrt(msq)
+        a_last = float(c[-1]) + _poly(u, _C_LAST)
+        if n > 5:
+            a_second = float(c[-2]) + _poly(u, _C_SECOND)
+            phi = (msq - 2.0 * m[-1] ** 2 - 2.0 * m[-2] ** 2) / (
+                1.0 - 2.0 * a_last**2 - 2.0 * a_second**2
+            )
+            a[2:-2] = m[2:-2] / math.sqrt(phi)
+            a[-1], a[-2], a[0], a[1] = a_last, a_second, -a_last, -a_second
+        else:
+            phi = (msq - 2.0 * m[-1] ** 2) / (1.0 - 2.0 * a_last**2)
+            a[1:-1] = m[1:-1] / math.sqrt(phi)
+            a[-1], a[0] = a_last, -a_last
+
+    w_num = float(a @ x) ** 2
+    w_den = float(((x - x.mean()) ** 2).sum())
+    w = min(w_num / w_den, 1.0 - 1e-15)
+
+    if n == 3:
+        p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
+        p = min(max(p, 0.0), 1.0)
+    elif n <= 11:
+        gamma = -2.273 + 0.459 * n
+        y = math.log1p(-w)
+        if y >= gamma:  # W below the approximation's domain: reject, as AS R94 does
+            p = 1e-99
+        else:
+            stat = -math.log(gamma - y)
+            mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
+            sigma = math.exp(1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3)
+            p = float(ndtr(-(stat - mu) / sigma))
+    else:
+        stat = math.log1p(-w)
+        log_n = math.log(n)
+        mu = -1.5861 - 0.31082 * log_n - 0.083751 * log_n**2 + 0.0038915 * log_n**3
+        sigma = math.exp(-0.4803 - 0.082676 * log_n + 0.0030302 * log_n**2)
+        p = float(ndtr(-(stat - mu) / sigma))
+
+    return stats.TestResult(  # named through its module, so that pytest does not collect it here
+        statistic=w, p_value=p, test_name="shapiro_wilk", alpha=alpha, significant=p < alpha
+    )
+
+
+def _shapiro_samples(rng: np.random.Generator, n: int) -> list[np.ndarray]:
+    """Normal, skewed, tied and far-scaled samples of n values."""
+    return [
+        rng.normal(5.0, 1.0, n),
+        rng.exponential(1.0, n),
+        rng.integers(0, 4, n).astype(float),
+        rng.normal(0.0, 1.0, n) * 1e250,
+    ]
+
+
+class TestShapiroWilk:
+    def test_equals_the_frozen_function_bitwise(self) -> None:
+        rng = np.random.default_rng(77)
+        for n in range(3, 61):
+            for _ in range(5):
+                for sample in _shapiro_samples(rng, n):
+                    try:
+                        expected = repr(_reference_shapiro_wilk(sample))
+                    except HefLabError as exc:
+                        expected = f"{type(exc).__name__}: {exc}"
+                    try:
+                        got = repr(stats.shapiro_wilk(sample))
+                    except HefLabError as exc:
+                        got = f"{type(exc).__name__}: {exc}"
+                    assert got == expected, (n, sample)
+
+    def test_coefficients_are_computed_once_per_n_and_read_only(self) -> None:
+        first = stats._shapiro_coefficients(21)
+        assert stats._shapiro_coefficients(21) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_three_values_need_no_normal_quantiles(self, monkeypatch) -> None:
+        import scipy.special
+
+        sample = [1.0, 2.5, 2.0]
+        expected = repr(_reference_shapiro_wilk(sample))
+
+        def refused(*args):
+            raise AssertionError("ndtri called at n = 3")
+
+        monkeypatch.setattr(scipy.special, "ndtri", refused)
+        stats._shapiro_coefficients.cache_clear()
+        assert repr(stats.shapiro_wilk(sample)) == expected

@@ -6,12 +6,14 @@ import csv
 import itertools
 import multiprocessing
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hef_lab import protocol
+from hef_lab.config import build_experiment_config
 from hef_lab.errors import InsufficientDataError, InvalidParameterError, UnknownModelError
 from hef_lab.metrics import METRIC_NAMES, compute_bundle
 from hef_lab.models import create, model_class
@@ -422,6 +424,56 @@ class TestRunExperiment:
         assert base_rows(tmp_path / "a.csv") == base_rows(tmp_path / "b.csv")
 
 
+class TestStoreRows:
+    @staticmethod
+    def write_store(path: Path, series: int, reps: int) -> None:
+        """A store of ses, lr and knn under hef and maef, written task by task."""
+        rng = np.random.default_rng(6)
+        store = ResultsStore(path)
+        tasks = itertools.product(range(series), ("ses", "lr", "knn"), ("hef", "maef"), range(reps))
+        for s, model, condition, rep in tasks:
+            label = "pso" if model == "ses" else "grid"
+            values = dict(zip(required_metrics(condition), rng.uniform(0.0, 100.0, 9)))
+            store.append(protocol.TaskKey(f"m{s:03d}", model, condition, "80:20", rep), label, values)
+        store.close()
+
+    def test_rows_act_as_the_tuple_of_their_dicts(self, tmp_path) -> None:
+        self.write_store(tmp_path / "r.csv", series=2, reps=3)
+        rows = ResultsStore(tmp_path / "r.csv").rows
+        with (tmp_path / "r.csv").open(newline="") as fh:
+            expected = tuple(
+                {**row, "rep": int(row["rep"]), "value": float(row["value"])} for row in csv.DictReader(fh)
+            )
+        assert len(expected) == 36 * 9
+        assert rows == expected and expected == rows and rows == ResultsStore(tmp_path / "r.csv").rows
+        assert rows != list(expected) and rows != expected[:-1]
+        assert repr(rows) == repr(expected) and repr(list(rows)) == repr(list(expected))
+        assert [rows[i] for i in (0, 8, 9, 100, -1, -324)] == [expected[i] for i in (0, 8, 9, 100, -1, -324)]
+        assert rows[5:40:3] == expected[5:40:3] and rows[::-1] == expected[::-1]
+        for i in (324, -325):
+            with pytest.raises(IndexError):
+                rows[i]
+        with pytest.raises(TypeError):
+            rows[0] = {}
+        with pytest.raises(TypeError):
+            hash(rows)
+        rows[0]["value"] = -1.0  # each access builds its own dict
+        assert rows[0] == expected[0]
+
+    def test_opening_a_fleet_sized_store_retains_little(self, tmp_path) -> None:
+        # 30 series x 3 models x 2 conditions x 21 reps = 3,780 tasks, 34,020 rows;
+        # one dict per row retained about 20 MB
+        self.write_store(tmp_path / "r.csv", series=30, reps=21)
+        tracemalloc.start()
+        try:
+            store = ResultsStore(tmp_path / "r.csv")
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(store) == 3780 and len(store.rows) == 34020
+        assert retained <= 8e6
+
+
 class TestSearchBudget:
     @pytest.mark.parametrize("optimizer, search_evals", [("pso", 4 * 3), ("tpe", 7)])
     def test_opt_evals_matches_budget(self, tmp_path, optimizer, search_evals) -> None:
@@ -603,6 +655,38 @@ class TestSearchInputs:
             for condition in config.conditions
             for rep in range(config.repetitions)
         ]
+
+    def test_negative_arima_orders_fail_inside_the_task(self, tmp_path, monkeypatch) -> None:
+        # an override may put a negative order on the grid: its points fail
+        # their evaluation, and a search with no other point fails its tasks
+        searches = []
+        search = protocol.grid_search
+
+        def recording(space, objective):
+            searches.append(search(space, objective))
+            return searches[-1]
+
+        monkeypatch.setattr(protocol, "grid_search", recording)
+        dataset = Dataset("d", (random_series(np.random.default_rng(8), "s0", n=36),))
+        overrides = {
+            "experiment.models": ["arima"],
+            "experiment.repetitions": 3,
+            "models.arima.space.p": {"grid": [-1, 0]},
+            "models.arima.space.d": {"grid": [0]},
+            "models.arima.space.q": {"grid": [0]},
+        }
+        summary = run_experiment(dataset, build_experiment_config(overrides), tmp_path / "p.csv")
+        assert not summary.failures and len(ResultsStore(tmp_path / "p.csv")) == 6
+        assert [(s.evals, s.failed_evals, s.best_point["p"]) for s in searches] == [(2, 1, 0)] * 2
+
+        overrides["models.arima.space.d"] = {"grid": [-1]}
+        del overrides["models.arima.space.p"], overrides["models.arima.space.q"]
+        summary = run_experiment(dataset, build_experiment_config(overrides), tmp_path / "d.csv")
+        assert len(summary.failures) == 6 and len(ResultsStore(tmp_path / "d.csv")) == 0
+        assert {f.reason for f in summary.failures} == {
+            "InvalidParameterError: every candidate configuration failed to score"
+        }
+        assert [(s.evals, s.failed_evals) for s in searches[2:]] == [(16, 16)] * 2
 
 
 def _record_scored(monkeypatch) -> list[np.ndarray]:
