@@ -167,7 +167,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     store = _completed_store(out)
     tables = case_tables_by_group(store.rows, pair, alpha=args.alpha)
     summary_rows = []
-    case_columns = ("metric", f"improves_{pair[0]}", f"improves_{pair[1]}", "no_change", "comparisons")
+    case_columns = ("metric", f"improves_{pair[0]}", f"improves_{pair[1]}", "no_change", "comparisons", "constant")
     for table in tables:
         name = f"cases_{pair[0]}_vs_{pair[1]}_{_slug(table.split or 'all')}_{table.optimizer or 'all'}.csv"
         with (out / name).open("w", newline="") as fh:
@@ -176,8 +176,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             writer.writerow(case_columns)
             for metric in METRIC_NAMES:
                 a, b, none = table.improvements(metric)
-                writer.writerow([metric, a, b, none, table.comparisons[metric]])
-                print(f"  {metric:>9}: improves_{pair[0]}={a} improves_{pair[1]}={b} no_change={none}")
+                n = table.constant[metric]
+                writer.writerow([metric, a, b, none, table.comparisons[metric], n])
+                print(f"  {metric:>9}: improves_{pair[0]}={a} improves_{pair[1]}={b} no_change={none} constant={n}")
         scopes: list[str | None] = [None, *METRIC_NAMES]
         for scope in scopes:
             try:

@@ -13,7 +13,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from ..errors import NonConvergenceError, SingularDesignError
+from ..errors import InvalidParameterError, NonConvergenceError, SingularDesignError
 from ..spaces import GridDomain, HyperparameterSpace, IntervalDomain
 from . import LagModel, Step, register
 
@@ -167,6 +167,12 @@ class PolynomialModel(_LagRegressionModel):
     name = "plr"
     declared_space = HyperparameterSpace({"degree": GridDomain((1, 2, 3, 4))})
     fixed_point = {"degree": 2}
+
+    def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
+        degree = int(config["degree"])
+        if degree < 1:
+            raise InvalidParameterError(f"plr: degree must be at least 1, got {degree}")
+        return super()._fit_step(X, targets, config)
 
     def _expand(self, X: np.ndarray, config: Mapping) -> np.ndarray:
         degree = int(config["degree"])

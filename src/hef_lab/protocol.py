@@ -7,7 +7,8 @@ function). A task's search follows from its model's space (the declared
 space with the config's overridden domains): grid search when every domain
 is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
 work is one (series, split, model) cell and condition with its pending reps,
-which share one objective, one grid search and one final-forecast scorer.
+which share one objective and one final-forecast scorer; the reps of a grid
+or baseline unit repeat one computation, so its first pending rep runs it.
 Every completed task persists its test-set metric bundle to an append-only
 CSV store before any analysis, and reruns over an existing store skip
 completed tasks.
@@ -413,8 +414,9 @@ class _Objective:
 @dataclass
 class _Reps:
     """What the pending reps of one (cell, condition) share: the split, made by
-    the first rep to reach it (retried if it fails), its bundle scorer, the
-    objective of a searched condition and the grid search."""
+    the first rep to reach it (a swarm or Parzen rep retries a failed one),
+    its bundle scorer, the objective of a searched condition and, in a
+    deterministic unit, the outcome of its first rep."""
 
     series: TimeSeries
     model: ForecastModel
@@ -423,20 +425,22 @@ class _Reps:
     split: Split | None = None
     scorer: BundleScorer | None = None
     objective: _Objective | None = None
-    grid: OptimizationResult | None = None
+    outcome: tuple[dict[str, float] | None, str | None] | None = None  # metric values, failure reason
 
 
 _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
 
+# the labels of units whose reps repeat one computation: every registered
+# model is a function of (training series, point), and neither the baseline
+# nor a grid search draws a random number
+_DETERMINISTIC = ("fixed", "grid")
+
 
 def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> OptimizationResult:
-    """The search ``reps.label`` names over the unit's objective: the grid search,
-    run once and kept in ``reps``, or a swarm or Parzen search seeded per rep."""
-    if reps.grid is not None:
-        return reps.grid
+    """The search ``reps.label`` names over the unit's objective: the grid
+    search, or a swarm or Parzen search seeded per rep."""
     if reps.label == "grid":
-        reps.grid = grid_search(reps.space, reps.objective)
-        return reps.grid
+        return grid_search(reps.space, reps.objective)
     seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
     if reps.label == "pso":
         return pso_minimize(reps.space, reps.objective, config.pso, seed)
@@ -444,7 +448,11 @@ def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> Optimization
 
 
 def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outcome:
-    """Run one task; returns (key, optimizer, metric values or None, failure reason)."""
+    """Run one task; returns (key, optimizer, metric values or None, failure
+    reason). In a deterministic unit the first rep computes the outcome,
+    ``exec_time`` included, and every later rep returns it under its key."""
+    if reps.outcome is not None:
+        return (key, reps.label, *reps.outcome)
     try:
         if reps.split is None:
             split = temporal_split(reps.series, SplitRatio.parse(key.split))
@@ -463,9 +471,12 @@ def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outco
         fitted = reps.model.fit(reps.split.train, point)
         predicted = fitted.predict(reps.split.horizon)
         exec_time = time.perf_counter() - started
-        return key, reps.label, {**reps.scorer(predicted, exec_time).as_dict(), **trace_summary}, None
+        outcome = {**reps.scorer(predicted, exec_time).as_dict(), **trace_summary}, None
     except HefLabError as exc:
-        return key, reps.label, None, f"{type(exc).__name__}: {exc}"
+        outcome = None, f"{type(exc).__name__}: {exc}"
+    if reps.label in _DETERMINISTIC:
+        reps.outcome = outcome
+    return (key, reps.label, *outcome)
 
 
 def _execute_reps(keys: Sequence[TaskKey], dataset: Dataset, config: ExperimentConfig) -> Iterator[_Outcome]:
@@ -561,7 +572,10 @@ class CaseTable:
 
     ``counts[metric]`` maps the three verdicts to case counts; for every
     metric the three counts sum to ``comparisons[metric]``, the number of
-    (series, model) cells actually compared. ``outcomes`` carries the
+    (series, model) cells actually compared. ``constant[metric]`` counts
+    those comparisons in which both repetition groups are constant: two
+    different constants test significant, though no rep varied (it is left
+    out of the repr, which shows the verdicts). ``outcomes`` carries the
     underlying per-cell verdicts.
     """
 
@@ -572,6 +586,7 @@ class CaseTable:
     comparisons: Mapping[str, int]
     skipped_cells: tuple[tuple, ...] = ()
     outcomes: tuple[CaseOutcome, ...] = ()
+    constant: Mapping[str, int] = field(default_factory=dict, repr=False)
 
     def improvements(self, metric: str) -> tuple[int, int, int]:
         c = self.counts[metric]
@@ -648,6 +663,7 @@ def _case_table(
     )
     counts = {m: {VERDICT_A: 0, VERDICT_B: 0, VERDICT_NONE: 0} for m in METRIC_NAMES}
     comparisons = {m: 0 for m in METRIC_NAMES}
+    constant = {m: 0 for m in METRIC_NAMES}
     skipped: list[tuple] = []
     outcomes: list[CaseOutcome] = []
     for cell in cells:
@@ -660,8 +676,10 @@ def _case_table(
                 skipped.append((*cell, metric))
                 continue
             order = sorted(reps_a)
-            result = compare_paired_runs([reps_a[r] for r in order], [reps_b[r] for r in order], alpha)
+            sample_a, sample_b = [reps_a[r] for r in order], [reps_b[r] for r in order]
+            result = compare_paired_runs(sample_a, sample_b, alpha)
             comparisons[metric] += 1
+            constant[metric] += len(set(sample_a)) == 1 == len(set(sample_b))
             if not result.significant:
                 verdict = VERDICT_NONE
             else:
@@ -670,7 +688,7 @@ def _case_table(
             counts[metric][verdict] += 1
             outcomes.append(CaseOutcome(*cell, metric, verdict, result.p_value))
 
-    return CaseTable(pair, split, optimizer, counts, comparisons, tuple(skipped), tuple(outcomes))
+    return CaseTable(pair, split, optimizer, counts, comparisons, tuple(skipped), tuple(outcomes), constant)
 
 
 def count_cases(

@@ -367,7 +367,7 @@ class TestCompareAndReport:
         with (out / case_files[0]).open() as fh:
             reader = csv.DictReader(fh)
             assert reader.fieldnames == [
-                "metric", "improves_hef", "improves_maef", "no_change", "comparisons",
+                "metric", "improves_hef", "improves_maef", "no_change", "comparisons", "constant",
             ]
             rows = list(reader)
         assert [r["metric"] for r in rows] == list(METRIC_NAMES)
@@ -486,31 +486,31 @@ def write_store(path, label_of=lambda model, rep: {"ses": "pso", "knn": "grid"}[
 # over each table became one
 COMPARE_STDOUT = """\
 cases_hef_vs_maef_80-20_grid.csv:
-         r2: improves_hef=0 improves_maef=0 no_change=2
-        mae: improves_hef=0 improves_maef=1 no_change=1
-       rmse: improves_hef=0 improves_maef=1 no_change=1
-        gra: improves_hef=0 improves_maef=0 no_change=2
-      rmsse: improves_hef=0 improves_maef=1 no_change=1
-       mase: improves_hef=0 improves_maef=1 no_change=1
-  exec_time: improves_hef=0 improves_maef=0 no_change=2
+         r2: improves_hef=0 improves_maef=0 no_change=2 constant=0
+        mae: improves_hef=0 improves_maef=1 no_change=1 constant=0
+       rmse: improves_hef=0 improves_maef=1 no_change=1 constant=0
+        gra: improves_hef=0 improves_maef=0 no_change=2 constant=0
+      rmsse: improves_hef=0 improves_maef=1 no_change=1 constant=0
+       mase: improves_hef=0 improves_maef=1 no_change=1 constant=0
+  exec_time: improves_hef=0 improves_maef=0 no_change=2 constant=0
 cases_hef_vs_maef_80-20_pso.csv:
-         r2: improves_hef=0 improves_maef=0 no_change=2
-        mae: improves_hef=2 improves_maef=0 no_change=0
-       rmse: improves_hef=2 improves_maef=0 no_change=0
-        gra: improves_hef=0 improves_maef=0 no_change=2
-      rmsse: improves_hef=2 improves_maef=0 no_change=0
-       mase: improves_hef=2 improves_maef=0 no_change=0
-  exec_time: improves_hef=0 improves_maef=0 no_change=2
+         r2: improves_hef=0 improves_maef=0 no_change=2 constant=0
+        mae: improves_hef=2 improves_maef=0 no_change=0 constant=0
+       rmse: improves_hef=2 improves_maef=0 no_change=0 constant=0
+        gra: improves_hef=0 improves_maef=0 no_change=2 constant=0
+      rmsse: improves_hef=2 improves_maef=0 no_change=0 constant=0
+       mase: improves_hef=2 improves_maef=0 no_change=0 constant=0
+  exec_time: improves_hef=0 improves_maef=0 no_change=2 constant=0
 wrote OUT/z_summary_hef_vs_maef.csv
 """
 COMPARE_FILES = {
     "cases_hef_vs_maef_80-20_grid.csv": (
-        b"metric,improves_hef,improves_maef,no_change,comparisons\r\nr2,0,0,2,2\r\nmae,0,1,1,2\r\n"
-        b"rmse,0,1,1,2\r\ngra,0,0,2,2\r\nrmsse,0,1,1,2\r\nmase,0,1,1,2\r\nexec_time,0,0,2,2\r\n"
+        b"metric,improves_hef,improves_maef,no_change,comparisons,constant\r\nr2,0,0,2,2,0\r\nmae,0,1,1,2,0\r\n"
+        b"rmse,0,1,1,2,0\r\ngra,0,0,2,2,0\r\nrmsse,0,1,1,2,0\r\nmase,0,1,1,2,0\r\nexec_time,0,0,2,2,0\r\n"
     ),
     "cases_hef_vs_maef_80-20_pso.csv": (
-        b"metric,improves_hef,improves_maef,no_change,comparisons\r\nr2,0,0,2,2\r\nmae,2,0,0,2\r\n"
-        b"rmse,2,0,0,2\r\ngra,0,0,2,2\r\nrmsse,2,0,0,2\r\nmase,2,0,0,2\r\nexec_time,0,0,2,2\r\n"
+        b"metric,improves_hef,improves_maef,no_change,comparisons,constant\r\nr2,0,0,2,2,0\r\nmae,2,0,0,2,0\r\n"
+        b"rmse,2,0,0,2,0\r\ngra,0,0,2,2,0\r\nrmsse,2,0,0,2,0\r\nmase,2,0,0,2,0\r\nexec_time,0,0,2,2,0\r\n"
     ),
     "z_summary_hef_vs_maef.csv": (
         b"pair,optimizer,split,metric_scope,Z,log10_p\r\n"
@@ -530,6 +530,25 @@ class TestCompareOutput:
         assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == COMPARE_STDOUT
         written = {p.name: p.read_bytes() for p in tmp_path.glob("*.csv") if p.name != "results.csv"}
         assert written == COMPARE_FILES
+
+    def test_constant_column_counts_pairs_of_constant_groups(self, tmp_path, capsys) -> None:
+        # knn's reps are one value per run, as a grid unit stores them; on
+        # p1 its maef side is another constant on the metrics that shift
+        store = ResultsStore(tmp_path / "results.csv")
+        for i, sid in enumerate(("p0", "p1")):
+            for condition, shift in (("hef", 0.0), ("maef", -1.0 * i)):
+                for rep in range(5):
+                    values = {m: 2.0 + k + shift * (k % 3) for k, m in enumerate(METRIC_NAMES)}
+                    values.update(opt_evals=15.0, opt_best_score=1.0)
+                    store.append(TaskKey(sid, "knn", condition, "80:20", rep), "grid", values)
+        store.close()
+        assert run_cli("compare", "--out", str(tmp_path)) == 0
+        out = capsys.readouterr().out
+        assert "        mae: improves_hef=0 improves_maef=1 no_change=1 constant=2\n" in out
+        assert "         r2: improves_hef=0 improves_maef=0 no_change=2 constant=2\n" in out
+        with (tmp_path / "cases_hef_vs_maef_80-20_grid.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["comparisons"], r["constant"]) for r in rows] == [("2", "2")] * len(METRIC_NAMES)
 
     @pytest.mark.parametrize("command", ["compare", "report"])
     def test_run_under_two_labels_exits_1(self, tmp_path, capsys, command) -> None:

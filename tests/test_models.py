@@ -357,6 +357,28 @@ class TestLinearFamily:
             create("hr").fit(trend_series(), {"epsilon": -3.0, "alpha": 1e-4})
 
 
+
+class TestLagParameterFloor:
+    @pytest.mark.parametrize(
+        "name, point, message",
+        [
+            ("knn", {"n_neighbors": 0}, "knn: n_neighbors must be at least 1, got 0"),
+            ("plr", {"degree": 0}, "plr: degree must be at least 1, got 0"),
+            ("dtr", {"max_depth": 0}, "dtr: max_depth must be at least 1 or None, got 0"),
+            ("dtr", {"max_depth": -1}, "dtr: max_depth must be at least 1 or None, got -1"),
+        ],
+    )
+    def test_below_one_is_refused(self, name, point, message) -> None:
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            create(name).fit(trend_series(), point)
+
+    @pytest.mark.parametrize(
+        "name, point",
+        [("knn", {"n_neighbors": 1}), ("plr", {"degree": 1}), ("dtr", {"max_depth": 1}), ("dtr", {"max_depth": None})],
+    )
+    def test_the_floor_fits(self, name, point) -> None:
+        assert np.isfinite(create(name).fit(trend_series(), point).predict(3)).all()
+
 class TestTree:
     def test_zero_training_error_with_unique_windows(self) -> None:
         rng = np.random.default_rng(15)

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import multiprocessing
 import re
 import tracemalloc
+import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -688,6 +691,49 @@ class TestSearchInputs:
         }
         assert [(s.evals, s.failed_evals) for s in searches[2:]] == [(16, 16)] * 2
 
+    @pytest.mark.parametrize(
+        "model, param, grid, searches",
+        [
+            # (evals, failed evaluations, best value) of each condition's grid search
+            ("plr", "degree", [0, 1], [(2, 1, 1)] * 2),
+            ("knn", "n_neighbors", [0], [(1, 1, None)] * 2),
+            ("dtr", "max_depth", [0, -1], [(2, 2, None)] * 2),
+        ],
+    )
+    def test_lag_parameters_below_one_fail_inside_the_task(
+        self, tmp_path, monkeypatch, model, param, grid, searches
+    ) -> None:
+        # before they were refused, degree 0 ended the sweep in a ValueError,
+        # k = 0 raised numpy's empty-mean RuntimeWarning and depth 0 fitted a
+        # one-leaf tree
+        results = []
+        search = protocol.grid_search
+
+        def recording(space, objective):
+            results.append(search(space, objective))
+            return results[-1]
+
+        monkeypatch.setattr(protocol, "grid_search", recording)
+        dataset = Dataset("d", (random_series(np.random.default_rng(8), "s0"),))
+        overrides = {
+            "experiment.models": [model],
+            "experiment.repetitions": 3,
+            f"models.{model}.space.{param}": {"grid": grid},
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            summary = run_experiment(dataset, build_experiment_config(overrides), tmp_path / "r.csv")
+        assert [
+            (r.evals, r.failed_evals, r.best_point[param] if math.isfinite(r.best_score) else None) for r in results
+        ] == searches
+        if searches[0][2] is None:  # no point fits: every rep of both units records the one reason
+            assert len(summary.failures) == summary.total == 6
+            assert {f.reason for f in summary.failures} == {
+                "InvalidParameterError: every candidate configuration failed to score"
+            }
+        else:
+            assert not summary.failures and len(ResultsStore(tmp_path / "r.csv")) == 6
+
 
 def _record_scored(monkeypatch) -> list[np.ndarray]:
     """Every final forecast whose metrics the run's bundle scorers compute,
@@ -725,13 +771,13 @@ class TestFinalBundle:
         units = len(small_dataset.series) * len(config.conditions)
         assert summary.executed == units * config.repetitions and not summary.failures
         assert len(scored) == units
-        assert fits[0] - evals[0] == units * config.repetitions  # the final fit runs in every rep
+        assert fits[0] - evals[0] == units  # one final fit per unit, written to each of its reps
         exec_times: dict[tuple, set[float]] = {}
         for r in ResultsStore(tmp_path / "r.csv").rows:
             if r["metric"] == "exec_time":
                 exec_times.setdefault((r["series_id"], r["condition"]), set()).add(r["value"])
         assert len(exec_times) == units
-        assert all(len(times) == config.repetitions for times in exec_times.values())
+        assert all(len(times) == 1 for times in exec_times.values())
 
     def test_resumed_grid_unit_writes_the_uninterrupted_rows(self, tmp_path, small_dataset, monkeypatch) -> None:
         config = tiny_config(models=("knn",), repetitions=21)
@@ -760,7 +806,7 @@ class TestFinalBundle:
             return FittedSes(fit(self, train, config).level + next(drift))
 
         monkeypatch.setattr(ses, "fit", drifting)
-        config = tiny_config(models=("ses",), space_overrides={"ses": {"alpha": GridDomain((0.3,))}})
+        config = tiny_config(models=("ses",))  # under PSO, so each rep runs its own final fit
         store = tmp_path / "r.csv"
         summary = run_experiment(small_dataset, config, store)
         assert summary.executed == len(scored) and not summary.failures
@@ -772,6 +818,128 @@ class TestFinalBundle:
             split = temporal_split(small_dataset.get(series_id), SplitRatio.R80_20)
             expected = compute_bundle(split.train, split.test, predicted).as_dict()
             assert all(values[m] == expected[m] for m in METRIC_NAMES if m != "exec_time")
+
+    @staticmethod
+    def _squares_clock(monkeypatch) -> list[int]:
+        """Make the final fit's clock read k * k at its k-th reading, so every
+        timed fit lasts a different odd number of seconds; returns the count."""
+        readings = [0]
+
+        def perf_counter() -> float:
+            readings[0] += 1
+            return float(readings[0] ** 2)
+
+        monkeypatch.setattr(protocol, "time", SimpleNamespace(perf_counter=perf_counter))
+        return readings
+
+    @staticmethod
+    def _by_task(path) -> dict[tuple, dict[str, float]]:
+        """(series, model, condition, optimizer, rep) -> metric -> stored value."""
+        tasks: dict[tuple, dict[str, float]] = {}
+        for r in ResultsStore(path).rows:
+            key = (r["series_id"], r["model"], r["condition"], r["optimizer"], r["rep"])
+            tasks.setdefault(key, {})[r["metric"]] = r["value"]
+        return tasks
+
+    def test_grid_and_fixed_units_run_their_final_fit_once(self, tmp_path, small_dataset, monkeypatch) -> None:
+        readings = self._squares_clock(monkeypatch)
+        fits = _count_calls(monkeypatch, model_class("knn"), "fit")
+        evals = _count_calls(monkeypatch, protocol._Objective, "__call__")
+        bundles = _count_calls(monkeypatch, protocol.BundleScorer, "__call__")
+        config = tiny_config(models=("knn",), conditions=("baseline", "hef"), repetitions=5)
+        summary = run_experiment(small_dataset, config, tmp_path / "r.csv")
+        units = len(small_dataset.series) * len(config.conditions)  # a fixed and a grid unit per series
+        assert summary.executed == units * config.repetitions and not summary.failures
+        assert fits[0] - evals[0] == bundles[0] == units
+        assert readings[0] == 2 * units
+        tasks = self._by_task(tmp_path / "r.csv")
+        assert len(tasks) == summary.executed
+        assert {label for _, _, _, label, _ in tasks} == {"fixed", "grid"}
+        for (*unit, rep), values in tasks.items():
+            assert values == tasks[(*unit, 0)]  # exec_time included
+        assert len({values["exec_time"] for values in tasks.values()}) == units
+
+    def test_swarm_unit_fits_and_times_every_rep(self, tmp_path, small_dataset, monkeypatch) -> None:
+        readings = self._squares_clock(monkeypatch)
+        fits = _count_calls(monkeypatch, model_class("ses"), "fit")
+        evals = _count_calls(monkeypatch, protocol._Objective, "__call__")
+        config = tiny_config(models=("ses",))
+        summary = run_experiment(small_dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 24 and not summary.failures
+        assert fits[0] - evals[0] == summary.executed
+        assert readings[0] == 2 * summary.executed
+        exec_times = [values["exec_time"] for values in self._by_task(tmp_path / "r.csv").values()]
+        assert len(set(exec_times)) == summary.executed
+
+    def test_grid_unit_where_every_point_fails_searches_once(self, tmp_path, monkeypatch) -> None:
+        calls = [0]
+
+        def failing(self, point):
+            calls[0] += 1
+            raise InsufficientDataError("no point scores")
+
+        monkeypatch.setattr(protocol._Objective, "__call__", failing)
+        dataset = Dataset("d", (random_series(np.random.default_rng(6), "s0"),))
+        config = tiny_config(models=("knn",), repetitions=5)
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert len(summary.failures) == summary.total == 10
+        assert calls[0] == create("knn").declared_space.grid_size() * len(config.conditions)
+        assert [f.key.rep for f in summary.failures] == [*range(5)] * 2
+        assert {f.reason for f in summary.failures} == {
+            "InvalidParameterError: every candidate configuration failed to score"
+        }
+
+    def test_resumed_deterministic_units_run_once_and_write_the_uninterrupted_rows(
+        self, tmp_path, small_dataset, monkeypatch
+    ) -> None:
+        config = tiny_config(models=("knn",), conditions=("baseline", "maef"), repetitions=21)
+        full = tmp_path / "full.csv"
+        run_experiment(small_dataset, config, full)
+        lines = full.read_bytes().splitlines(keepends=True)
+        cut = tmp_path / "cut.csv"
+        cut.write_bytes(b"".join(lines[: 1 + 3 * len(required_metrics("baseline"))]))  # reps 0-2 of the first unit
+
+        fits = _count_calls(monkeypatch, model_class("knn"), "fit")
+        evals = _count_calls(monkeypatch, protocol._Objective, "__call__")
+        summary = run_experiment(small_dataset, config, cut)
+        assert summary.skipped == 3 and not summary.failures
+        assert fits[0] - evals[0] == len(small_dataset.series) * len(config.conditions)
+        resumed = self._by_task(cut)
+        # the cut unit's reps 3-20 share the one final fit that rep 3 timed
+        assert len({resumed[("s00", "knn", "baseline", "fixed", rep)]["exec_time"] for rep in range(3, 21)}) == 1
+
+        def essence(path):
+            return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
+
+        assert essence(cut) == essence(full)
+
+    def test_workers_write_what_one_process_writes(self, tmp_path, small_dataset) -> None:
+        config = tiny_config(conditions=("baseline", "hef", "maef"))  # ses fixed and under PSO, knn on its grid
+        serial = run_experiment(small_dataset, config, tmp_path / "serial.csv", jobs=1)
+        pool = run_experiment(small_dataset, config, tmp_path / "pool.csv", jobs=2)
+        assert pool == serial and not serial.failures
+
+        def essence(path):
+            return [r for r in ResultsStore(path).rows if r["metric"] != "exec_time"]
+
+        assert essence(tmp_path / "serial.csv") == essence(tmp_path / "pool.csv")
+        pooled = self._by_task(tmp_path / "pool.csv")
+        assert {label for _, _, _, label, _ in pooled} == {"fixed", "grid", "pso"}
+        for (*unit, label, rep), values in pooled.items():
+            if label != "pso":
+                assert values == pooled[(*unit, label, 0)]  # exec_time included
+
+    def test_fleet_sized_grid_sweep_runs_one_final_fit_per_unit(self, tmp_path, monkeypatch) -> None:
+        # a refactor that brings back the final fit in every rep shows as 1,260 fits here
+        rng = np.random.default_rng(30)
+        dataset = Dataset("fleet", tuple(random_series(rng, f"s{i:02d}", n=60) for i in range(30)))
+        fits = _count_calls(monkeypatch, model_class("knn"), "fit")
+        evals = _count_calls(monkeypatch, protocol._Objective, "__call__")
+        config = tiny_config(models=("knn",), repetitions=21)
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert summary.executed == 30 * 2 * 21 == 1260 and not summary.failures
+        assert evals[0] == 30 * 2 * create("knn").declared_space.grid_size()
+        assert fits[0] - evals[0] == 60
 
 
 def synth_rows(
@@ -807,6 +975,17 @@ class TestCountCases:
             a, b, none = table.improvements(metric)
             assert (a, b) == (0, 0)
             assert none == table.comparisons[metric] == 2
+
+    def test_constant_pairs_are_counted_beside_the_verdicts(self) -> None:
+        # s0 and s1 hold two different constants on mae, s2 a varying hef
+        # side; every other metric is 1.0 in every rep
+        rows = synth_rows(["s0", "s1"], "knn", {"hef": [1.0] * 21, "maef": [2.0] * 21})
+        rows += synth_rows(["s2"], "knn", {"hef": list(np.linspace(1.0, 1.5, 21)), "maef": [2.0] * 21})
+        table = count_cases(rows, ("hef", "maef"))
+        assert table.constant == {m: 2 if m == "mae" else 3 for m in METRIC_NAMES}
+        assert table.improvements("mae") == (3, 0, 0)  # the two constant pairs test significant too
+        assert all(table.improvements(m) == (0, 0, 3) for m in METRIC_NAMES if m != "mae")
+        assert "constant" not in repr(table)
 
     def test_forced_separation_improves_a(self) -> None:
         base = list(np.linspace(3.0, 4.0, 21))
