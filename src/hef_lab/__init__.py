@@ -9,7 +9,7 @@ two-proportion Z summaries.
 """
 
 from .errors import HefLabError
-from .evaluation import MetricWeights, PenaltySchedule, hef_score, maef_score
+from .evaluation import hef_score, maef_score
 from .metrics import MetricBundle, compute_bundle, gra, mae, mase, r2, rmse, rmsse
 from .series import (
     Dataset,
@@ -44,8 +44,6 @@ __all__ = [
     "gra",
     "rmsse",
     "mase",
-    "MetricWeights",
-    "PenaltySchedule",
     "hef_score",
     "maef_score",
     "__version__",

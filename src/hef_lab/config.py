@@ -48,13 +48,6 @@ _SCALAR_KEYS: dict[str, tuple[str, ...]] = {
     "opt.pso.iterations": ("pso", "iterations"),
     "opt.tpe.trials": ("tpe", "trials"),
     "opt.tpe.startup": ("tpe", "startup"),
-    "hef.weights.r2": ("hef_weights", "r2"),
-    "hef.weights.mae": ("hef_weights", "mae"),
-    "hef.weights.rmse": ("hef_weights", "rmse"),
-    "hef.penalties.l1": ("hef_penalties", "level_1"),
-    "hef.penalties.l2": ("hef_penalties", "level_2"),
-    "hef.penalties.l3": ("hef_penalties", "level_3"),
-    "hef.penalties.l4": ("hef_penalties", "level_4"),
 }
 _LIST_KEYS = ("experiment.models", "experiment.splits", "experiment.conditions")
 

@@ -11,19 +11,16 @@ Two objectives, both minimized:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError, NonFiniteInputError, SeriesTooShortError
+from .errors import NonFiniteInputError, SeriesTooShortError
 
 __all__ = [
     "MEAN_GUARD",
-    "MetricWeights",
-    "PenaltySchedule",
-    "DEFAULT_WEIGHTS",
-    "DEFAULT_PENALTIES",
+    "WEIGHTS",
+    "PENALTIES",
     "coefficient_of_variation",
     "recommend_mae_tolerance",
     "recommend_rmse_tolerance",
@@ -36,41 +33,6 @@ __all__ = [
 MEAN_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class MetricWeights:
-    """Relative weights of the three score components."""
-
-    r2: float = 1.0
-    mae: float = 1.0
-    rmse: float = 0.5
-
-    def __post_init__(self) -> None:
-        for name in ("r2", "mae", "rmse"):
-            if not (0 <= getattr(self, name) < math.inf):
-                raise InvalidParameterError(f"weight {name} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class PenaltySchedule:
-    """Multipliers per penalty level; must be strictly increasing."""
-
-    level_1: float = 1.2
-    level_2: float = 1.3
-    level_3: float = 1.5
-    level_4: float = 1.8
-
-    def __post_init__(self) -> None:
-        seq = (self.level_1, self.level_2, self.level_3, self.level_4)
-        if not all(map(math.isfinite, seq)):
-            raise InvalidParameterError(f"penalty multipliers must be finite, got {seq}")
-        if any(b <= a for a, b in zip(seq, seq[1:])):
-            raise InvalidParameterError(f"penalty multipliers must be strictly increasing, got {seq}")
-
-
-DEFAULT_WEIGHTS = MetricWeights()
-DEFAULT_PENALTIES = PenaltySchedule()
-
-
 def _train_vector(y_train: Sequence[float]) -> np.ndarray:
     y = np.asarray(y_train, dtype=float)
     if y.ndim != 1 or y.size < 2:
@@ -80,15 +42,18 @@ def _train_vector(y_train: Sequence[float]) -> np.ndarray:
     return y
 
 
+def _guarded_mean(y: np.ndarray) -> float:
+    """|mean| of a validated training series, raised to ``MEAN_GUARD`` near zero."""
+    with np.errstate(over="ignore"):  # a huge series' mean overflows to inf
+        return max(abs(float(y.mean())), MEAN_GUARD)
+
+
 def coefficient_of_variation(y_train: Sequence[float]) -> float:
-    """Std over |mean| of the training series, with the near-zero mean guard."""
+    """Std over the guarded |mean| of the training series."""
     y = _train_vector(y_train)
     with np.errstate(over="ignore"):  # a huge series gets an infinite or NaN CV, which _tolerances places
-        mean = abs(float(y.mean()))
         spread = float(y.std())
-    if mean < MEAN_GUARD:
-        mean = MEAN_GUARD
-    return spread / mean
+    return spread / _guarded_mean(y)
 
 
 # Adaptive tolerance coefficients by band of the training CV, each band below
@@ -100,6 +65,12 @@ _TOLERANCE_BANDS = (
     (1.0, 0.3, 0.35),
     (math.inf, 0.4, 0.4),
 )
+
+# The paper's HEF weights on (1 - r2, MAE/mean, RMSE/mean).
+WEIGHTS = (1.0, 1.0, 0.5)
+# The paper's penalty multipliers: MAE under its threshold only, RMSE under only,
+# neither, and any negative prediction.
+PENALTIES = (1.2, 1.3, 1.5, 1.8)
 
 
 def _tolerances(cv: float) -> tuple[float, float]:
@@ -120,40 +91,34 @@ def recommend_rmse_tolerance(y_train: Sequence[float]) -> float:
     return _tolerances(coefficient_of_variation(y_train))[1]
 
 
-def hef_scorer(
-    y_train: Sequence[float],
-    *,
-    weights: MetricWeights = DEFAULT_WEIGHTS,
-    penalties: PenaltySchedule = DEFAULT_PENALTIES,
-) -> Callable[[Sequence[float], float, float, float], float]:
+def hef_scorer(y_train: Sequence[float]) -> Callable[[Sequence[float], float, float, float], float]:
     """``hef_score`` bound to one training series.
 
-    The series is validated, and its guarded mean, CV band and both
+    The series is validated, and its guarded |mean|, CV band and both
     tolerance thresholds are computed, once; the returned function scores
     ``(predictions, r2, mae, rmse)`` against them. It takes the predictions
     as already checked finite, as ``metrics.TargetWindow.errors`` leaves them.
     """
-    y = _train_vector(y_train)
-    mean = float(y.mean())
-    if abs(mean) < MEAN_GUARD:
-        mean = MEAN_GUARD
-    mae_tolerance, rmse_tolerance = _tolerances(coefficient_of_variation(y))
+    mae_tolerance, rmse_tolerance = _tolerances(coefficient_of_variation(y_train))  # validates the series
+    mean = _guarded_mean(np.asarray(y_train, dtype=float))
     mae_threshold = mae_tolerance * mean
     rmse_threshold = rmse_tolerance * mean
+    w_r2, w_mae, w_rmse = WEIGHTS
+    mae_only, rmse_only, neither, negative = PENALTIES
 
     def score(predictions: Sequence[float], r2: float, mae: float, rmse: float) -> float:
         for name, value in (("r2", r2), ("mae", mae), ("rmse", rmse)):
             if not math.isfinite(value):
                 raise NonFiniteInputError(f"{name} is not finite")
-        base = weights.r2 * (1.0 - r2) + weights.mae * (mae / mean) + weights.rmse * (rmse / mean)
+        base = w_r2 * (1.0 - r2) + w_mae * (mae / mean) + w_rmse * (rmse / mean)
         if not math.isfinite(base):
             raise NonFiniteInputError("base score is not finite")
         if bool((np.asarray(predictions, dtype=float) < 0).any()):
-            multiplier = penalties.level_4  # in place of whichever tier below would apply
+            multiplier = negative  # in place of whichever tier below would apply
         elif mae < mae_threshold:
-            multiplier = 1.0 if rmse < rmse_threshold else penalties.level_1
+            multiplier = 1.0 if rmse < rmse_threshold else mae_only
         else:
-            multiplier = penalties.level_2 if rmse < rmse_threshold else penalties.level_3
+            multiplier = rmse_only if rmse < rmse_threshold else neither
         return float(base * multiplier)
 
     return score
@@ -165,20 +130,18 @@ def hef_score(
     mae: float,
     rmse: float,
     y_train: Sequence[float],
-    *,
-    weights: MetricWeights = DEFAULT_WEIGHTS,
-    penalties: PenaltySchedule = DEFAULT_PENALTIES,
 ) -> float:
     """Hierarchical composite score to minimize.
 
-    The base score is ``w_r2*(1-r2) + w_mae*mae/m + w_rmse*rmse/m`` with m the
-    (guarded) training mean. Tolerance thresholds are the adaptive coefficients
-    times m; missing one threshold inflates the base multiplicatively
-    (mae under only -> level 1, rmse under only -> level 2, neither -> level 3).
-    Any negative prediction overwrites the result with the level-4 inflation of
-    the base score. Non-finite metrics or predictions raise rather than score.
+    The base score is ``1*(1-r2) + 1*mae/m + 0.5*rmse/m`` (``WEIGHTS``) with m
+    the guarded |mean| of the training series. Tolerance thresholds are the
+    adaptive coefficients times m; missing one threshold inflates the base
+    multiplicatively (``PENALTIES``: mae under only -> 1.2, rmse under only ->
+    1.3, neither -> 1.5). Any negative prediction overwrites the result with
+    the 1.8 inflation of the base score. Non-finite metrics or predictions
+    raise rather than score.
     """
-    scorer = hef_scorer(y_train, weights=weights, penalties=penalties)
+    scorer = hef_scorer(y_train)
     preds = np.asarray(predictions, dtype=float)
     if not np.isfinite(preds).all():
         raise NonFiniteInputError("predictions contain non-finite values")

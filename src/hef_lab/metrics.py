@@ -215,24 +215,15 @@ class BundleScorer:
     """The metric bundle of any number of forecasts of one (train, test)
     split. The test ``window`` and the training series' naive errors are
     computed once; each forecast is validated and scored, and refused in the
-    order ``compute_bundle`` refuses it, or when a metric is not finite. A
-    forecast equal to the last one scored takes its six accuracy metrics;
-    only ``exec_time`` is its own."""
+    order ``compute_bundle`` refuses it, or when a metric is not finite."""
 
     def __init__(self, train: Sequence[float], actual_test: Sequence[float]) -> None:
         self.window = TargetWindow(actual_test)
         self._train = train
         self._naive: tuple[float, float] | None = None  # (squared, absolute), once a forecast reaches train
-        self._last: tuple[np.ndarray, tuple[float, ...]] | None = None  # a copy of the forecast, its metrics
 
     def __call__(self, predicted_test: Sequence[float], exec_time: float = 0.0) -> MetricBundle:
         yhat = _matching(self.window.actual, predicted_test)
-        if self._last is None or not np.array_equal(yhat, self._last[0]):
-            self._last = yhat.copy(), self._metrics(yhat)
-        return MetricBundle(*self._last[1], exec_time=exec_time)
-
-    def _metrics(self, yhat: np.ndarray) -> tuple[float, ...]:
-        """The six accuracy metrics of a validated forecast, in bundle order."""
         r2_value, mae_value, mse = self.window._errors(yhat)
         if self.window.constant:
             raise ZeroVarianceError("actual values are constant; r2 is undefined")
@@ -245,7 +236,7 @@ class BundleScorer:
         for name, value in zip(METRIC_NAMES, metrics):
             if not math.isfinite(value):  # a forecast or series so large that an error overflows
                 raise NonFiniteInputError(f"{name} is not finite: {value!r}")
-        return metrics
+        return MetricBundle(*metrics, exec_time=exec_time)
 
 
 def compute_bundle(

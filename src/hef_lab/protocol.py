@@ -35,7 +35,6 @@ import numpy as np
 
 from . import evaluation
 from .errors import HefLabError, InvalidParameterError
-from .evaluation import MetricWeights, PenaltySchedule
 from .metrics import HIGHER_BETTER, METRIC_NAMES, BundleScorer, TargetWindow
 from .metrics import compute_bundle, mae, r2, rmse  # noqa: F401  (not called; perfbench's tracer wraps these names)
 from .models import ForecastModel, create as create_model, model_class
@@ -105,8 +104,6 @@ class ExperimentConfig:
     alpha: float = 0.05
     pso: PsoConfig = field(default_factory=PsoConfig)
     tpe: TpeConfig = field(default_factory=TpeConfig)
-    hef_weights: MetricWeights = field(default_factory=MetricWeights)
-    hef_penalties: PenaltySchedule = field(default_factory=PenaltySchedule)
     space_overrides: Mapping[str, Mapping[str, Domain]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -382,26 +379,15 @@ class ResultsStore:
 
 class _Objective:
     """Fit -> predict -> the condition's score: ``maef`` scores the MAE alone,
-    ``hef`` scores r2, MAE and RMSE with the configured weights and penalties.
-    The test window is the unit's, and the hef thresholds of the training
-    series are built once, when the objective is made."""
+    ``hef`` scores r2, MAE and RMSE. The test window is the unit's, and the
+    hef thresholds of the training series are built once, when the objective
+    is made."""
 
-    def __init__(
-        self,
-        model: ForecastModel,
-        train: np.ndarray,
-        window: TargetWindow,
-        condition: str,
-        config: ExperimentConfig,
-    ) -> None:
+    def __init__(self, model: ForecastModel, train: np.ndarray, window: TargetWindow, condition: str) -> None:
         self._model = model
         self._train = train
         self._window = window
-        self._hef = None
-        if condition != "maef":
-            self._hef = evaluation.hef_scorer(
-                train, weights=config.hef_weights, penalties=config.hef_penalties
-            )
+        self._hef = None if condition == "maef" else evaluation.hef_scorer(train)
 
     def __call__(self, point: Mapping) -> float:
         fitted = self._model.fit(self._train, point)
@@ -461,7 +447,7 @@ def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outco
             point, trace_summary = reps.model.fixed_config(), {}
         else:
             if reps.objective is None:
-                reps.objective = _Objective(reps.model, reps.split.train, reps.scorer.window, key.condition, config)
+                reps.objective = _Objective(reps.model, reps.split.train, reps.scorer.window, key.condition)
             result = _search(key, reps, config)
             if not math.isfinite(result.best_score):
                 raise InvalidParameterError("every candidate configuration failed to score")

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from hef_lab.evaluation import (
-    DEFAULT_PENALTIES,
-    DEFAULT_WEIGHTS,
+    PENALTIES,
+    WEIGHTS,
     hef_score,
     maef_score,
     recommend_mae_tolerance,
@@ -78,14 +78,8 @@ def test_criterion_02_algorithm_constants() -> None:
     assert recommend_rmse_tolerance(cv_pair(5.0)) == 0.35
     assert recommend_rmse_tolerance(cv_pair(10.0)) == 0.4
 
-    schedule = DEFAULT_PENALTIES
-    assert (schedule.level_1, schedule.level_2, schedule.level_3, schedule.level_4) == (
-        1.2,
-        1.3,
-        1.5,
-        1.8,
-    )
-    assert (DEFAULT_WEIGHTS.r2, DEFAULT_WEIGHTS.mae, DEFAULT_WEIGHTS.rmse) == (1.0, 1.0, 0.5)
+    assert PENALTIES == (1.2, 1.3, 1.5, 1.8)
+    assert WEIGHTS == (1.0, 1.0, 0.5)
     _report(2, "tolerance bands, penalty multipliers, and weights are exact")
 
 

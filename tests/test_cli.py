@@ -32,8 +32,7 @@ opt.pso.iterations = 3
 """
 
 # Each scalar key, the settings field it sets (written out here independently of
-# the config module's own table) and a valid value that differs from the default;
-# the integer values for the r2 and mae weights stand for floats.
+# the config module's own table) and a valid value that differs from the default.
 SCALAR_KEYS = [
     ("experiment.scs_optimizer", ("scs_optimizer",), "tpe"),
     ("experiment.repetitions", ("repetitions",), 5),
@@ -43,17 +42,11 @@ SCALAR_KEYS = [
     ("opt.pso.iterations", ("pso", "iterations"), 9),
     ("opt.tpe.trials", ("tpe", "trials"), 30),
     ("opt.tpe.startup", ("tpe", "startup"), 5),
-    ("hef.weights.r2", ("hef_weights", "r2"), 2),
-    ("hef.weights.mae", ("hef_weights", "mae"), 3),
-    ("hef.weights.rmse", ("hef_weights", "rmse"), 0.75),
-    ("hef.penalties.l1", ("hef_penalties", "level_1"), 1.1),
-    ("hef.penalties.l2", ("hef_penalties", "level_2"), 1.35),
-    ("hef.penalties.l3", ("hef_penalties", "level_3"), 1.6),
-    ("hef.penalties.l4", ("hef_penalties", "level_4"), 2.5),
 ]
 
 
-# search settings that are module constants of ``hef_lab.optimizers``, no longer keys
+# settings that are module constants of ``hef_lab.optimizers`` and
+# ``hef_lab.evaluation``, no longer keys
 REMOVED_KEYS = [
     "opt.pso.inertia",
     "opt.pso.cognitive",
@@ -63,6 +56,13 @@ REMOVED_KEYS = [
     "opt.tpe.candidates",
     "opt.tpe.bandwidth_factor",
     "opt.grid.cap",
+    "hef.weights.r2",
+    "hef.weights.mae",
+    "hef.weights.rmse",
+    "hef.penalties.l1",
+    "hef.penalties.l2",
+    "hef.penalties.l3",
+    "hef.penalties.l4",
 ]
 
 # p and q over 1,001 orders each, times arima's 3 declared d values: 3,006,003 grid points
@@ -280,16 +280,20 @@ class TestRun:
         assert "--jobs" in capsys.readouterr().err
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("key", REMOVED_KEYS)
+    def test_removed_key_exits_1(self, workdir, capsys, key) -> None:
+        assert self._run_with(workdir, f"{key}=1") == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+        assert not (workdir / "out" / "results.csv").exists()
+
     @pytest.mark.parametrize(
         "key, raw",
         [
-            ("hef.weights.r2", "NaN"),
-            ("hef.weights.mae", "Infinity"),
-            ("hef.weights.r2", "1" + "0" * 400),
-            ("opt.pso.iterations", "1" * 5000),  # past the integer parser's digit limit
-            ("hef.penalties.l1", "NaN"),
-            ("hef.penalties.l4", "Infinity"),
+            ("experiment.alpha", "NaN"),
+            ("experiment.alpha", "Infinity"),
             ("experiment.alpha", "-Infinity"),
+            ("experiment.alpha", "1" + "0" * 400),
+            ("opt.pso.iterations", "1" * 5000),  # past the integer parser's digit limit
             ("models.ses.space.alpha", '{"min": 0, "max": 1' + "0" * 400 + "}"),
             ("models.ses.space.alpha", '{"min": NaN, "max": 1}'),
             ("models.ses.space.alpha", '{"grid": [NaN, 0.5]}'),
@@ -625,7 +629,6 @@ class TestConfigModule:
         assert config.repetitions == 21
         assert config.pso.swarm_size == 20
         assert config.tpe.trials == 60
-        assert config.hef_weights.rmse == 0.5
         assert config.splits[0].label == "80:20"
 
     def test_defaults_are_the_dataclass_defaults(self, monkeypatch) -> None:
@@ -655,7 +658,6 @@ class TestConfigModule:
             ("experiment.scs_optimizer", "grid"),
             ("opt.pso.iterations", 0),
             ("opt.tpe.trials", 5),  # fewer than the default 10 startup trials
-            ("hef.penalties.l2", 1.6),  # above the default l3 of 1.5
             ("experiment.conditions", ["hef"]),
             ("experiment.splits", []),
         ],
@@ -715,7 +717,7 @@ class TestConfigModule:
                 build_experiment_config({"experiment.models": ["ses"], key: 3})
 
     @pytest.mark.parametrize(
-        "key", ["opt.tpe.startup", "hef.weights.r2", "opt.pso.iterations", "experiment.seed"]
+        "key", ["opt.tpe.startup", "experiment.alpha", "opt.pso.iterations", "experiment.seed"]
     )
     def test_booleans_are_not_numbers(self, key) -> None:
         with pytest.raises(ConfigError, match=key):
@@ -769,7 +771,7 @@ class TestConfigModule:
         config = ExperimentConfig(models=("ses",))
         set_by_keys = list(_SCALAR_KEYS.values())
         assert {key for key, _, _ in SCALAR_KEYS} == set(_SCALAR_KEYS)  # each key's row is checked above
-        for name in ("pso", "tpe", "hef_weights", "hef_penalties"):
+        for name in ("pso", "tpe"):
             for f in fields(getattr(config, name)):
                 assert set_by_keys.count((name, f.name)) == 1, (name, f.name)
 

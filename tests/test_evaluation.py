@@ -9,11 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hef_lab.errors import InvalidParameterError, NonFiniteInputError, SeriesTooShortError
+from hef_lab.errors import NonFiniteInputError, SeriesTooShortError
 from hef_lab.evaluation import (
-    DEFAULT_WEIGHTS,
-    MetricWeights,
-    PenaltySchedule,
     coefficient_of_variation,
     hef_score,
     maef_score,
@@ -22,7 +19,7 @@ from hef_lab.evaluation import (
 )
 from hef_lab.metrics import TargetWindow, mae, r2, rmse
 from hef_lab.models import create
-from hef_lab.protocol import ExperimentConfig, _Objective
+from hef_lab.protocol import _Objective
 
 # mean 10, population std sigma, so CV = sigma/10 exactly in binary arithmetic
 
@@ -68,21 +65,6 @@ class TestToleranceBands:
             recommend_mae_tolerance([5.0])
 
 
-class TestPenalties:
-    def test_defaults(self) -> None:
-        sched = PenaltySchedule()
-        assert (sched.level_1, sched.level_2, sched.level_3, sched.level_4) == (1.2, 1.3, 1.5, 1.8)
-
-    def test_multipliers_strictly_increasing(self) -> None:
-        with pytest.raises(InvalidParameterError):
-            PenaltySchedule(level_1=1.3, level_2=1.3, level_3=1.5, level_4=1.8)
-
-    def test_weights_defaults_and_validation(self) -> None:
-        assert (DEFAULT_WEIGHTS.r2, DEFAULT_WEIGHTS.mae, DEFAULT_WEIGHTS.rmse) == (1.0, 1.0, 0.5)
-        with pytest.raises(InvalidParameterError):
-            MetricWeights(r2=-0.1)
-
-
 class TestHefScore:
     def test_no_penalty_branch(self) -> None:
         score = hef_score([1.0] * 5, r2=0.9, mae=0.5, rmse=0.8, y_train=LOW_CV_TRAIN)
@@ -97,32 +79,24 @@ class TestHefScore:
         assert score == pytest.approx(0.19 * 1.8, abs=1e-12)
 
     def test_all_eight_branches(self) -> None:
-        # (mae over?, rmse over?, negative present?) against hand arithmetic,
-        # under the default schedule and under one with other multipliers
-        for penalties in (PenaltySchedule(), PenaltySchedule(1.1, 1.4, 1.6, 2.0)):
-            l1, l2, l3, l4 = penalties.level_1, penalties.level_2, penalties.level_3, penalties.level_4
-            for mae_val, mae_over in ((0.5, False), (1.2, True)):
-                for rmse_val, rmse_over in ((0.8, False), (1.6, True)):
-                    for negative in (False, True):
-                        base = 1.0 * (1.0 - 0.9) + mae_val / 10.0 + 0.5 * rmse_val / 10.0
-                        if negative:
-                            expected = base * l4
-                        elif not mae_over and not rmse_over:
-                            expected = base
-                        elif not mae_over:
-                            expected = base * l1
-                        elif not rmse_over:
-                            expected = base * l2
-                        else:
-                            expected = base * l3
-                        preds = [1.0, -1.0] if negative else [1.0, 1.0]
-                        got = hef_score(preds, 0.9, mae_val, rmse_val, LOW_CV_TRAIN, penalties=penalties)
-                        assert got == pytest.approx(expected, abs=1e-12), (
-                            penalties,
-                            mae_over,
-                            rmse_over,
-                            negative,
-                        )
+        # (mae over?, rmse over?, negative present?) against hand arithmetic
+        for mae_val, mae_over in ((0.5, False), (1.2, True)):
+            for rmse_val, rmse_over in ((0.8, False), (1.6, True)):
+                for negative in (False, True):
+                    base = 1.0 * (1.0 - 0.9) + mae_val / 10.0 + 0.5 * rmse_val / 10.0
+                    if negative:
+                        expected = base * 1.8
+                    elif not mae_over and not rmse_over:
+                        expected = base
+                    elif not mae_over:
+                        expected = base * 1.2
+                    elif not rmse_over:
+                        expected = base * 1.3
+                    else:
+                        expected = base * 1.5
+                    preds = [1.0, -1.0] if negative else [1.0, 1.0]
+                    got = hef_score(preds, 0.9, mae_val, rmse_val, LOW_CV_TRAIN)
+                    assert got == pytest.approx(expected, abs=1e-12), (mae_over, rmse_over, negative)
 
     def test_perfect_fit_scores_zero(self) -> None:
         assert hef_score([1.0, 2.0], r2=1.0, mae=0.0, rmse=0.0, y_train=LOW_CV_TRAIN) == 0.0
@@ -143,12 +117,17 @@ class TestHefScore:
         score = hef_score([1.0], 0.5, 0.1, 0.1, [-1.0, 1.0])
         assert math.isfinite(score)
 
-    def test_negative_mean_hits_level3(self) -> None:
-        # negative thresholds can never be met by non-negative errors
-        y_train = [-9.0, -10.0, -11.0]
-        base = 1.0 * (1.0 - 0.9) + 0.5 / -10.0 + 0.5 * 0.8 / -10.0
-        got = hef_score([1.0], 0.9, 0.5, 0.8, y_train)
-        assert got == pytest.approx(base * 1.5, abs=1e-12)
+    def test_negative_mean_normalises_by_its_absolute_value(self) -> None:
+        # |mean| 10 and CV < 0.2, as for the mirrored series: thresholds 1.0 and 1.5, no penalty
+        got = hef_score([1.0], 0.9, 0.5, 0.8, [-9.0, -10.0, -11.0])
+        assert got == hef_score([1.0], 0.9, 0.5, 0.8, [9.0, 10.0, 11.0])
+        assert got == pytest.approx(1.0 * (1.0 - 0.9) + 0.5 / 10.0 + 0.5 * 0.8 / 10.0, abs=1e-12)
+
+    def test_negative_mean_prefers_the_smaller_error(self) -> None:
+        train = [-9.0, -10.0, -11.0, -10.5, -9.5]
+        close = hef_score([-10.0, -10.0], 0.5, 0.1, 0.1, train)
+        far = hef_score([-10.0, -10.0], 0.5, 5.0, 6.0, train)
+        assert 0.0 < close < far
 
     def test_non_finite_inputs_error(self) -> None:
         with pytest.raises(NonFiniteInputError):
@@ -188,32 +167,18 @@ class TestInterface:
 
     @staticmethod
     def objective(condition: str, test: np.ndarray):
-        config = ExperimentConfig(
-            models=("ses",),
-            hef_weights=MetricWeights(r2=0.7, mae=1.1, rmse=0.3),
-            hef_penalties=PenaltySchedule(1.1, 1.4, 1.6, 2.0),
-        )
         model = create("ses")
-        return _Objective(model, TestInterface.TRAIN, TargetWindow(test), condition, config), model, config
+        return _Objective(model, TestInterface.TRAIN, TargetWindow(test), condition), model
 
     def test_objective_matches_functions(self) -> None:
         test = np.array([57.0, 61.0, 60.0])
-        hef, model, config = self.objective("hef", test)
-        maef, _, _ = self.objective("maef", test)
+        hef, model = self.objective("hef", test)
+        maef, _ = self.objective("maef", test)
         predicted = model.fit(self.TRAIN, self.POINT).predict(len(test))
         expected_hef = hef_score(
-            predicted,
-            r2(test, predicted),
-            mae(test, predicted),
-            rmse(test, predicted),
-            self.TRAIN,
-            weights=config.hef_weights,
-            penalties=config.hef_penalties,
-        )
-        assert hef(self.POINT) == expected_hef
-        assert hef(self.POINT) != hef_score(  # the configured weights are used
             predicted, r2(test, predicted), mae(test, predicted), rmse(test, predicted), self.TRAIN
         )
+        assert hef(self.POINT) == expected_hef
         assert maef(self.POINT) == maef_score(mae(test, predicted))
 
     def test_flat_test_window(self) -> None:
@@ -222,8 +187,8 @@ class TestInterface:
         for value in (60.0, 0.1, 12.3, 33.7, 0.0071):
             for n in (3, 12, 730):
                 test = np.full(n, value)
-                hef, model, _ = self.objective("hef", test)
-                maef, _, _ = self.objective("maef", test)
+                hef, model = self.objective("hef", test)
+                maef, _ = self.objective("maef", test)
                 with pytest.raises(NonFiniteInputError):
                     hef(self.POINT)
                 predicted = model.fit(self.TRAIN, self.POINT).predict(n)
@@ -245,12 +210,6 @@ class TestHoistedScoring:
     """The objective builds its test window and hef thresholds once; every
     score still equals the public functions' value, bit for bit."""
 
-    CONFIG = ExperimentConfig(
-        models=("ses",),
-        hef_weights=MetricWeights(r2=0.7, mae=1.1, rmse=0.3),
-        hef_penalties=PenaltySchedule(1.1, 1.4, 1.6, 2.0),
-    )
-
     def test_objective_equals_public_scores(self) -> None:
         rng = np.random.default_rng(23)
         bands, branches = set(), set()
@@ -264,8 +223,8 @@ class TestHoistedScoring:
                 for miss in (3.0, 6.0, 12.0, 30.0):  # one large error: MAE can pass while RMSE fails
                     forecasts.append(test + np.where(np.arange(8) == 7, miss, 0.01))
                 model = _Replay(forecasts)
-                hef = _Objective(model, train, TargetWindow(test), "hef", self.CONFIG)
-                maef = _Objective(model, train, TargetWindow(test), "maef", self.CONFIG)
+                hef = _Objective(model, train, TargetWindow(test), "hef")
+                maef = _Objective(model, train, TargetWindow(test), "maef")
                 for i, predicted in enumerate(forecasts):
                     point = {"i": i}
                     assert maef(point) == maef_score(mae(test, predicted))
@@ -274,13 +233,7 @@ class TestHoistedScoring:
                             hef(point)
                         continue
                     expected = hef_score(
-                        predicted,
-                        r2(test, predicted),
-                        mae(test, predicted),
-                        rmse(test, predicted),
-                        train,
-                        weights=self.CONFIG.hef_weights,
-                        penalties=self.CONFIG.hef_penalties,
+                        predicted, r2(test, predicted), mae(test, predicted), rmse(test, predicted), train
                     )
                     assert hef(point) == expected
                     errors = (mae(test, predicted), rmse(test, predicted))

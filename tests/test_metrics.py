@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -197,22 +196,6 @@ class TestBundle:
         assert bundle.mae == pytest.approx(1.0)
         assert bundle.rmse >= bundle.mae
         assert bundle.exec_time == 0.25
-
-    def test_equal_forecast_reuses_metrics_with_its_own_exec_time(self, monkeypatch) -> None:
-        train, test = [1.0, 2.0, 4.0, 3.0], [5.0, 7.0, 6.0]
-        scorer, computed = BundleScorer(train, test), []
-        compute = BundleScorer._metrics
-
-        def counting(self, yhat):
-            computed.append(yhat.copy())
-            return compute(self, yhat)
-
-        monkeypatch.setattr(BundleScorer, "_metrics", counting)
-        first = scorer(np.array([4.0, 8.0, 6.5]), 0.25)
-        again = scorer([4.0, 8.0, 6.5], 0.5)
-        assert len(computed) == 1
-        assert again == replace(first, exec_time=0.5)
-        assert first == compute_bundle(train, test, [4.0, 8.0, 6.5], 0.25)
 
     def test_forecast_mutated_after_scoring_is_scored_afresh(self) -> None:
         train, test = [1.0, 2.0, 4.0, 3.0], [5.0, 7.0, 6.0]

@@ -736,16 +736,15 @@ class TestSearchInputs:
 
 
 def _record_scored(monkeypatch) -> list[np.ndarray]:
-    """Every final forecast whose metrics the run's bundle scorers compute,
-    in order; a forecast that reuses the metrics of the last one is left out."""
+    """Every final forecast the run's bundle scorers score, in order."""
     scored: list[np.ndarray] = []
-    compute = protocol.BundleScorer._metrics
+    compute = protocol.BundleScorer.__call__
 
-    def recording(self, yhat):
-        scored.append(np.array(yhat))
-        return compute(self, yhat)
+    def recording(self, predicted_test, exec_time=0.0):
+        scored.append(np.array(predicted_test))
+        return compute(self, predicted_test, exec_time)
 
-    monkeypatch.setattr(protocol.BundleScorer, "_metrics", recording)
+    monkeypatch.setattr(protocol.BundleScorer, "__call__", recording)
     return scored
 
 
