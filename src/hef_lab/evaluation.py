@@ -91,13 +91,17 @@ def recommend_rmse_tolerance(y_train: Sequence[float]) -> float:
     return _tolerances(coefficient_of_variation(y_train))[1]
 
 
-def hef_scorer(y_train: Sequence[float]) -> Callable[[Sequence[float], float, float, float], float]:
+def hef_scorer(y_train: Sequence[float]) -> Callable:
     """``hef_score`` bound to one training series.
 
     The series is validated, and its guarded |mean|, CV band and both
-    tolerance thresholds are computed, once; the returned function scores
-    ``(predictions, r2, mae, rmse)`` against them. It takes the predictions
-    as already checked finite, as ``metrics.TargetWindow.errors`` leaves them.
+    tolerance thresholds are computed, once. The returned function scores
+    ``(predictions, r2, mae, rmse)`` against them: one forecast with its
+    three metrics gets a float, and a non-finite metric or base score raises;
+    a 2-D array of forecasts, one per row, with an array of each metric gets
+    one score per row, non-finite where that row alone would raise. It takes
+    the predictions as already checked, as ``metrics.TargetWindow.errors``
+    and ``row_errors`` leave them.
     """
     mae_tolerance, rmse_tolerance = _tolerances(coefficient_of_variation(y_train))  # validates the series
     mean = _guarded_mean(np.asarray(y_train, dtype=float))
@@ -105,21 +109,22 @@ def hef_scorer(y_train: Sequence[float]) -> Callable[[Sequence[float], float, fl
     rmse_threshold = rmse_tolerance * mean
     w_r2, w_mae, w_rmse = WEIGHTS
     mae_only, rmse_only, neither, negative = PENALTIES
+    # by tier 4 * (a negative prediction) + 2 * (MAE misses) + (RMSE misses): a
+    # negative prediction takes the place of whichever tier the errors give
+    multipliers = np.array([1.0, mae_only, rmse_only, neither] + [negative] * 4)
 
-    def score(predictions: Sequence[float], r2: float, mae: float, rmse: float) -> float:
-        for name, value in (("r2", r2), ("mae", mae), ("rmse", rmse)):
+    def score(predictions, r2, mae, rmse):
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite score is refused
+            base = w_r2 * (1.0 - r2) + w_mae * (mae / mean) + w_rmse * (rmse / mean)
+            negative_tier = 4 * (np.asarray(predictions) < 0).any(axis=-1)
+            tier = negative_tier + 2 * (mae >= mae_threshold) + (rmse >= rmse_threshold)
+            scores = base * multipliers[tier]
+        if np.ndim(scores) > 0:
+            return scores
+        for name, value in (("r2", r2), ("mae", mae), ("rmse", rmse), ("base score", base)):
             if not math.isfinite(value):
                 raise NonFiniteInputError(f"{name} is not finite")
-        base = w_r2 * (1.0 - r2) + w_mae * (mae / mean) + w_rmse * (rmse / mean)
-        if not math.isfinite(base):
-            raise NonFiniteInputError("base score is not finite")
-        if bool((np.asarray(predictions, dtype=float) < 0).any()):
-            multiplier = negative  # in place of whichever tier below would apply
-        elif mae < mae_threshold:
-            multiplier = 1.0 if rmse < rmse_threshold else mae_only
-        else:
-            multiplier = rmse_only if rmse < rmse_threshold else neither
-        return float(base * multiplier)
+        return float(scores)
 
     return score
 
@@ -148,8 +153,12 @@ def hef_score(
     return scorer(preds, r2, mae, rmse)
 
 
-def maef_score(mae: float) -> float:
-    """Baseline objective: the mean absolute error itself."""
+def maef_score(mae):
+    """Baseline objective: the mean absolute error itself. One MAE gets a
+    float and a non-finite one raises; an array of them, one per forecast, is
+    returned as it is, non-finite where one MAE alone would raise."""
+    if np.ndim(mae) > 0:
+        return mae
     if not math.isfinite(mae):
         raise NonFiniteInputError("mae is not finite")
     return float(mae)

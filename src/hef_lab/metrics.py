@@ -80,17 +80,27 @@ class TargetWindow:
         """``(r2, mae, rmse)`` of one forecast, from a single residual vector;
         r2 is NaN when the window is constant."""
         r2_value, mae_value, mse = self._errors(_matching(self.actual, predicted))
-        return r2_value, mae_value, math.sqrt(mse)
+        return float(r2_value), float(mae_value), math.sqrt(mse)
 
-    def _errors(self, yhat: np.ndarray) -> tuple[float, float, float]:
-        """``(r2, mae, mean squared error)`` of a validated forecast. Each mean
-        is ``np.mean``'s pairwise sum divided by the size, without its
-        per-call overhead."""
-        with np.errstate(over="ignore"):  # a far-off forecast gets infinite errors, which scoring refuses
+    def row_errors(self, forecasts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(r2, mae, rmse)`` of each row of a (forecasts x window) array, each
+        row's bit for bit as ``errors`` gives it for that row alone. A row that
+        holds a non-finite value, which ``errors`` refuses, gets non-finite
+        errors instead."""
+        if forecasts.ndim != 2 or forecasts.shape[1] != self.actual.size:
+            raise LengthMismatchError(f"forecasts of shape {forecasts.shape} for a window of {self.actual.size}")
+        r2_value, mae_value, mse = self._errors(forecasts)
+        return r2_value, mae_value, np.sqrt(mse)
+
+    def _errors(self, yhat: np.ndarray) -> tuple:
+        """``(r2, mae, mean squared error)`` of a validated forecast, or of each
+        row of a 2-D array of them. Each mean is ``np.mean``'s pairwise sum
+        along the row divided by its size, without its per-call overhead."""
+        with np.errstate(over="ignore", invalid="ignore"):  # a far-off forecast's errors are refused at scoring
             e = self.actual - yhat
-            sse = float((e**2).sum())
+            sse = (e**2).sum(axis=-1)
             r2_value = math.nan if self.constant else 1.0 - sse / self.ss_tot
-            return r2_value, float(np.abs(e).sum()) / e.size, sse / e.size
+            return r2_value, np.abs(e).sum(axis=-1) / e.shape[-1], sse / e.shape[-1]
 
     def _gra(self, yhat: np.ndarray) -> float:
         """Global relative accuracy of a validated forecast."""
@@ -102,9 +112,7 @@ class TargetWindow:
     def mae(self, predicted: Sequence[float]) -> float:
         """The MAE of one forecast, validated as ``errors`` validates it and
         equal to ``errors(predicted)[1]``."""
-        yhat = _matching(self.actual, predicted)
-        with np.errstate(over="ignore"):
-            return float(np.abs(self.actual - yhat).sum()) / yhat.size
+        return float(self._errors(_matching(self.actual, predicted))[1])
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:
@@ -167,7 +175,7 @@ def rmsse(
     """
     naive_squared = _naive_errors(train)[0]
     window = TargetWindow(actual_test)
-    mse = window._errors(_matching(window.actual, predicted_test))[2]
+    mse = float(window._errors(_matching(window.actual, predicted_test))[2])
     return math.sqrt(_scaled(mse, naive_squared))
 
 
@@ -183,7 +191,7 @@ def mase(
     """
     naive_absolute = _naive_errors(train)[1]
     window = TargetWindow(actual_test)
-    mae_value = window._errors(_matching(window.actual, predicted_test))[1]
+    mae_value = float(window._errors(_matching(window.actual, predicted_test))[1])
     return _scaled(mae_value, naive_absolute)
 
 
@@ -224,7 +232,7 @@ class BundleScorer:
 
     def __call__(self, predicted_test: Sequence[float], exec_time: float = 0.0) -> MetricBundle:
         yhat = _matching(self.window.actual, predicted_test)
-        r2_value, mae_value, mse = self.window._errors(yhat)
+        r2_value, mae_value, mse = map(float, self.window._errors(yhat))
         if self.window.constant:
             raise ZeroVarianceError("actual values are constant; r2 is undefined")
         gra_value = self.window._gra(yhat)

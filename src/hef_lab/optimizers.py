@@ -2,7 +2,11 @@
 
 Three strategies share one result shape: exhaustive grid search over finite
 spaces, particle swarm optimization over continuous boxes, and a simplified
-tree-structured Parzen estimator for boxes or mixed spaces. Failed objective
+tree-structured Parzen estimator for boxes or mixed spaces. Grid and Parzen
+searches score one point per objective call. The swarm search runs one
+swarm per seed, all in lockstep, and scores each step's points, every swarm's
+at once, in one call of a batch objective: the ask/tell shape of Hansen's
+CMA-ES reference code and of Optuna, by design only. Failed objective
 evaluations are scored +inf, counted, and never abort a run.
 """
 
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .errors import (
 from .spaces import GridDomain, HyperparameterSpace, IntervalDomain
 
 __all__ = [
+    "BatchObjective",
     "Objective",
     "OptimizationResult",
     "PsoConfig",
@@ -33,6 +38,8 @@ __all__ = [
 ]
 
 Objective = Callable[[Mapping], float]
+# the scores of a list of points, in order: non-finite where a point failed
+BatchObjective = Callable[[Sequence[Mapping]], Sequence[float]]
 
 # Fixed search constants. PSO: the constriction coefficients of Clerc & Kennedy
 # (2002), velocity clamped to half the box width. TPE: hyperopt's gamma and
@@ -57,6 +64,15 @@ class OptimizationResult:
     failed_evals: int
 
 
+def _check_integers(settings, *names: str) -> None:
+    """Refuse a count that is not an ``int``, a bool or an integral float
+    included, as ``ExperimentConfig.repetitions`` is refused."""
+    for name in names:
+        value = getattr(settings, name)
+        if type(value) is not int:
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PsoConfig:
     """Swarm size and iteration count."""
@@ -65,6 +81,7 @@ class PsoConfig:
     iterations: int = 50
 
     def __post_init__(self) -> None:
+        _check_integers(self, "swarm_size", "iterations")
         if self.swarm_size < 2:
             raise InvalidParameterError("swarm_size must be >= 2")
         if self.iterations < 1:
@@ -79,6 +96,7 @@ class TpeConfig:
     startup: int = 10
 
     def __post_init__(self) -> None:
+        _check_integers(self, "trials", "startup")
         if self.trials < 1:
             raise InvalidParameterError("trials must be >= 1")
         if not (1 <= self.startup <= self.trials):
@@ -87,24 +105,19 @@ class TpeConfig:
 
 @dataclass
 class _Tally:
-    """Scores points for one search, counts them and keeps the running best.
+    """Counts the scored points of one search and keeps the running best.
 
-    A failed evaluation (a ``HefLabError`` or a non-finite score) scores +inf.
-    The first evaluation sets the best and only a strictly lower score
-    replaces it, so ties go to the earliest point.
+    A non-finite score counts as a failed evaluation and scores +inf. The
+    first evaluation sets the best and only a strictly lower score replaces
+    it, so ties go to the earliest point.
     """
 
-    objective: Objective
     evals: int = 0
     failed_evals: int = 0
     best_point: dict = field(default_factory=dict)
     best_score: float = math.inf
 
-    def score(self, point: dict) -> float:
-        try:
-            score = float(self.objective(dict(point)))
-        except HefLabError:
-            score = math.inf
+    def add(self, point: dict, score: float) -> float:
         if not math.isfinite(score):
             score = math.inf
             self.failed_evals += 1
@@ -117,6 +130,14 @@ class _Tally:
         return OptimizationResult(self.best_point, self.best_score, self.evals, self.failed_evals)
 
 
+def _score(objective: Objective, point: dict) -> float:
+    """The objective's score of a copy of ``point``; a ``HefLabError`` scores +inf."""
+    try:
+        return float(objective(dict(point)))
+    except HefLabError:
+        return math.inf
+
+
 def grid_search(space: HyperparameterSpace, objective: Objective) -> OptimizationResult:
     """Exhaustive minimum over the full Cartesian product.
 
@@ -127,64 +148,78 @@ def grid_search(space: HyperparameterSpace, objective: Objective) -> Optimizatio
     size = space.grid_size()
     if size > GRID_CAP:
         raise GridTooLargeError(f"grid has {size} points, cap is {GRID_CAP}")
-    tally = _Tally(objective)
+    tally = _Tally()
     for point in space.grid_points():
-        tally.score(point)
+        tally.add(point, _score(objective, point))
     return tally.result()
 
 
 def pso_minimize(
     space: HyperparameterSpace,
-    objective: Objective,
+    objective: BatchObjective,
     config: PsoConfig = PsoConfig(),
-    seed: int = 0,
-) -> OptimizationResult:
-    """Batch-synchronous particle swarm over the box of interval dimensions.
+    seeds: Sequence[int] = (0,),
+) -> list[OptimizationResult]:
+    """Batch-synchronous particle swarms over the box of interval dimensions,
+    one per seed, advanced in lockstep; the result of each, in seed order.
 
     Velocities follow ``v <- w v + c1 r1 (pbest - x) + c2 r2 (gbest - x)``,
-    clamped to half the box width; positions are clipped to the box.
-    It makes exactly swarm_size * iterations evaluations and the running
-    global best never worsens.
+    clamped to half the box width; positions are clipped to the box. Each
+    swarm draws from its own ``default_rng(seed)`` in the order it would
+    alone, and keeps its own bests, so its result does not depend on the
+    other seeds. Each step scores every swarm's particles, swarm by swarm, in
+    one call of ``objective``: a non-finite score is a failed evaluation, and
+    a ``HefLabError`` fails every point of the call. Each swarm makes exactly
+    swarm_size * iterations evaluations, and its global best never worsens.
     """
     if len(space) == 0 or len(space.interval_names()) != len(space):
         raise EmptySpaceError("pso_minimize needs a space of interval domains only")
+    if not seeds:
+        return []
     lo, hi = space.box_bounds()
-    widths = hi - lo
-    rng = np.random.default_rng(seed)
-    S, D = config.swarm_size, len(lo)
-    vmax = _VELOCITY_CLAMP * widths
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    R, S, D = len(rngs), config.swarm_size, len(lo)
+    vmax = _VELOCITY_CLAMP * (hi - lo)
+    swarms = np.arange(R)
 
-    positions = rng.uniform(lo, hi, size=(S, D))
-    velocities = np.zeros((S, D))
-    tally = _Tally(objective)
+    positions = np.stack([rng.uniform(lo, hi, size=(S, D)) for rng in rngs])
+    velocities = np.zeros((R, S, D))
+    tallies = [_Tally() for _ in rngs]
 
-    def evaluate_swarm() -> np.ndarray:
-        return np.array([tally.score(space.decode_vector(x)) for x in positions])
+    def evaluate_swarms() -> np.ndarray:
+        points = [space.decode_vector(x) for x in positions.reshape(-1, D)]
+        try:
+            scores = np.asarray(objective([dict(point) for point in points]), dtype=float).tolist()
+        except HefLabError:
+            scores = [math.inf] * len(points)
+        tallied = [tallies[i // S].add(point, score) for i, (point, score) in enumerate(zip(points, scores))]
+        return np.reshape(tallied, (R, S))
 
     pbest_pos = positions.copy()
-    pbest_score = evaluate_swarm()
-    g = int(np.argmin(pbest_score))
-    gbest_pos, gbest_score = pbest_pos[g].copy(), float(pbest_score[g])
+    pbest_score = evaluate_swarms()
+    g = np.argmin(pbest_score, axis=1)
+    gbest_pos, gbest_score = pbest_pos[swarms, g], pbest_score[swarms, g]
 
     for _ in range(config.iterations - 1):
-        r1 = rng.uniform(size=(S, D))
-        r2 = rng.uniform(size=(S, D))
+        r1 = np.stack([rng.uniform(size=(S, D)) for rng in rngs])
+        r2 = np.stack([rng.uniform(size=(S, D)) for rng in rngs])
         velocities = (
             _INERTIA * velocities
             + _COGNITIVE * r1 * (pbest_pos - positions)
-            + _SOCIAL * r2 * (gbest_pos - positions)
+            + _SOCIAL * r2 * (gbest_pos[:, None] - positions)
         )
         velocities = np.clip(velocities, -vmax, vmax)
         positions = np.clip(positions + velocities, lo, hi)
-        scores = evaluate_swarm()
+        scores = evaluate_swarms()
         improved = scores < pbest_score
         pbest_pos[improved] = positions[improved]
         pbest_score[improved] = scores[improved]
-        g = int(np.argmin(pbest_score))
-        if pbest_score[g] < gbest_score:
-            gbest_pos, gbest_score = pbest_pos[g].copy(), float(pbest_score[g])
+        g = np.argmin(pbest_score, axis=1)
+        better = pbest_score[swarms, g] < gbest_score
+        gbest_pos[better] = pbest_pos[swarms[better], g[better]]
+        gbest_score[better] = pbest_score[swarms[better], g[better]]
 
-    return tally.result()
+    return [tally.result() for tally in tallies]
 
 
 # --- TPE internals ----------------------------------------------------------
@@ -286,7 +321,7 @@ def tpe_minimize(
     if len(space) == 0:
         raise EmptySpaceError("tpe_minimize needs at least one parameter")
     rng = np.random.default_rng(seed)
-    tally = _Tally(objective)
+    tally = _Tally()
     points: list[dict] = []
     scores: list[float] = []
 
@@ -309,6 +344,6 @@ def tpe_minimize(
             ratios = [sum(l_logs) - sum(g_logs) for l_logs, g_logs in zip(zip(*l_rows), zip(*g_rows))]
             point = candidates[int(np.argmax(ratios))]
         points.append(point)
-        scores.append(tally.score(point))
+        scores.append(tally.add(point, _score(objective, point)))
 
     return tally.result()

@@ -9,6 +9,9 @@ is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
 work is one (series, split, model) cell and condition with its pending reps,
 which share one objective and one final-forecast scorer; the reps of a grid
 or baseline unit repeat one computation, so its first pending rep runs it.
+The first pending rep of a swarm unit runs the swarm searches of all the
+unit's pending reps in lockstep, each seeded by its rep, scoring each step's
+points in one batch; every rep then runs, times and scores its own final fit.
 Every completed task persists its test-set metric bundle to an append-only
 CSV store before any analysis, and reruns over an existing store skip
 completed tasks.
@@ -377,11 +380,15 @@ class ResultsStore:
 # --- task execution ----------------------------------------------------------
 
 
+# forecasts a batch scores at a time: its memory stays within this many rows of the horizon
+_BLOCK_ROWS = 256
+
+
 class _Objective:
     """Fit -> predict -> the condition's score: ``maef`` scores the MAE alone,
     ``hef`` scores r2, MAE and RMSE. The test window is the unit's, and the
     hef thresholds of the training series are built once, when the objective
-    is made."""
+    is made. ``batch`` scores many points as calling it scores each one."""
 
     def __init__(self, model: ForecastModel, train: np.ndarray, window: TargetWindow, condition: str) -> None:
         self._model = model
@@ -390,28 +397,52 @@ class _Objective:
         self._hef = None if condition == "maef" else evaluation.hef_scorer(train)
 
     def __call__(self, point: Mapping) -> float:
-        fitted = self._model.fit(self._train, point)
-        predicted = fitted.predict(self._window.actual.size)
+        predicted = self._model.fit(self._train, point).predict(self._window.actual.size)
+        return self._score(predicted, *self._window.errors(predicted))  # a flat window's NaN r2 raises
+
+    def batch(self, points: Sequence[Mapping]) -> np.ndarray:
+        """The score of each point, bit for bit as calling the objective gives
+        it, and NaN where that call would raise. Each point is fitted and
+        forecast on its own; each block of forecasts is scored row by row."""
+        horizon = self._window.actual.size
+        scores = []
+        for start in range(0, len(points), _BLOCK_ROWS):
+            block = points[start : start + _BLOCK_ROWS]
+            forecasts = np.full((len(block), horizon), math.nan)  # a point that fails keeps its NaN row
+            for row, point in zip(forecasts, block):
+                try:
+                    predicted = np.asarray(self._model.fit(self._train, point).predict(horizon), dtype=float)
+                except HefLabError:
+                    continue
+                if predicted.shape == row.shape:
+                    row[:] = predicted
+            scores.append(self._score(forecasts, *self._window.row_errors(forecasts)))
+        return np.concatenate(scores)
+
+    def _score(self, predicted: np.ndarray, r2, mae, rmse):
         if self._hef is None:
-            return evaluation.maef_score(self._window.mae(predicted))
-        return self._hef(predicted, *self._window.errors(predicted))  # a flat window's NaN r2 raises
+            return evaluation.maef_score(mae)
+        return self._hef(predicted, r2, mae, rmse)
 
 
 @dataclass
 class _Reps:
     """What the pending reps of one (cell, condition) share: the split, made by
     the first rep to reach it (a swarm or Parzen rep retries a failed one),
-    its bundle scorer, the objective of a searched condition and, in a
-    deterministic unit, the outcome of its first rep."""
+    its bundle scorer, the objective of a searched condition, and either the
+    outcome of a deterministic unit's first rep or the swarm search results
+    that a swarm unit's first rep computes for every pending rep at once."""
 
     series: TimeSeries
     model: ForecastModel
     space: HyperparameterSpace
     label: str
+    keys: Sequence[TaskKey]  # the pending reps, in order
     split: Split | None = None
     scorer: BundleScorer | None = None
     objective: _Objective | None = None
     outcome: tuple[dict[str, float] | None, str | None] | None = None  # metric values, failure reason
+    swarms: dict[TaskKey, OptimizationResult] | None = None
 
 
 _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
@@ -422,15 +453,23 @@ _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
 _DETERMINISTIC = ("fixed", "grid")
 
 
+def _seed(config: ExperimentConfig, key: TaskKey) -> int:
+    return derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
+
+
 def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> OptimizationResult:
     """The search ``reps.label`` names over the unit's objective: the grid
-    search, or a swarm or Parzen search seeded per rep."""
+    search, a Parzen search seeded per rep, or this rep's swarm of the
+    lockstep swarm search that the unit's first pending rep runs for every
+    pending rep, each swarm seeded by its rep."""
     if reps.label == "grid":
         return grid_search(reps.space, reps.objective)
-    seed = derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
-    if reps.label == "pso":
-        return pso_minimize(reps.space, reps.objective, config.pso, seed)
-    return tpe_minimize(reps.space, reps.objective, config.tpe, seed)
+    if reps.label == "tpe":
+        return tpe_minimize(reps.space, reps.objective, config.tpe, _seed(config, key))
+    if reps.swarms is None:
+        seeds = [_seed(config, k) for k in reps.keys]
+        reps.swarms = dict(zip(reps.keys, pso_minimize(reps.space, reps.objective.batch, config.pso, seeds)))
+    return reps.swarms[key]
 
 
 def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outcome:
@@ -470,7 +509,7 @@ def _execute_reps(keys: Sequence[TaskKey], dataset: Dataset, config: ExperimentC
     series = dataset.get(keys[0].series_id)
     model = create_model(keys[0].model, season_length=series.frequency.periods_per_year)
     space = config.search_space(model.name)
-    reps = _Reps(series, model, space, optimizer_label(space, keys[0].condition, config.scs_optimizer))
+    reps = _Reps(series, model, space, optimizer_label(space, keys[0].condition, config.scs_optimizer), keys)
     for key in keys:
         # _execute_task is looked up at call time, so a wrapper installed on the module runs
         yield _execute_task(key, reps, config)

@@ -62,6 +62,7 @@ class IntervalDomain:
             raise InvalidParameterError(f"integer must be true or false, got {self.integer!r}")
         if self.integer and math.ceil(self.lower) > math.floor(self.upper):
             raise InvalidParameterError(f"integer interval [{self.lower}, {self.upper}] holds no integer")
+        object.__setattr__(self, "_bounds", (self.encode(self.lower), self.encode(self.upper)))
 
     def contains(self, value) -> bool:
         if self.integer and float(value) != round(float(value)):
@@ -75,10 +76,10 @@ class IntervalDomain:
         return math.log10(float(value)) if self.scale == "log" else float(value)
 
     def internal_bounds(self) -> tuple[float, float]:
-        return self.encode(self.lower), self.encode(self.upper)
+        return self._bounds
 
     def decode(self, internal: float) -> float | int:
-        lo, hi = self.internal_bounds()
+        lo, hi = self._bounds
         x = min(max(float(internal), lo), hi)
         value = 10.0**x if self.scale == "log" else x
         if self.integer:
@@ -105,6 +106,7 @@ class HyperparameterSpace:
         for name, domain in self._params.items():
             if not isinstance(domain, (GridDomain, IntervalDomain)):
                 raise InvalidParameterError(f"parameter {name!r} has unsupported domain {domain!r}")
+        self._intervals = {n: d for n, d in self._params.items() if isinstance(d, IntervalDomain)}
 
     @property
     def params(self) -> dict[str, Domain]:
@@ -158,7 +160,7 @@ class HyperparameterSpace:
     # continuous-box view (for swarm optimizers) ----------------------------
 
     def interval_names(self) -> tuple[str, ...]:
-        return tuple(n for n, d in self._params.items() if isinstance(d, IntervalDomain))
+        return tuple(self._intervals)
 
     def box_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Internal-scale bounds of the interval dimensions, in declared order."""
@@ -171,10 +173,6 @@ class HyperparameterSpace:
 
     def decode_vector(self, internal: np.ndarray) -> dict:
         """Map an internal-scale vector over the interval dims to a point."""
-        names = self.interval_names()
-        if len(names) != len(internal):
+        if len(self._intervals) != len(internal):
             raise InvalidParameterError("vector length does not match interval dimensions")
-        return {
-            name: self._params[name].decode(float(x))  # type: ignore[union-attr]
-            for name, x in zip(names, internal)
-        }
+        return {name: domain.decode(x) for (name, domain), x in zip(self._intervals.items(), internal)}

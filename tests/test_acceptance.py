@@ -162,8 +162,8 @@ def test_criterion_06_optimizer_correctness() -> None:
     sphere_space = HyperparameterSpace(
         {"x": IntervalDomain(-5.0, 5.0), "y": IntervalDomain(-5.0, 5.0)}
     )
-    result = pso_minimize(
-        sphere_space, lambda p: p["x"] ** 2 + p["y"] ** 2, seed=42
+    [result] = pso_minimize(
+        sphere_space, lambda points: [p["x"] ** 2 + p["y"] ** 2 for p in points], seeds=[42]
     )
     assert result.best_score <= 1e-3
 

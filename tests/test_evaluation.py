@@ -225,6 +225,13 @@ class TestHoistedScoring:
                 model = _Replay(forecasts)
                 hef = _Objective(model, train, TargetWindow(test), "hef")
                 maef = _Objective(model, train, TargetWindow(test), "maef")
+                points = [{"i": i} for i in range(len(forecasts))]
+                # the batch form scores each point as the call does, NaN where the call raises
+                assert maef.batch(points).tolist() == [maef(point) for point in points]
+                if np.ptp(test) == 0.0:  # flat window: r2 undefined, hef cannot score
+                    assert np.isnan(hef.batch(points)).all()
+                else:
+                    assert hef.batch(points).tolist() == [hef(point) for point in points]
                 for i, predicted in enumerate(forecasts):
                     point = {"i": i}
                     assert maef(point) == maef_score(mae(test, predicted))

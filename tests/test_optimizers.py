@@ -12,6 +12,7 @@ from hef_lab import optimizers
 from hef_lab.errors import (
     EmptySpaceError,
     GridTooLargeError,
+    HefLabError,
     InsufficientDataError,
     InvalidParameterError,
 )
@@ -177,15 +178,20 @@ class TestIntervalDomain:
                 assert domain.decode(domain.encode(value)) == value
 
 
+def each(fn):
+    """The batch objective that scores each point with ``fn``."""
+    return lambda points: [fn(point) for point in points]
+
+
 class TestPso:
     def test_sphere_convergence_default_config(self) -> None:
-        result = pso_minimize(SPHERE_SPACE, sphere, seed=42)
+        [result] = pso_minimize(SPHERE_SPACE, each(sphere), seeds=[42])
         assert result.best_score <= 1e-3
 
     def test_budget_exact(self) -> None:
         config = PsoConfig(swarm_size=7, iterations=9)
         objective = Recording(sphere)
-        result = pso_minimize(SPHERE_SPACE, objective, config, seed=1)
+        [result] = pso_minimize(SPHERE_SPACE, each(objective), config, seeds=[1])
         assert result.evals == len(objective.points) == 7 * 9
         assert result.failed_evals == 0
         # the swarm is seeded by a uniform draw, evaluated particle by particle
@@ -193,17 +199,17 @@ class TestPso:
         assert objective.points[:7] == [{"x": x, "y": y} for x, y in first]
 
     def test_constant_objective(self) -> None:
-        result = pso_minimize(SPHERE_SPACE, lambda p: 0.0, PsoConfig(swarm_size=4, iterations=3))
+        [result] = pso_minimize(SPHERE_SPACE, each(lambda p: 0.0), PsoConfig(swarm_size=4, iterations=3))
         assert result.best_score == 0.0
         assert SPHERE_SPACE.contains(result.best_point)
 
     def test_determinism(self) -> None:
         a, b, c = Recording(sphere), Recording(sphere), Recording(sphere)
-        ra = pso_minimize(SPHERE_SPACE, a, seed=11)
-        rb = pso_minimize(SPHERE_SPACE, b, seed=11)
+        ra = pso_minimize(SPHERE_SPACE, each(a), seeds=[11])
+        rb = pso_minimize(SPHERE_SPACE, each(b), seeds=[11])
         assert ra == rb
         assert a.points == b.points
-        pso_minimize(SPHERE_SPACE, c, seed=12)
+        pso_minimize(SPHERE_SPACE, each(c), seeds=[12])
         assert a.points != c.points
 
     def test_best_equals_trace_minimum(self) -> None:
@@ -213,7 +219,7 @@ class TestPso:
             assert result.best_point == objective.points[best]
 
         objective = Recording(sphere)
-        check(pso_minimize(SPHERE_SPACE, objective, PsoConfig(iterations=10), seed=3), objective)
+        check(pso_minimize(SPHERE_SPACE, each(objective), PsoConfig(iterations=10), seeds=[3])[0], objective)
         objective = Recording(lambda p: -p["a"])
         check(grid_search(HyperparameterSpace({"a": GridDomain((1, 2, 3))}), objective), objective)
         objective = Recording(lambda p: p["x"])
@@ -227,7 +233,7 @@ class TestPso:
 
     def test_positions_stay_in_box(self) -> None:
         objective = Recording(sphere)
-        pso_minimize(SPHERE_SPACE, objective, PsoConfig(iterations=5), seed=5)
+        pso_minimize(SPHERE_SPACE, each(objective), PsoConfig(iterations=5), seeds=[5])
         for point in objective.points:
             assert -5.0 <= point["x"] <= 5.0
             assert -5.0 <= point["y"] <= 5.0
@@ -239,11 +245,11 @@ class TestPso:
                 "alpha": IntervalDomain(1e-4, 10.0, scale="log"),
             }
         )
-        result = pso_minimize(
+        [result] = pso_minimize(
             space,
-            lambda p: (p["k"] - 7) ** 2 + (math.log10(p["alpha"]) - 0.0) ** 2,
+            each(lambda p: (p["k"] - 7) ** 2 + (math.log10(p["alpha"]) - 0.0) ** 2),
             PsoConfig(swarm_size=10, iterations=20),
-            seed=0,
+            seeds=[0],
         )
         assert isinstance(result.best_point["k"], int)
         assert result.best_point["k"] == 7
@@ -251,9 +257,9 @@ class TestPso:
 
     def test_rejects_grid_dimensions(self) -> None:
         with pytest.raises(EmptySpaceError):
-            pso_minimize(HyperparameterSpace({"a": GridDomain((1, 2))}), sphere)
+            pso_minimize(HyperparameterSpace({"a": GridDomain((1, 2))}), each(sphere))
         with pytest.raises(EmptySpaceError):
-            pso_minimize(HyperparameterSpace({}), sphere)
+            pso_minimize(HyperparameterSpace({}), each(sphere))
 
     def test_result_is_frozen(self) -> None:
         # frozen values: any change to the swarm's constants, draw order or
@@ -263,7 +269,7 @@ class TestPso:
         def objective(point):
             return (point["x"] - 1.3) ** 2 + (math.log10(point["alpha"]) - 0.2) ** 2
 
-        result = pso_minimize(space, objective, PsoConfig(swarm_size=5, iterations=10), seed=1)
+        [result] = pso_minimize(space, each(objective), PsoConfig(swarm_size=5, iterations=10), seeds=[1])
         assert result.best_point["x"] == pytest.approx(1.3158475767289113, rel=1e-12)
         assert result.best_point["alpha"] == pytest.approx(1.9129947819327318, rel=1e-12)
         assert result.best_score == pytest.approx(0.006928288413524713, rel=1e-12)
@@ -274,6 +280,182 @@ class TestPso:
             PsoConfig(swarm_size=1)
         with pytest.raises(InvalidParameterError):
             PsoConfig(iterations=0)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, True, np.int64(4)])
+    def test_swarm_size_must_be_an_int(self, value) -> None:
+        with pytest.raises(InvalidParameterError, match="swarm_size must be an integer"):
+            PsoConfig(swarm_size=value)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.int64(3)])
+    def test_iterations_must_be_an_int(self, value) -> None:
+        with pytest.raises(InvalidParameterError, match="iterations must be an integer"):
+            PsoConfig(iterations=value)
+
+    def test_swarms_in_lockstep_equal_each_swarm_alone(self) -> None:
+        space = HyperparameterSpace({"x": IntervalDomain(-5.0, 5.0), "alpha": IntervalDomain(1e-3, 10.0, scale="log")})
+
+        def objective(point):  # a third of the box fails
+            if point["x"] > 2.0:
+                raise InsufficientDataError("right third fails")
+            return (point["x"] - 1.3) ** 2 + (math.log10(point["alpha"]) - 0.2) ** 2
+
+        def batch(points):
+            scores = []
+            for point in points:
+                try:
+                    scores.append(objective(point))
+                except InsufficientDataError:
+                    scores.append(math.nan)
+            return scores
+
+        config = PsoConfig(swarm_size=6, iterations=7)
+        seeds = [3, 1, 4, 1, 5]
+        together = pso_minimize(space, batch, config, seeds)
+        assert together == [pso_minimize(space, batch, config, [seed])[0] for seed in seeds]
+        assert together[1] == together[3]  # a repeated seed repeats its swarm
+        assert all(r.evals == 42 for r in together) and sum(r.failed_evals for r in together) > 0
+
+    def test_each_step_is_one_batch_swarm_by_swarm(self) -> None:
+        batches: list[list[dict]] = []
+
+        def batch(points):
+            batches.append(points)
+            return [sphere(point) for point in points]
+
+        config = PsoConfig(swarm_size=4, iterations=3)
+        pso_minimize(SPHERE_SPACE, batch, config, [7, 8])
+        assert [len(points) for points in batches] == [8] * 3
+        for seed, first in zip((7, 8), (batches[0][:4], batches[0][4:])):
+            alone = Recording(sphere)
+            pso_minimize(SPHERE_SPACE, each(alone), config, [seed])
+            assert first == alone.points[:4]
+
+    def test_a_batch_that_raises_fails_every_point(self) -> None:
+        calls = [0]
+
+        def batch(points):
+            calls[0] += 1
+            if calls[0] == 2:
+                raise InsufficientDataError("the whole step fails")
+            return [sphere(point) for point in points]
+
+        results = pso_minimize(SPHERE_SPACE, batch, PsoConfig(swarm_size=3, iterations=3), [1, 2])
+        assert [(r.evals, r.failed_evals) for r in results] == [(9, 3), (9, 3)]
+        assert all(math.isfinite(r.best_score) for r in results)
+
+    def test_no_seeds_no_swarms(self) -> None:
+        assert pso_minimize(SPHERE_SPACE, each(sphere), seeds=[]) == []
+
+
+def reference_pso(space, objective, config, seed):
+    """One swarm searched alone, one objective call per point: a
+    ``HefLabError`` or a non-finite score fails the point and scores +inf,
+    and only a strictly lower score replaces the best. The reference that
+    the lockstep swarms must equal."""
+    lo, hi = space.box_bounds()
+    widths = hi - lo
+    rng = np.random.default_rng(seed)
+    S, D = config.swarm_size, len(lo)
+    vmax = optimizers._VELOCITY_CLAMP * widths
+    positions = rng.uniform(lo, hi, size=(S, D))
+    velocities = np.zeros((S, D))
+    tally = {"evals": 0, "failed_evals": 0, "best_point": {}, "best_score": math.inf}
+
+    def score(point: dict) -> float:
+        try:
+            value = float(objective(dict(point)))
+        except HefLabError:
+            value = math.inf
+        if not math.isfinite(value):
+            value = math.inf
+            tally["failed_evals"] += 1
+        if tally["evals"] == 0 or value < tally["best_score"]:
+            tally["best_point"], tally["best_score"] = point, value
+        tally["evals"] += 1
+        return value
+
+    def evaluate_swarm() -> np.ndarray:
+        return np.array([score(space.decode_vector(x)) for x in positions])
+
+    pbest_pos = positions.copy()
+    pbest_score = evaluate_swarm()
+    g = int(np.argmin(pbest_score))
+    gbest_pos, gbest_score = pbest_pos[g].copy(), float(pbest_score[g])
+    for _ in range(config.iterations - 1):
+        r1 = rng.uniform(size=(S, D))
+        r2 = rng.uniform(size=(S, D))
+        velocities = (
+            optimizers._INERTIA * velocities
+            + optimizers._COGNITIVE * r1 * (pbest_pos - positions)
+            + optimizers._SOCIAL * r2 * (gbest_pos - positions)
+        )
+        velocities = np.clip(velocities, -vmax, vmax)
+        positions = np.clip(positions + velocities, lo, hi)
+        scores = evaluate_swarm()
+        improved = scores < pbest_score
+        pbest_pos[improved] = positions[improved]
+        pbest_score[improved] = scores[improved]
+        g = int(np.argmin(pbest_score))
+        if pbest_score[g] < gbest_score:
+            gbest_pos, gbest_score = pbest_pos[g].copy(), float(pbest_score[g])
+    return optimizers.OptimizationResult(**tally)
+
+
+def monthly_fleet(n_series: int, seed: int = 26) -> list[np.ndarray]:
+    """Five-year monthly series with trend, season and noise of several sizes."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(60)
+    fleet = []
+    for i in range(n_series):
+        base, noise = rng.uniform(30.0, 80.0), (0.03, 0.12, 0.28, 0.6)[i % 4]
+        values = base + 0.2 * t + 0.1 * base * np.sin(2 * np.pi * t / 12) + rng.normal(0.0, noise * base, 60)
+        fleet.append(np.maximum(values, 1.0))
+    return fleet
+
+
+class TestLockstepAgainstReference:
+    """The lockstep swarms over a unit's batch objective equal, bit for bit,
+    the per-swarm reference over the same objective called point by point."""
+
+    @staticmethod
+    def compare(model_name: str, space: HyperparameterSpace, config: PsoConfig) -> tuple[int, int]:
+        from hef_lab.metrics import TargetWindow
+        from hef_lab.models import create
+        from hef_lab.protocol import _Objective, derive_seed
+
+        searches = failed = 0
+        model = create(model_name)
+        for i, values in enumerate(monthly_fleet(8)):
+            train, test = values[:48], values[48:]
+            for condition in ("hef", "maef"):
+                objective = _Objective(model, train, TargetWindow(test), condition)
+                seeds = [derive_seed(1, f"m{i:03d}", model_name, condition, rep) for rep in range(21)]
+                lockstep = pso_minimize(space, objective.batch, config, seeds)
+                for seed, result in zip(seeds, lockstep, strict=True):
+                    reference = reference_pso(space, objective, config, seed)
+                    assert result.best_point == reference.best_point
+                    assert [type(v) for v in result.best_point.values()] == [float] * len(space)
+                    assert type(result.best_score) is float
+                    assert (result.best_score, result.evals, result.failed_evals) == (
+                        reference.best_score,
+                        reference.evals,
+                        reference.failed_evals,
+                    )
+                    searches += 1
+                    failed += result.failed_evals
+        return searches, failed
+
+    def test_monthly_fleet_under_hef_and_maef(self) -> None:
+        from hef_lab.models import model_class
+
+        space = model_class("ses").declared_space
+        assert self.compare("ses", space, PsoConfig(swarm_size=5, iterations=4)) == (8 * 2 * 21, 0)
+
+    def test_points_that_fail_to_fit(self) -> None:
+        # SesModel refuses alpha above 1, so about nine points in ten fail
+        space = HyperparameterSpace({"alpha": IntervalDomain(0.5, 5.0)})
+        searches, failed = self.compare("ses", space, PsoConfig(swarm_size=5, iterations=4))
+        assert searches == 8 * 2 * 21 and 0 < failed < searches * 20
 
 
 class TestTpe:
@@ -372,4 +554,14 @@ class TestTpe:
             TpeConfig(trials=5, startup=9)
         with pytest.raises(InvalidParameterError):
             TpeConfig(trials=0)
+
+    @pytest.mark.parametrize("value", [3.5, 12.0, True, np.int64(12)])
+    def test_trials_must_be_an_int(self, value) -> None:
+        with pytest.raises(InvalidParameterError, match="trials must be an integer"):
+            TpeConfig(trials=value)
+
+    @pytest.mark.parametrize("value", [2.5, 4.0, np.int64(4)])
+    def test_startup_must_be_an_int(self, value) -> None:
+        with pytest.raises(InvalidParameterError, match="startup must be an integer"):
+            TpeConfig(startup=value)
 

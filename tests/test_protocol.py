@@ -213,6 +213,40 @@ class TestRunExperiment:
             assert not summary.failures
             assert without_exec_time(cut_store) == expected, f"cut at byte {cut}"
 
+    def test_resume_with_pending_reps_apart_in_a_swarm_unit(self, tmp_path, small_dataset, monkeypatch) -> None:
+        # reps 0 and 2 of one ses/hef unit are missing, rep 1 is stored: the
+        # lockstep search of the two pending reps writes their uninterrupted rows
+        config = tiny_config(models=("ses",), repetitions=5)
+        full = tmp_path / "full.csv"
+        run_experiment(small_dataset, config, full)
+        header, *lines = full.read_bytes().splitlines(keepends=True)
+        dropped = tuple(f"s01,ses,hef,pso,80:20,{rep},".encode() for rep in (0, 2))
+        kept = [line for line in lines if not line.startswith(dropped)]
+        assert len(lines) - len(kept) == 2 * len(required_metrics("hef"))
+        resumed = tmp_path / "resumed.csv"
+        resumed.write_bytes(header + b"".join(kept))
+
+        seeds = []
+        search = protocol.pso_minimize
+
+        def recording(space, objective, settings, unit_seeds):
+            seeds.append(list(unit_seeds))
+            return search(space, objective, settings, unit_seeds)
+
+        monkeypatch.setattr(protocol, "pso_minimize", recording)
+        summary = run_experiment(small_dataset, config, resumed)
+        assert (summary.executed, summary.skipped) == (2, summary.total - 2) and not summary.failures
+        assert seeds == [[derive_seed(config.master_seed, "s01", "ses", "hef", rep) for rep in (0, 2)]]
+
+        def essence(path):
+            return sorted(
+                (r["series_id"], r["condition"], r["rep"], r["metric"], r["value"])
+                for r in ResultsStore(path).rows
+                if r["metric"] != "exec_time"
+            )
+
+        assert essence(resumed) == essence(full)
+
     def test_store_opened_once_per_run(self, tmp_path, small_dataset, monkeypatch) -> None:
         modes: list[str] = []
         path_open = Path.open
@@ -564,7 +598,8 @@ class TestSearchMemo:
         assert summary.executed == 48 and not summary.failures
         per_condition = len(small_dataset.series) * len(config.conditions)
         assert calls["grid_search"] == per_condition
-        assert calls["pso_minimize"] == per_condition * config.repetitions
+        # one lockstep swarm search per (cell, condition), for all of its reps
+        assert calls["pso_minimize"] == per_condition
 
     @needs_fork
     def test_resume_with_workers_runs_one_grid_search_per_pending_condition(
@@ -646,7 +681,8 @@ class TestSearchInputs:
         search = getattr(protocol, name)
 
         def recording(space, objective, settings, seed):
-            seeds.append(seed)
+            # a swarm search takes the seeds of all its unit's reps, a Parzen search one rep's
+            seeds.extend(seed if optimizer == "pso" else [seed])
             return search(space, objective, settings, seed)
 
         monkeypatch.setattr(protocol, name, recording)
@@ -861,13 +897,15 @@ class TestFinalBundle:
     def test_swarm_unit_fits_and_times_every_rep(self, tmp_path, small_dataset, monkeypatch) -> None:
         readings = self._squares_clock(monkeypatch)
         fits = _count_calls(monkeypatch, model_class("ses"), "fit")
-        evals = _count_calls(monkeypatch, protocol._Objective, "__call__")
         config = tiny_config(models=("ses",))
         summary = run_experiment(small_dataset, config, tmp_path / "r.csv")
         assert summary.executed == 24 and not summary.failures
-        assert fits[0] - evals[0] == summary.executed
+        tasks = self._by_task(tmp_path / "r.csv")
+        evals = sum(values["opt_evals"] for values in tasks.values())
+        assert evals == summary.executed * 4 * 3  # the swarm's evaluations, one fit each
+        assert fits[0] - evals == summary.executed
         assert readings[0] == 2 * summary.executed
-        exec_times = [values["exec_time"] for values in self._by_task(tmp_path / "r.csv").values()]
+        exec_times = [values["exec_time"] for values in tasks.values()]
         assert len(set(exec_times)) == summary.executed
 
     def test_grid_unit_where_every_point_fails_searches_once(self, tmp_path, monkeypatch) -> None:
