@@ -64,8 +64,8 @@ def _matching(y: np.ndarray, predicted: Sequence[float]) -> np.ndarray:
 
 class TargetWindow:
     """The actual values of one test window, validated once, with their total
-    sum of squares and total absolute volume; ``errors`` and ``mae`` score any
-    number of forecasts of the window. The window is constant when all its
+    sum of squares and total absolute volume; ``errors`` and ``row_errors``
+    score any number of forecasts of the window. The window is constant when all its
     values are equal, or when the sum of squares underflows to zero; r2 is
     then undefined."""
 
@@ -108,11 +108,6 @@ class TargetWindow:
             raise ZeroTotalVolumeError("actual values have zero total absolute volume")
         with np.errstate(over="ignore"):  # a far-off forecast gets an infinite volume and a gra of -inf
             return 1.0 - abs(float(np.sum(np.abs(yhat))) - self.volume) / self.volume
-
-    def mae(self, predicted: Sequence[float]) -> float:
-        """The MAE of one forecast, validated as ``errors`` validates it and
-        equal to ``errors(predicted)[1]``."""
-        return float(self._errors(_matching(self.actual, predicted))[1])
 
 
 def mae(actual: Sequence[float], predicted: Sequence[float]) -> float:

@@ -6,12 +6,12 @@ A run sweeps (series x split x model x condition x repetition). Conditions are
 function). A task's search follows from its model's space (the declared
 space with the config's overridden domains): grid search when every domain
 is a grid, the configured swarm or Parzen optimizer otherwise. The unit of
-work is one (series, split, model) cell and condition with its pending reps,
-which share one objective and one final-forecast scorer; the reps of a grid
-or baseline unit repeat one computation, so its first pending rep runs it.
-The first pending rep of a swarm unit runs the swarm searches of all the
-unit's pending reps in lockstep, each seeded by its rep, scoring each step's
-points in one batch; every rep then runs, times and scores its own final fit.
+work is one (series, split, model) cell and condition with its pending reps.
+Its first pending rep computes every pending rep's outcome: it makes the
+split, the final-forecast scorer and the objective once, runs one grid
+search for the unit or one swarm or Parzen search per rep, seeded by the rep
+(the swarms in lockstep, each step's points scored in one batch), and runs
+one timed final fit per search result; each rep's task returns its own.
 Every completed task persists its test-set metric bundle to an append-only
 CSV store before any analysis, and reruns over an existing store skip
 completed tasks.
@@ -30,7 +30,8 @@ from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, cycle, groupby, repeat
+from numbers import Real
 from pathlib import Path
 from typing import TextIO
 
@@ -50,8 +51,8 @@ from .optimizers import (
     pso_minimize,
     tpe_minimize,
 )
-from .series import Dataset, Split, SplitRatio, TimeSeries, temporal_split
-from .spaces import Domain, HyperparameterSpace
+from .series import Dataset, SplitRatio, TimeSeries, temporal_split
+from .spaces import Domain, GridDomain, HyperparameterSpace
 from .stats import MIN_REPETITIONS, TestResult, compare_paired_runs, two_proportion_z
 
 __all__ = [
@@ -141,6 +142,12 @@ class ExperimentConfig:
             undeclared = ", ".join(sorted(set(params) - set(declared.names)))
             if undeclared:
                 raise InvalidParameterError(f"{name} declares no parameter {undeclared}")
+            for param, domain in params.items():  # a model reads a grid value as a number, or None where it declares it
+                none_ok = None in getattr(declared.params[param], "values", ())
+                for value in domain.values if isinstance(domain, GridDomain) else ():
+                    numeric = isinstance(value, Real) and not isinstance(value, bool)
+                    if not (numeric or (value is None and none_ok)):
+                        raise InvalidParameterError(f"{name}'s {param} grid holds {value!r}, not a number")
         for name in self.models:  # of two distinct conditions, at least one searches, as hef does
             space = self.search_space(name)
             label = optimizer_label(space, "hef", self.scs_optimizer)
@@ -427,81 +434,73 @@ class _Objective:
 
 @dataclass
 class _Reps:
-    """What the pending reps of one (cell, condition) share: the split, made by
-    the first rep to reach it (a swarm or Parzen rep retries a failed one),
-    its bundle scorer, the objective of a searched condition, and either the
-    outcome of a deterministic unit's first rep or the swarm search results
-    that a swarm unit's first rep computes for every pending rep at once."""
+    """The pending reps of one (cell, condition), in order, and the outcome of
+    each, which the unit's first pending rep computes for all of them."""
 
     series: TimeSeries
     model: ForecastModel
     space: HyperparameterSpace
     label: str
-    keys: Sequence[TaskKey]  # the pending reps, in order
-    split: Split | None = None
-    scorer: BundleScorer | None = None
-    objective: _Objective | None = None
-    outcome: tuple[dict[str, float] | None, str | None] | None = None  # metric values, failure reason
-    swarms: dict[TaskKey, OptimizationResult] | None = None
+    keys: Sequence[TaskKey]
+    outcomes: dict[TaskKey, tuple[dict[str, float] | None, str | None]] = field(default_factory=dict)
 
 
 _Outcome = tuple[TaskKey, str, dict[str, float] | None, str | None]
 
-# the labels of units whose reps repeat one computation: every registered
-# model is a function of (training series, point), and neither the baseline
-# nor a grid search draws a random number
-_DETERMINISTIC = ("fixed", "grid")
 
-
-def _seed(config: ExperimentConfig, key: TaskKey) -> int:
-    return derive_seed(config.master_seed, key.series_id, key.model, key.condition, key.rep)
-
-
-def _search(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> OptimizationResult:
-    """The search ``reps.label`` names over the unit's objective: the grid
-    search, a Parzen search seeded per rep, or this rep's swarm of the
-    lockstep swarm search that the unit's first pending rep runs for every
-    pending rep, each swarm seeded by its rep."""
+def _search(reps: _Reps, objective: _Objective, config: ExperimentConfig) -> list[OptimizationResult]:
+    """The searches ``reps.label`` names over the unit's objective: one grid
+    search for the whole unit, or one search per pending rep, seeded by the
+    rep: a Parzen search each, or the swarms of all of them in lockstep,
+    scoring each step's points in one batch."""
     if reps.label == "grid":
-        return grid_search(reps.space, reps.objective)
+        return [grid_search(reps.space, objective)]
+    seeds = [derive_seed(config.master_seed, k.series_id, k.model, k.condition, k.rep) for k in reps.keys]
     if reps.label == "tpe":
-        return tpe_minimize(reps.space, reps.objective, config.tpe, _seed(config, key))
-    if reps.swarms is None:
-        seeds = [_seed(config, k) for k in reps.keys]
-        reps.swarms = dict(zip(reps.keys, pso_minimize(reps.space, reps.objective.batch, config.pso, seeds)))
-    return reps.swarms[key]
+        return [tpe_minimize(reps.space, objective, config.tpe, seed) for seed in seeds]
+    return pso_minimize(reps.space, objective.batch, config.pso, seeds)
+
+
+def _failure(exc: HefLabError) -> tuple[None, str]:
+    return None, f"{type(exc).__name__}: {exc}"
 
 
 def _execute_task(key: TaskKey, reps: _Reps, config: ExperimentConfig) -> _Outcome:
     """Run one task; returns (key, optimizer, metric values or None, failure
-    reason). In a deterministic unit the first rep computes the outcome,
-    ``exec_time`` included, and every later rep returns it under its key."""
-    if reps.outcome is not None:
-        return (key, reps.label, *reps.outcome)
-    try:
-        if reps.split is None:
+    reason). The unit's first pending rep makes the split, its scorer and the
+    objective once, runs the unit's searches and one timed final fit per
+    search result. A unit with one result (baseline or grid) writes that
+    outcome, ``exec_time`` included, under every rep's key."""
+    if not reps.outcomes:
+        try:
             split = temporal_split(reps.series, SplitRatio.parse(key.split))
-            reps.scorer, reps.split = BundleScorer(split.train, split.test), split
-        if key.condition == "baseline":
-            point, trace_summary = reps.model.fixed_config(), {}
+            scorer = BundleScorer(split.train, split.test)
+            if key.condition == "baseline":
+                results = [None]
+            else:
+                results = _search(reps, _Objective(reps.model, split.train, scorer.window, key.condition), config)
+        except HefLabError as exc:
+            outcomes = [_failure(exc)]
         else:
-            if reps.objective is None:
-                reps.objective = _Objective(reps.model, reps.split.train, reps.scorer.window, key.condition)
-            result = _search(key, reps, config)
-            if not math.isfinite(result.best_score):
-                raise InvalidParameterError("every candidate configuration failed to score")
-            point = result.best_point
-            trace_summary = {"opt_evals": float(result.evals), "opt_best_score": result.best_score}
-        started = time.perf_counter()
-        fitted = reps.model.fit(reps.split.train, point)
-        predicted = fitted.predict(reps.split.horizon)
-        exec_time = time.perf_counter() - started
-        outcome = {**reps.scorer(predicted, exec_time).as_dict(), **trace_summary}, None
-    except HefLabError as exc:
-        outcome = None, f"{type(exc).__name__}: {exc}"
-    if reps.label in _DETERMINISTIC:
-        reps.outcome = outcome
-    return (key, reps.label, *outcome)
+            outcomes = []
+            for result in results:
+                try:
+                    if result is None:
+                        point, trace_summary = reps.model.fixed_config(), {}
+                    elif not math.isfinite(result.best_score):
+                        raise InvalidParameterError("every candidate configuration failed to score")
+                    else:
+                        point = result.best_point
+                        trace_summary = {"opt_evals": float(result.evals), "opt_best_score": result.best_score}
+                    started = time.perf_counter()
+                    predicted = reps.model.fit(split.train, point).predict(split.horizon)
+                    exec_time = time.perf_counter() - started
+                    outcomes.append(({**scorer(predicted, exec_time).as_dict(), **trace_summary}, None))
+                except HefLabError as exc:
+                    outcomes.append(_failure(exc))
+        # a single outcome stands for every rep; otherwise each rep has its own
+        reps.outcomes = dict(zip(reps.keys, cycle(outcomes)))
+    return (key, reps.label, *reps.outcomes[key])
 
 
 def _execute_reps(keys: Sequence[TaskKey], dataset: Dataset, config: ExperimentConfig) -> Iterator[_Outcome]:

@@ -332,6 +332,28 @@ class TestRun:
         assert self._run_with(workdir, models, mixed, *tpe) == 0
         assert "failed 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "model, param, grid, held",
+        [
+            ("rr", "alpha", '[1, "a"]', "'a'"),  # was a ValueError traceback
+            ("ses", "alpha", '[null, "a"]', "None"),  # was a TypeError traceback
+            ("arima", "d", "[null]", "None"),  # was a TypeError traceback
+            ("dtr", "max_depth", '["x"]', "'x'"),  # was a ValueError traceback
+            ("knn", "n_neighbors", '["3"]', "'3'"),  # was read through int("3")
+            ("ses", "alpha", "[true]", "True"),  # was read through float(True)
+        ],
+    )
+    def test_grid_value_that_is_not_a_number_exits_1(self, workdir, capsys, model, param, grid, held) -> None:
+        key = f"models.{model}.space.{param}"
+        assert self._run_with(workdir, f'experiment.models=["{model}"]', f'{key}={{"grid": {grid}}}') == 1
+        assert capsys.readouterr().err == f"error: {key}: {model}'s {param} grid holds {held}, not a number\n"
+        assert not (workdir / "out" / "results.csv").exists()
+
+    def test_none_on_a_grid_that_declares_it_completes(self, workdir, capsys) -> None:
+        override = 'models.dtr.space.max_depth={"grid": [3, null]}'
+        assert self._run_with(workdir, 'experiment.models=["dtr"]', override) == 0
+        assert "failed 0" in capsys.readouterr().out
+
     def test_grid_above_the_cap_exits_1(self, workdir, capsys) -> None:
         orders = (f"{key}={json.dumps(domain)}" for key, domain in ARIMA_ORDERS.items())
         assert self._run_with(workdir, 'experiment.models=["arima"]', *orders) == 1

@@ -307,22 +307,3 @@ class TestTargetWindow:
         assert mae_value == pytest.approx(1e200 / 3, rel=1e-15)
         with pytest.raises(NonFiniteInputError):
             hef_scorer(y)(yhat, r2_value, mae_value, rmse_value)
-
-    def test_mae_alone_equals_errors_mae_bitwise(self) -> None:
-        rng = np.random.default_rng(23)
-        for n in (1, 2, 7, 12, 30):
-            for scale in (1e-3, 1.0, 250.0, 1e150):
-                y = rng.normal(50.0, 20.0, n) * scale
-                yhat = y + rng.normal(0.0, 5.0, n) * scale - rng.uniform(0.0, 80.0) * scale
-                window = TargetWindow(y)
-                assert window.mae(yhat) == window.errors(yhat)[1], (n, scale)
-        far = TargetWindow([9.0, 10.0, 11.0])
-        assert far.mae([10.0, 1e308, -1e308]) == far.errors([10.0, 1e308, -1e308])[1]
-
-    def test_mae_alone_validates_the_forecast(self) -> None:
-        window = TargetWindow([1.0, 2.0, 3.0])
-        for bad in ([1.0, math.inf, 3.0], [math.nan, 2.0, 3.0]):
-            with pytest.raises(NonFiniteInputError):
-                window.mae(bad)
-        with pytest.raises(LengthMismatchError):
-            window.mae([1.0, 2.0])

@@ -85,8 +85,13 @@ class TestConfig:
             (dict(models=("ses", "knn", "ses")), "models repeat ses"),
             (dict(splits=(SplitRatio.R80_20, SplitRatio.R70_30, SplitRatio.R80_20)), "splits repeat 80:20"),
             (dict(conditions=("hef", "hef", "maef")), "conditions repeat hef"),
+            (dict(space_overrides={"knn": {"n_neighbors": GridDomain((3, "5"))}}), "grid holds '5', not a number"),
+            (dict(space_overrides={"ses": {"alpha": {"grid": [0.5]}}}), "'alpha' has unsupported domain"),
         ],
-        ids=["float-repetitions", "split-label", "repeated-model", "repeated-split", "repeated-condition"],
+        ids=[
+            "float-repetitions", "split-label", "repeated-model", "repeated-split", "repeated-condition",
+            "grid-string", "override-not-a-domain",
+        ],
     )
     def test_fields_the_sweep_would_misread_refused(self, fields, message) -> None:
         # each repeated value would run its tasks, and store their rows, twice
@@ -213,30 +218,38 @@ class TestRunExperiment:
             assert not summary.failures
             assert without_exec_time(cut_store) == expected, f"cut at byte {cut}"
 
-    def test_resume_with_pending_reps_apart_in_a_swarm_unit(self, tmp_path, small_dataset, monkeypatch) -> None:
-        # reps 0 and 2 of one ses/hef unit are missing, rep 1 is stored: the
-        # lockstep search of the two pending reps writes their uninterrupted rows
-        config = tiny_config(models=("ses",), repetitions=5)
+    @pytest.mark.parametrize("optimizer, model", [("pso", "ses"), ("tpe", "rr")])
+    def test_resume_with_pending_reps_apart_in_a_swarm_unit(
+        self, tmp_path, small_dataset, monkeypatch, optimizer, model
+    ) -> None:
+        # reps 0 and 2 of one hef unit are missing, rep 1 is stored: the
+        # searches of the two pending reps write their uninterrupted rows
+        config = tiny_config(
+            models=(model,), scs_optimizer=optimizer, repetitions=5, tpe=TpeConfig(trials=4, startup=2)
+        )
         full = tmp_path / "full.csv"
         run_experiment(small_dataset, config, full)
         header, *lines = full.read_bytes().splitlines(keepends=True)
-        dropped = tuple(f"s01,ses,hef,pso,80:20,{rep},".encode() for rep in (0, 2))
+        dropped = tuple(f"s01,{model},hef,{optimizer},80:20,{rep},".encode() for rep in (0, 2))
         kept = [line for line in lines if not line.startswith(dropped)]
         assert len(lines) - len(kept) == 2 * len(required_metrics("hef"))
         resumed = tmp_path / "resumed.csv"
         resumed.write_bytes(header + b"".join(kept))
 
-        seeds = []
-        search = protocol.pso_minimize
+        calls = []
+        name = f"{optimizer}_minimize"
+        search = getattr(protocol, name)
 
-        def recording(space, objective, settings, unit_seeds):
-            seeds.append(list(unit_seeds))
-            return search(space, objective, settings, unit_seeds)
+        def recording(space, objective, settings, seed):
+            calls.append(seed)
+            return search(space, objective, settings, seed)
 
-        monkeypatch.setattr(protocol, "pso_minimize", recording)
+        monkeypatch.setattr(protocol, name, recording)
         summary = run_experiment(small_dataset, config, resumed)
         assert (summary.executed, summary.skipped) == (2, summary.total - 2) and not summary.failures
-        assert seeds == [[derive_seed(config.master_seed, "s01", "ses", "hef", rep) for rep in (0, 2)]]
+        seeds = [derive_seed(config.master_seed, "s01", model, "hef", rep) for rep in (0, 2)]
+        # one lockstep swarm search for both reps, or one Parzen search each
+        assert calls == ([seeds] if optimizer == "pso" else seeds)
 
         def essence(path):
             return sorted(
@@ -298,6 +311,19 @@ class TestRunExperiment:
         assert all(f.key.series_id == "tiny" for f in summary.failures)
         store = ResultsStore(tmp_path / "r.csv")
         assert len(store) == 6
+
+    @pytest.mark.parametrize("optimizer", ["pso", "tpe"])
+    def test_a_unit_makes_its_split_once(self, tmp_path, monkeypatch, optimizer) -> None:
+        # a split that fails fails every pending rep of its unit with one reason, and no rep retries it
+        splits = _count_calls(monkeypatch, protocol, "temporal_split")
+        dataset = Dataset("d", (make_series("tiny", [1.0, 2.0, 3.0]),))
+        config = tiny_config(scs_optimizer=optimizer, repetitions=21)  # ses searched, knn on its grid
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert len(summary.failures) == summary.total == 2 * 2 * 21
+        assert splits[0] == 2 * 2  # one per (model, condition)
+        assert {f.reason for f in summary.failures} == {
+            "SeriesTooShortError: series 'tiny' has 3 observations; need at least 4"
+        }
 
     def test_bundle_with_a_non_finite_metric_is_a_failure(self, tmp_path) -> None:
         rng = np.random.default_rng(4)

@@ -260,11 +260,6 @@ class _ReferenceWindow:
             r2_value = 1.0 - float(np.sum(squared)) / self.ss_tot if self.ss_tot != 0.0 else math.nan
             return r2_value, float(np.mean(np.abs(e))), float(np.sqrt(np.mean(squared)))
 
-    def mae(self, predicted):
-        yhat = _matching(self.actual, predicted)
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.abs(self.actual - yhat)))
-
 
 def _reference_defined_errors(actual, predicted):
     window = _ReferenceWindow(actual)
@@ -612,16 +607,14 @@ class TestTargetWindow:
                     assert math.isnan(got[0])
                     got, expected = got[1:], expected[1:]
                 assert repr(got) == repr(expected)
-                assert repr(window.mae(predicted)) == repr(reference.mae(predicted))
 
     def test_bad_forecasts_raise_alike(self) -> None:
         actual = np.array([3.0, 5.0, 4.0])
         window, reference = TargetWindow(actual), _ReferenceWindow(actual)
         for predicted in _bad_forecasts():
-            for method in ("errors", "mae"):
-                expected = _outcome(getattr(reference, method), predicted)
-                assert "Error: " in expected
-                assert _outcome(getattr(window, method), predicted) == expected
+            expected = _outcome(reference.errors, predicted)
+            assert "Error: " in expected
+            assert _outcome(window.errors, predicted) == expected
 
 
 def _five(train, actual, predicted) -> tuple:
