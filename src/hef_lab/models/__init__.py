@@ -17,8 +17,8 @@ from typing import Callable, ClassVar, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..errors import InsufficientDataError, NonConvergenceError, UnknownModelError
-from ..spaces import HyperparameterSpace
+from ..errors import InsufficientDataError, InvalidParameterError, NonConvergenceError, UnknownModelError
+from ..spaces import HyperparameterSpace, Legal
 
 __all__ = [
     "FittedModel",
@@ -47,12 +47,13 @@ class FittedModel(ABC):
 
 class ForecastModel(ABC):
     """One named model family. A subclass declares its hyperparameter space
-    (``declared_space``), the point the baseline condition fits
-    (``fixed_point``) and the shortest series it fits (``min_train``) as class
-    data, and fits the series that ``fit`` has checked in ``_fit``."""
+    (``declared_space``), its parameters' legal values (``legal``), the point
+    the baseline condition fits (``fixed_point``) and the shortest series it
+    fits (``min_train``) as class data, and fits what ``fit`` has checked in ``_fit``."""
 
     name: ClassVar[str]
     declared_space: ClassVar[HyperparameterSpace]
+    legal: ClassVar[Mapping[str, Legal]]
     fixed_point: ClassVar[Mapping]
     min_train: ClassVar[int] = 3
 
@@ -66,7 +67,7 @@ class ForecastModel(ABC):
         return dict(self.fixed_point)
 
     def fit(self, train: Sequence[float], config: Mapping) -> FittedModel:
-        """Fit ``config`` to ``train``: one-dimensional, finite and at least ``min_train`` values."""
+        """Fit a point that ``legal`` admits to ``train``: one-dimensional, finite, ``min_train`` values or more."""
         y = np.asarray(train, dtype=float)
         if y.ndim != 1:
             raise InsufficientDataError(f"{self.name}: train must be one-dimensional")
@@ -74,6 +75,9 @@ class ForecastModel(ABC):
             raise InsufficientDataError(f"{self.name}: needs at least {self.min_train} observations, got {len(y)}")
         if not np.isfinite(y).all():
             raise InsufficientDataError(f"{self.name}: train contains non-finite values")
+        for param, legal in self.legal.items():
+            if not legal.admits(config[param]):
+                raise InvalidParameterError(f"{self.name}: {param} must be {legal}, got {config[param]!r}")
         return self._fit(y, config)
 
     @abstractmethod

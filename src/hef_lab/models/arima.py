@@ -13,8 +13,8 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import InsufficientDataError, InvalidParameterError, NonConvergenceError
-from ..spaces import GridDomain, HyperparameterSpace
+from ..errors import InsufficientDataError, NonConvergenceError
+from ..spaces import GridDomain, HyperparameterSpace, Legal
 from . import FittedModel, ForecastModel, register
 
 _HUGE = 1e300
@@ -71,19 +71,18 @@ class ArimaModel(ForecastModel):
     declared_space = HyperparameterSpace(
         {"p": GridDomain((0, 1, 2, 3)), "d": GridDomain((0, 1, 2)), "q": GridDomain((0, 1, 2, 3))}
     )
+    legal = dict.fromkeys("pdq", Legal(integer=True))
     fixed_point = {"p": 1, "d": 1, "q": 1}
 
     def _fit(self, y: np.ndarray, config: Mapping) -> FittedArima:
         from scipy.optimize import minimize  # imported here, so importing the models does not load scipy
 
         p, d, q = int(config["p"]), int(config["d"]), int(config["q"])
-        if min(p, d, q) < 0:
-            raise InvalidParameterError(f"arima({p},{d},{q}): orders must be non-negative")
+        T = max(len(y) - d, 0)  # the differenced length, found before np.diff loops d times
+        if T <= max(p, q) or T - p < 1:
+            raise InsufficientDataError(f"arima({p},{d},{q}): differenced series has {T} points; too few")
         with np.errstate(all="ignore"):  # a diverging search is capped or refused below
             w = np.diff(y, n=d) if d else y
-            T = len(w)
-            if T <= max(p, q) or T - p < 1:
-                raise InsufficientDataError(f"arima({p},{d},{q}): differenced series has {T} points; too few")
 
             def css(params: np.ndarray) -> float:
                 c = params[0]

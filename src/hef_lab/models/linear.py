@@ -13,8 +13,8 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from ..errors import InvalidParameterError, NonConvergenceError, SingularDesignError
-from ..spaces import GridDomain, HyperparameterSpace, IntervalDomain
+from ..errors import NonConvergenceError, SingularDesignError
+from ..spaces import GridDomain, HyperparameterSpace, IntervalDomain, Legal
 from . import LagModel, Step, register
 
 _JITTER = 1e-8
@@ -118,6 +118,7 @@ class LinearModel(_LagRegressionModel):
 
     name = "lr"
     declared_space = HyperparameterSpace({})
+    legal = {}
     fixed_point = {}
 
     def _solve(self, Xs, yc, config):
@@ -129,6 +130,7 @@ class LinearModel(_LagRegressionModel):
 class LassoModel(_LagRegressionModel):
     name = "lsr"
     declared_space = HyperparameterSpace({"alpha": IntervalDomain(1e-4, 10.0, scale="log")})
+    legal = {"alpha": Legal()}
     fixed_point = {"alpha": 0.01}
 
     def _solve(self, Xs, yc, config):
@@ -139,6 +141,7 @@ class LassoModel(_LagRegressionModel):
 class RidgeModel(_LagRegressionModel):
     name = "rr"
     declared_space = HyperparameterSpace({"alpha": IntervalDomain(1e-4, 10.0, scale="log")})
+    legal = {"alpha": Legal()}
     fixed_point = {"alpha": 0.01}
 
     def _solve(self, Xs, yc, config):
@@ -154,6 +157,7 @@ class ElasticNetModel(_LagRegressionModel):
     declared_space = HyperparameterSpace(
         {"alpha": IntervalDomain(1e-4, 10.0, scale="log"), "l1_ratio": IntervalDomain(0.0, 1.0)}
     )
+    legal = {"alpha": Legal(), "l1_ratio": Legal(upper=1.0)}
     fixed_point = {"alpha": 0.01, "l1_ratio": 0.1}
 
     def _solve(self, Xs, yc, config):
@@ -162,17 +166,13 @@ class ElasticNetModel(_LagRegressionModel):
 
 @register
 class PolynomialModel(_LagRegressionModel):
-    """Per-feature polynomial powers (no cross terms), ridge-stabilized solve."""
+    """Per-feature polynomial powers (no cross terms), ridge-stabilized solve. A degree above 10
+    is refused, as each adds a lag window of columns (at degree 800 one fit of 48 values takes seconds)."""
 
     name = "plr"
     declared_space = HyperparameterSpace({"degree": GridDomain((1, 2, 3, 4))})
+    legal = {"degree": Legal(1, 10, integer=True)}
     fixed_point = {"degree": 2}
-
-    def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
-        degree = int(config["degree"])
-        if degree < 1:
-            raise InvalidParameterError(f"plr: degree must be at least 1, got {degree}")
-        return super()._fit_step(X, targets, config)
 
     def _expand(self, X: np.ndarray, config: Mapping) -> np.ndarray:
         degree = int(config["degree"])
@@ -191,6 +191,7 @@ class HuberModel(_LagRegressionModel):
     declared_space = HyperparameterSpace(
         {"epsilon": IntervalDomain(1.0, 2.0), "alpha": IntervalDomain(1e-4, 1.0, scale="log")}
     )
+    legal = {"epsilon": Legal(closed=False), "alpha": Legal()}
     fixed_point = {"epsilon": 1.0, "alpha": 1e-4}
 
     _max_iter: ClassVar[int] = 200

@@ -6,8 +6,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import InvalidParameterError
-from ..spaces import GridDomain, HyperparameterSpace
+from ..spaces import GridDomain, HyperparameterSpace, Legal
 from . import LagModel, Step, register
 
 
@@ -16,19 +15,16 @@ class KnnModel(LagModel):
     """Euclidean neighbors among training windows; forecast = mean of neighbor targets.
 
     ``n_neighbors`` is clamped to the number of available windows, so large k
-    on a short series degrades to the global window-target mean; k below 1
-    is refused.
+    on a short series degrades to the global window-target mean.
     """
 
     name = "knn"
     declared_space = HyperparameterSpace({"n_neighbors": GridDomain(tuple(range(1, 16)))})
+    legal = {"n_neighbors": Legal(1, integer=True)}
     fixed_point = {"n_neighbors": 5}
 
     def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
-        k = int(config["n_neighbors"])
-        if k < 1:
-            raise InvalidParameterError(f"knn: n_neighbors must be at least 1, got {k}")
-        k = min(k, len(targets))
+        k = min(int(config["n_neighbors"]), len(targets))
 
         def step(window: np.ndarray) -> float:
             d2 = ((X - window) ** 2).sum(axis=1)

@@ -7,8 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import InvalidParameterError
-from ..spaces import HyperparameterSpace, IntervalDomain
+from ..spaces import HyperparameterSpace, IntervalDomain, Legal
 from . import FittedModel, ForecastModel, register
 
 
@@ -22,18 +21,15 @@ class FittedSes(FittedModel):
 
 @register
 class SesModel(ForecastModel):
-    """Exponentially weighted level, initialized at the first observation;
-    ``alpha`` must lie in [0, 1], where the level stays within the range of
-    the training values."""
+    """Exponentially weighted level from the first observation; a legal ``alpha`` keeps it within the training range."""
 
     name = "ses"
     declared_space = HyperparameterSpace({"alpha": IntervalDomain(0.01, 0.99)})
+    legal = {"alpha": Legal(upper=1.0)}
     fixed_point = {"alpha": 0.2}
 
     def _fit(self, y: np.ndarray, config: Mapping) -> FittedSes:
         alpha = float(config["alpha"])
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidParameterError(f"{self.name}: alpha must lie in [0, 1], got {alpha!r}")
         beta = 1.0 - alpha
         values = y.tolist()  # Python floats: the same IEEE steps as float64 scalars, without their overhead
         level = values[0]

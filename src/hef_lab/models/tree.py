@@ -8,8 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..errors import InvalidParameterError
-from ..spaces import GridDomain, HyperparameterSpace
+from ..spaces import GridDomain, HyperparameterSpace, Legal
 from . import LagModel, Step, register
 
 
@@ -72,18 +71,15 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, max_depth: float) -> _Node:
 
 @register
 class TreeModel(LagModel):
-    """Unlimited depth by default (``max_depth=None``), else at least 1;
-    fully deterministic."""
+    """Unlimited depth by default (``max_depth=None``); fully deterministic."""
 
     name = "dtr"
     declared_space = HyperparameterSpace({"max_depth": GridDomain(tuple(range(2, 13)) + (None,))})
+    legal = {"max_depth": Legal(1, integer=True, none_ok=True)}
     fixed_point = {"max_depth": None}
 
     def _fit_step(self, X: np.ndarray, targets: np.ndarray, config: Mapping) -> Step:
-        raw_depth = config["max_depth"]
-        max_depth = math.inf if raw_depth is None else float(int(raw_depth))
-        if max_depth < 1:
-            raise InvalidParameterError(f"dtr: max_depth must be at least 1 or None, got {raw_depth!r}")
+        max_depth = math.inf if config["max_depth"] is None else int(config["max_depth"])
         root = _grow(X, targets, depth=0, max_depth=max_depth)
 
         def step(window: np.ndarray) -> float:

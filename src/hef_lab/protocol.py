@@ -31,7 +31,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, groupby, repeat
-from numbers import Real
 from pathlib import Path
 from typing import TextIO
 
@@ -52,7 +51,7 @@ from .optimizers import (
     tpe_minimize,
 )
 from .series import Dataset, SplitRatio, TimeSeries, temporal_split
-from .spaces import Domain, GridDomain, HyperparameterSpace
+from .spaces import Domain, HyperparameterSpace
 from .stats import MIN_REPETITIONS, TestResult, compare_paired_runs, two_proportion_z
 
 __all__ = [
@@ -97,7 +96,8 @@ def required_metrics(condition: str) -> tuple[str, ...]:
 class ExperimentConfig:
     """Everything a sweep needs besides the dataset itself. ``space_overrides``
     maps a model name to the domains that replace its declared ones, by
-    parameter name; a search the sweep cannot run is refused here."""
+    parameter name; a search the sweep cannot run, or a domain holding a value
+    that the model's ``legal`` table refuses, is refused here."""
 
     models: tuple[str, ...]
     splits: tuple[SplitRatio, ...] = (SplitRatio.R80_20,)
@@ -136,18 +136,16 @@ class ExperimentConfig:
             raise InvalidParameterError(f"scs_optimizer must be pso or tpe, got {self.scs_optimizer!r}")
         _check_alpha(self.alpha)
         for name, params in self.space_overrides.items():
-            declared = model_class(name).declared_space  # an unregistered name raises UnknownModelError
+            legal = model_class(name).legal  # an unregistered name raises UnknownModelError
             if not isinstance(params, Mapping):
                 raise InvalidParameterError(f"{name}'s override must map parameter names to domains, got {params!r}")
-            undeclared = ", ".join(sorted(set(params) - set(declared.names)))
+            undeclared = ", ".join(sorted(set(params) - set(legal)))
             if undeclared:
                 raise InvalidParameterError(f"{name} declares no parameter {undeclared}")
-            for param, domain in params.items():  # a model reads a grid value as a number, or None where it declares it
-                none_ok = None in getattr(declared.params[param], "values", ())
-                for value in domain.values if isinstance(domain, GridDomain) else ():
-                    numeric = isinstance(value, Real) and not isinstance(value, bool)
-                    if not (numeric or (value is None and none_ok)):
-                        raise InvalidParameterError(f"{name}'s {param} grid holds {value!r}, not a number")
+            for param, domain in HyperparameterSpace(params).params.items():  # which refuses what is not a domain
+                if not legal[param].admits_domain(domain):  # named by its first illegal grid value, if it has one
+                    shown = [v for v in getattr(domain, "values", ()) if not legal[param].admits(v)] or [domain]
+                    raise InvalidParameterError(f"{name}: {param} must be {legal[param]}, got {shown[0]!r}")
         for name in self.models:  # of two distinct conditions, at least one searches, as hef does
             space = self.search_space(name)
             label = optimizer_label(space, "hef", self.scs_optimizer)

@@ -1,4 +1,4 @@
-"""Hyperparameter domains: finite grids and closed real/integer intervals.
+"""Hyperparameter domains (finite grids, closed real/integer intervals) and a parameter's legal values.
 
 A point is a plain ``dict`` mapping parameter names to values. Interval
 dimensions may be log-scaled; optimizers working on continuous boxes operate
@@ -11,13 +11,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterator, Mapping, Union
 
 import numpy as np
 
 from .errors import InvalidParameterError
 
-__all__ = ["GridDomain", "IntervalDomain", "Domain", "HyperparameterSpace"]
+__all__ = ["GridDomain", "IntervalDomain", "Domain", "Legal", "HyperparameterSpace"]
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,6 @@ class GridDomain:
         if len(set(vals)) != len(vals):
             raise InvalidParameterError("grid domain values must be unique")
         object.__setattr__(self, "values", vals)
-
-    def contains(self, value) -> bool:
-        return value in self.values
 
 
 @dataclass(frozen=True)
@@ -64,11 +62,6 @@ class IntervalDomain:
             raise InvalidParameterError(f"integer interval [{self.lower}, {self.upper}] holds no integer")
         object.__setattr__(self, "_bounds", (self.encode(self.lower), self.encode(self.upper)))
 
-    def contains(self, value) -> bool:
-        if self.integer and float(value) != round(float(value)):
-            return False
-        return self.lower <= float(value) <= self.upper
-
     # internal (optimizer) scale -------------------------------------------
 
     def encode(self, value: float) -> float:
@@ -92,6 +85,37 @@ class IntervalDomain:
 
 
 Domain = Union[GridDomain, IntervalDomain]
+
+
+@dataclass(frozen=True)
+class Legal:
+    """The values a model parameter accepts: finite numbers from ``lower`` (itself only if ``closed``) to
+    ``upper``, integers only if ``integer``, and ``None`` only if ``none_ok``; never a bool or another type."""
+
+    lower: float = 0.0
+    upper: float = math.inf
+    integer: bool = False
+    none_ok: bool = False
+    closed: bool = True
+
+    def __str__(self) -> str:
+        opening, floor = ("[", ">=") if self.closed else ("(", ">")
+        bounds = f"in {opening}{self.lower:g}, {self.upper:g}]" if self.upper < math.inf else f"{floor} {self.lower:g}"
+        return ("an integer " if self.integer else "") + bounds + (" or None" if self.none_ok else "")
+
+    def admits(self, value) -> bool:
+        # every fit asks, so exact floats and ints skip the type checks; no int becomes a float, which may overflow
+        if type(value) not in (float, int) and (type(value) is bool or not isinstance(value, Real)):
+            return value is None and self.none_ok
+        above = self.lower <= value if self.closed else self.lower < value
+        return above and value <= self.upper and value != math.inf and (not self.integer or value % 1 == 0)
+
+    def admits_domain(self, domain: Domain) -> bool:
+        """Whether every value ``domain`` yields is admitted: each grid value, or the ends an interval clamps to."""
+        if isinstance(domain, GridDomain):
+            return all(map(self.admits, domain.values))
+        ends = (math.ceil(domain.lower), math.floor(domain.upper)) if domain.integer else (domain.lower, domain.upper)
+        return (domain.integer or not self.integer) and all(map(self.admits, ends))
 
 
 class HyperparameterSpace:
@@ -141,11 +165,6 @@ class HyperparameterSpace:
         pools = [self._params[n].values for n in names]  # type: ignore[union-attr]
         for combo in itertools.product(*pools):
             yield dict(zip(names, combo))
-
-    def contains(self, point: Mapping) -> bool:
-        if set(point) != set(self._params):
-            return False
-        return all(self._params[name].contains(value) for name, value in point.items())
 
     def sample(self, rng: np.random.Generator) -> dict:
         """Uniform draw: grid dims by index, intervals in internal scale."""

@@ -65,6 +65,19 @@ REMOVED_KEYS = [
     "hef.penalties.l4",
 ]
 
+# the legal values of each parameter these tests override, as refusals state them
+LEGAL = {
+    ("ses", "alpha"): "in [0, 1]",
+    ("rr", "alpha"): ">= 0",
+    ("lsr", "alpha"): ">= 0",
+    ("hr", "epsilon"): "> 0",
+    ("knn", "n_neighbors"): "an integer >= 1",
+    ("dtr", "max_depth"): "an integer >= 1 or None",
+    ("plr", "degree"): "an integer in [1, 10]",
+    ("arima", "p"): "an integer >= 0",
+    ("arima", "d"): "an integer >= 0",
+}
+
 # p and q over 1,001 orders each, times arima's 3 declared d values: 3,006,003 grid points
 ARIMA_ORDERS = {f"models.arima.space.{p}": {"grid": list(range(1001))} for p in ("p", "q")}
 
@@ -346,8 +359,47 @@ class TestRun:
     def test_grid_value_that_is_not_a_number_exits_1(self, workdir, capsys, model, param, grid, held) -> None:
         key = f"models.{model}.space.{param}"
         assert self._run_with(workdir, f'experiment.models=["{model}"]', f'{key}={{"grid": {grid}}}') == 1
-        assert capsys.readouterr().err == f"error: {key}: {model}'s {param} grid holds {held}, not a number\n"
+        legal = LEGAL[model, param]
+        assert capsys.readouterr().err == f"error: {key}: {model}: {param} must be {legal}, got {held}\n"
         assert not (workdir / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize(
+        "override, got",
+        [
+            ('models.ses.space.alpha={"min": 0.01, "max": 5}', "IntervalDomain(lower=0.01, upper=5.0"),
+            ('models.knn.space.n_neighbors={"grid": [0, 1]}', "0"),
+            ('models.knn.space.n_neighbors={"min": 0, "max": 0}', "IntervalDomain(lower=0.0, upper=0.0"),
+            ('models.dtr.space.max_depth={"grid": [0, -1]}', "0"),
+            ('models.lsr.space.alpha={"min": -1, "max": 1}', "IntervalDomain(lower=-1.0, upper=1.0"),
+            ('models.hr.space.epsilon={"min": -3, "max": 0.5}', "IntervalDomain(lower=-3.0, upper=0.5"),
+            ('models.plr.space.degree={"min": 0.01, "max": 5, "scale": "log"}', "IntervalDomain(lower=0.01"),
+            ('models.plr.space.degree={"grid": [800]}', "800"),
+            ('models.arima.space.p={"grid": [-1, 0]}', "-1"),
+            ('models.arima.space.d={"grid": [-1]}', "-1"),
+            # fractional values of integer parameters, which int() used to truncate
+            ('models.knn.space.n_neighbors={"grid": [2.5]}', "2.5"),
+            ('models.arima.space.d={"grid": [0.5]}', "0.5"),
+            ('models.plr.space.degree={"grid": [1.5]}', "1.5"),
+            ('models.dtr.space.max_depth={"grid": [2.5]}', "2.5"),
+        ],
+    )
+    def test_override_outside_the_legal_values_exits_1(self, workdir, capsys, override, got) -> None:
+        key, _ = override.split("=", 1)
+        _, model, _, param = key.split(".")
+        assert self._run_with(workdir, f'experiment.models=["{model}"]', override) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: {model}: {param} must be {LEGAL[model, param]}, got {got}")
+        assert err.count("\n") == 1
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize(
+        "override",
+        ['models.knn.space.n_neighbors={"grid": [1, 5, 9]}', 'models.dtr.space.max_depth={"grid": [2, 4, 8, null]}'],
+    )
+    def test_legal_grid_override_completes(self, workdir, capsys, override) -> None:
+        model = override.split(".")[1]
+        assert self._run_with(workdir, f'experiment.models=["{model}"]', override) == 0
+        assert "failed 0" in capsys.readouterr().out
 
     def test_none_on_a_grid_that_declares_it_completes(self, workdir, capsys) -> None:
         override = 'models.dtr.space.max_depth={"grid": [3, null]}'

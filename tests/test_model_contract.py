@@ -1,8 +1,10 @@
 """The fit contract every model family shares: ``ForecastModel.fit`` is the
-one entry that checks a training series, so no registered family defines its
-own ``fit``; every fitted model is a frozen dataclass that defines its own
-``predict``; and a lag model's minimum of 4 values is the lag window plus the
-two values a lag matrix needs, at every length and season.
+one entry that checks a training series and a point, so no registered family
+defines its own ``fit``; each family's ``legal`` table covers exactly its
+declared parameters and admits its declared space and fixed point; every
+fitted model is a frozen dataclass that defines its own ``predict``; and a lag
+model's minimum of 4 values is the lag window plus the two values a lag
+matrix needs, at every length and season.
 """
 
 from __future__ import annotations
@@ -39,6 +41,15 @@ def test_no_family_defines_its_own_fit(name) -> None:
         if cls is ForecastModel:
             break
         assert "fit" not in cls.__dict__, f"{cls.__name__} defines fit and so bypasses the training-series check"
+
+
+@pytest.mark.parametrize("name", available_models())
+def test_legal_table_admits_the_declared_space_and_fixed_point(name) -> None:
+    cls = model_class(name)
+    assert set(cls.legal) == set(cls.declared_space.names) == set(cls.fixed_point)
+    for param, domain in cls.declared_space.params.items():
+        assert cls.legal[param].admits_domain(domain), (name, param)
+        assert cls.legal[param].admits(cls.fixed_point[param]), (name, param)
 
 
 def test_every_fitted_model_is_frozen_and_defines_predict() -> None:

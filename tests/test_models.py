@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -12,7 +14,6 @@ from hef_lab.errors import (
     InsufficientDataError,
     InvalidParameterError,
     NonConvergenceError,
-    SingularDesignError,
     UnknownModelError,
 )
 from hef_lab.models import (
@@ -20,9 +21,11 @@ from hef_lab.models import (
     build_lag_matrix,
     create,
     lag_window_length,
+    model_class,
 )
 from hef_lab.models.arima import _css_residuals
 from hef_lab.models.linear import coordinate_descent_enet
+from hef_lab.spaces import GridDomain
 
 ES_MODELS = {"arima", "knn", "dtr", "plr", "lr"}
 SCS_MODELS = {"ses", "lsr", "rr", "enr", "hr"}
@@ -61,12 +64,14 @@ class TestRegistry:
     def test_every_space_contains_its_fixed_point(self) -> None:
         for name in models.available_models():
             model = create(name)
-            space = model.declared_space
             fixed = model.fixed_config()
-            if len(space) == 0:
-                assert fixed == {}
-            else:
-                assert space.contains(fixed), name
+            assert set(fixed) == set(model.declared_space.names), name
+            for param, value in fixed.items():
+                domain = model.declared_space[param]
+                if isinstance(domain, GridDomain):
+                    assert value in domain.values, (name, param)
+                else:
+                    assert domain.lower <= value <= domain.upper, (name, param)
 
     def test_fixed_config_is_a_fresh_dict(self) -> None:
         for name in models.available_models():
@@ -132,7 +137,7 @@ class TestSes:
     def test_alpha_outside_unit_interval_is_refused(self, alpha) -> None:
         # at 5 a daily-length fit overflows, at -1 it forecasts about -1e175
         train = trend_series(584, seed=3)
-        with pytest.raises(InvalidParameterError, match=f"alpha must lie in \\[0, 1\\], got {alpha!r}"):
+        with pytest.raises(InvalidParameterError, match=f"^ses: alpha must be in \\[0, 1\\], got {alpha!r}$"):
             create("ses").fit(train, {"alpha": alpha})
 
     def test_alpha_at_the_bounds_fits(self) -> None:
@@ -181,6 +186,12 @@ class TestArima:
     def test_insufficient_data_for_order(self) -> None:
         with pytest.raises(InsufficientDataError):
             create("arima").fit([1.0, 2.0, 3.0], {"p": 3, "d": 2, "q": 3})
+
+    def test_differencing_past_the_series_is_refused_before_it_runs(self) -> None:
+        # d is legal at any integer >= 0, and np.diff loops d times
+        message = r"arima\(0,100000000000000000000,0\): differenced series has 0 points; too few"
+        with pytest.raises(InsufficientDataError, match=message):
+            create("arima").fit(trend_series(48, seed=9), {"p": 0, "d": 10**20, "q": 0})
 
     @pytest.mark.parametrize("p,d,q", [(0, 0, 1), (1, 1, 2)])
     def test_ma_order_above_ar_order_completes(self, p, d, q) -> None:
@@ -350,28 +361,54 @@ class TestLinearFamily:
             create("lr", season_length=12).fit([1.0, 2.0, 3.0], {})
 
     def test_huber_with_negative_epsilon_is_refused_quietly(self) -> None:
-        # a negative epsilon makes every IRLS weight negative and divides by a
-        # zero residual; the fit ends in an error and lets no RuntimeWarning
-        # out, which pytest would turn into an error
-        with pytest.raises(SingularDesignError):
+        # a negative epsilon would make every IRLS weight negative; fit
+        # refuses it before IRLS runs, so no RuntimeWarning can get out
+        with pytest.raises(InvalidParameterError, match=r"^hr: epsilon must be > 0, got -3\.0$"):
             create("hr").fit(trend_series(), {"epsilon": -3.0, "alpha": 1e-4})
 
 
 
-class TestLagParameterFloor:
+class TestLegalValues:
     @pytest.mark.parametrize(
         "name, point, message",
         [
-            ("knn", {"n_neighbors": 0}, "knn: n_neighbors must be at least 1, got 0"),
-            ("plr", {"degree": 0}, "plr: degree must be at least 1, got 0"),
-            ("dtr", {"max_depth": 0}, "dtr: max_depth must be at least 1 or None, got 0"),
-            ("dtr", {"max_depth": -1}, "dtr: max_depth must be at least 1 or None, got -1"),
+            ("ses", {"alpha": 1.5}, "ses: alpha must be in [0, 1], got 1.5"),
+            ("ses", {"alpha": True}, "ses: alpha must be in [0, 1], got True"),
+            ("ses", {"alpha": "0.5"}, "ses: alpha must be in [0, 1], got '0.5'"),
+            ("lsr", {"alpha": -1.0}, "lsr: alpha must be >= 0, got -1.0"),
+            ("rr", {"alpha": -1e-4}, "rr: alpha must be >= 0, got -0.0001"),
+            ("enr", {"alpha": -1, "l1_ratio": 0.5}, "enr: alpha must be >= 0, got -1"),
+            ("enr", {"alpha": 0.01, "l1_ratio": 1.5}, "enr: l1_ratio must be in [0, 1], got 1.5"),
+            ("hr", {"epsilon": 0.0, "alpha": 1e-4}, "hr: epsilon must be > 0, got 0.0"),
+            ("hr", {"epsilon": 1.0, "alpha": -1.0}, "hr: alpha must be >= 0, got -1.0"),
+            ("knn", {"n_neighbors": 0}, "knn: n_neighbors must be an integer >= 1, got 0"),
+            ("knn", {"n_neighbors": 2.5}, "knn: n_neighbors must be an integer >= 1, got 2.5"),
+            ("plr", {"degree": 0}, "plr: degree must be an integer in [1, 10], got 0"),
+            ("plr", {"degree": 11}, "plr: degree must be an integer in [1, 10], got 11"),
+            ("plr", {"degree": 1.5}, "plr: degree must be an integer in [1, 10], got 1.5"),
+            ("dtr", {"max_depth": 0}, "dtr: max_depth must be an integer >= 1 or None, got 0"),
+            ("dtr", {"max_depth": -1}, "dtr: max_depth must be an integer >= 1 or None, got -1"),
+            ("dtr", {"max_depth": 2.5}, "dtr: max_depth must be an integer >= 1 or None, got 2.5"),
+            ("arima", {"p": -1, "d": 0, "q": 0}, "arima: p must be an integer >= 0, got -1"),
+            ("arima", {"p": 0, "d": 0.5, "q": 0}, "arima: d must be an integer >= 0, got 0.5"),
+            ("arima", {"p": 0, "d": 0, "q": None}, "arima: q must be an integer >= 0, got None"),
         ],
     )
-    def test_below_one_is_refused(self, name, point, message) -> None:
-        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+    def test_illegal_point_is_refused_before_the_fit(self, name, point, message, monkeypatch) -> None:
+        monkeypatch.setattr(model_class(name), "_fit", lambda *args: pytest.fail("_fit was reached"))
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
             create(name).fit(trend_series(), point)
 
+    @pytest.mark.parametrize(
+        "name, point",
+        [("knn", {"n_neighbors": 2.0}), ("knn", {"n_neighbors": 10**400}), ("dtr", {"max_depth": 10**400})],
+    )
+    def test_integral_floats_and_huge_integers_fit(self, name, point) -> None:
+        # an integer is compared as it is: float(10**400) would overflow
+        assert np.isfinite(create(name).fit(trend_series(), point).predict(3)).all()
+
+
+class TestLagParameterFloor:
     @pytest.mark.parametrize(
         "name, point",
         [("knn", {"n_neighbors": 1}), ("plr", {"degree": 1}), ("dtr", {"max_depth": 1}), ("dtr", {"max_depth": None})],

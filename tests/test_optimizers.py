@@ -23,7 +23,7 @@ from hef_lab.optimizers import (
     pso_minimize,
     tpe_minimize,
 )
-from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain
+from hef_lab.spaces import GridDomain, HyperparameterSpace, IntervalDomain, Legal
 
 
 def table_objective(seed: int):
@@ -151,7 +151,7 @@ class TestIntervalDomain:
         with pytest.raises(InvalidParameterError):
             IntervalDomain(1.2, 1.8, integer=True)
         domain = IntervalDomain(1.2, 2.8, integer=True)
-        assert domain.decode(1.5) == 2 and domain.contains(domain.decode(1.5))
+        assert domain.decode(1.5) == 2 and type(domain.decode(1.5)) is int
         assert IntervalDomain(2, 2, integer=True).decode(2.0) == 2
 
     def test_integer_flag_must_be_a_bool(self) -> None:
@@ -178,6 +178,40 @@ class TestIntervalDomain:
                 assert domain.decode(domain.encode(value)) == value
 
 
+class TestLegal:
+    @pytest.mark.parametrize(
+        ("legal", "admitted", "refused"),
+        [
+            (Legal(upper=1.0), (0, 0.0, 0.5, 1, 1.0, np.float64(0.3)), (-1e-9, 1.0000001, math.nan, True, "0.5", None)),
+            (Legal(closed=False), (5e-324, 2.0, 10**400), (0, 0.0, -1.0, math.inf, -math.inf)),
+            (Legal(1, integer=True), (1, 2.0, 10**400, np.int64(7)), (0, 2.5, math.inf, math.nan, True, None)),
+            (Legal(1, integer=True, none_ok=True), (None, 1, 3), (0, 1.5, "3")),
+        ],
+        ids=["unit", "positive", "integer", "integer-or-none"],
+    )
+    def test_admits(self, legal, admitted, refused) -> None:
+        assert all(legal.admits(value) for value in admitted)
+        assert not any(legal.admits(value) for value in refused)
+
+    def test_admits_domain_reads_grid_values_and_interval_ends(self) -> None:
+        depth = Legal(1, integer=True, none_ok=True)
+        assert depth.admits_domain(GridDomain((2, 4, None))) and not depth.admits_domain(GridDomain((2, 0)))
+        assert depth.admits_domain(IntervalDomain(0.5, 9.5, integer=True))  # it yields 1 to 9
+        assert not depth.admits_domain(IntervalDomain(1.0, 9.0))  # it yields fractions
+        assert not depth.admits_domain(IntervalDomain(-0.5, 9.0, integer=True))  # it yields 0
+        alpha = Legal(upper=1.0)
+        assert alpha.admits_domain(IntervalDomain(1e-4, 1.0, scale="log"))
+        assert alpha.admits_domain(IntervalDomain(0, 1, integer=True))
+        assert not alpha.admits_domain(IntervalDomain(0.5, 1.5))
+
+    def test_str_states_the_range(self) -> None:
+        assert str(Legal(upper=1.0)) == "in [0, 1]"
+        assert str(Legal(closed=False)) == "> 0"
+        assert str(Legal(closed=False, upper=2.0)) == "in (0, 2]"
+        assert str(Legal(1, 10, integer=True)) == "an integer in [1, 10]"
+        assert str(Legal(1, integer=True, none_ok=True)) == "an integer >= 1 or None"
+
+
 def each(fn):
     """The batch objective that scores each point with ``fn``."""
     return lambda points: [fn(point) for point in points]
@@ -201,7 +235,8 @@ class TestPso:
     def test_constant_objective(self) -> None:
         [result] = pso_minimize(SPHERE_SPACE, each(lambda p: 0.0), PsoConfig(swarm_size=4, iterations=3))
         assert result.best_score == 0.0
-        assert SPHERE_SPACE.contains(result.best_point)
+        assert set(result.best_point) == {"x", "y"}
+        assert all(-5.0 <= value <= 5.0 for value in result.best_point.values())
 
     def test_determinism(self) -> None:
         a, b, c = Recording(sphere), Recording(sphere), Recording(sphere)

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 import multiprocessing
 import re
 import tracemalloc
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +15,7 @@ import pytest
 
 from hef_lab import protocol
 from hef_lab.config import build_experiment_config
-from hef_lab.errors import InsufficientDataError, InvalidParameterError, UnknownModelError
+from hef_lab.errors import ConfigError, InsufficientDataError, InvalidParameterError, UnknownModelError
 from hef_lab.metrics import METRIC_NAMES, compute_bundle
 from hef_lab.models import create, model_class
 from hef_lab.models.smoothing import FittedSes
@@ -85,7 +83,10 @@ class TestConfig:
             (dict(models=("ses", "knn", "ses")), "models repeat ses"),
             (dict(splits=(SplitRatio.R80_20, SplitRatio.R70_30, SplitRatio.R80_20)), "splits repeat 80:20"),
             (dict(conditions=("hef", "hef", "maef")), "conditions repeat hef"),
-            (dict(space_overrides={"knn": {"n_neighbors": GridDomain((3, "5"))}}), "grid holds '5', not a number"),
+            (
+                dict(space_overrides={"knn": {"n_neighbors": GridDomain((3, "5"))}}),
+                "knn: n_neighbors must be an integer >= 1, got '5'",
+            ),
             (dict(space_overrides={"ses": {"alpha": {"grid": [0.5]}}}), "'alpha' has unsupported domain"),
         ],
         ids=[
@@ -721,80 +722,39 @@ class TestSearchInputs:
             for rep in range(config.repetitions)
         ]
 
-    def test_negative_arima_orders_fail_inside_the_task(self, tmp_path, monkeypatch) -> None:
-        # an override may put a negative order on the grid: its points fail
-        # their evaluation, and a search with no other point fails its tasks
-        searches = []
-        search = protocol.grid_search
-
-        def recording(space, objective):
-            searches.append(search(space, objective))
-            return searches[-1]
-
-        monkeypatch.setattr(protocol, "grid_search", recording)
-        dataset = Dataset("d", (random_series(np.random.default_rng(8), "s0", n=36),))
+    def test_negative_arima_orders_are_refused_when_the_config_is_built(self) -> None:
+        # before, a negative order failed its points' evaluations, and a grid
+        # with no other point failed its tasks
         overrides = {
             "experiment.models": ["arima"],
             "experiment.repetitions": 3,
             "models.arima.space.p": {"grid": [-1, 0]},
             "models.arima.space.d": {"grid": [0]},
-            "models.arima.space.q": {"grid": [0]},
         }
-        summary = run_experiment(dataset, build_experiment_config(overrides), tmp_path / "p.csv")
-        assert not summary.failures and len(ResultsStore(tmp_path / "p.csv")) == 6
-        assert [(s.evals, s.failed_evals, s.best_point["p"]) for s in searches] == [(2, 1, 0)] * 2
-
+        keys = "models.arima.space.p, models.arima.space.d"
+        with pytest.raises(ConfigError, match=f"^{keys}: arima: p must be an integer >= 0, got -1$"):
+            build_experiment_config(overrides)
         overrides["models.arima.space.d"] = {"grid": [-1]}
-        del overrides["models.arima.space.p"], overrides["models.arima.space.q"]
-        summary = run_experiment(dataset, build_experiment_config(overrides), tmp_path / "d.csv")
-        assert len(summary.failures) == 6 and len(ResultsStore(tmp_path / "d.csv")) == 0
-        assert {f.reason for f in summary.failures} == {
-            "InvalidParameterError: every candidate configuration failed to score"
-        }
-        assert [(s.evals, s.failed_evals) for s in searches[2:]] == [(16, 16)] * 2
+        with pytest.raises(ConfigError, match=f"^{keys}: arima: d must be an integer >= 0, got -1$"):
+            build_experiment_config({**overrides, "models.arima.space.p": {"grid": [0]}})
 
     @pytest.mark.parametrize(
-        "model, param, grid, searches",
+        "model, param, grid, message",
         [
-            # (evals, failed evaluations, best value) of each condition's grid search
-            ("plr", "degree", [0, 1], [(2, 1, 1)] * 2),
-            ("knn", "n_neighbors", [0], [(1, 1, None)] * 2),
-            ("dtr", "max_depth", [0, -1], [(2, 2, None)] * 2),
+            ("plr", "degree", [0, 1], "an integer in [1, 10], got 0"),
+            ("knn", "n_neighbors", [0], "an integer >= 1, got 0"),
+            ("dtr", "max_depth", [0, -1], "an integer >= 1 or None, got 0"),
         ],
+        ids=["plr", "knn", "dtr"],
     )
-    def test_lag_parameters_below_one_fail_inside_the_task(
-        self, tmp_path, monkeypatch, model, param, grid, searches
-    ) -> None:
-        # before they were refused, degree 0 ended the sweep in a ValueError,
-        # k = 0 raised numpy's empty-mean RuntimeWarning and depth 0 fitted a
-        # one-leaf tree
-        results = []
-        search = protocol.grid_search
-
-        def recording(space, objective):
-            results.append(search(space, objective))
-            return results[-1]
-
-        monkeypatch.setattr(protocol, "grid_search", recording)
-        dataset = Dataset("d", (random_series(np.random.default_rng(8), "s0"),))
-        overrides = {
-            "experiment.models": [model],
-            "experiment.repetitions": 3,
-            f"models.{model}.space.{param}": {"grid": grid},
-        }
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            summary = run_experiment(dataset, build_experiment_config(overrides), tmp_path / "r.csv")
-        assert [
-            (r.evals, r.failed_evals, r.best_point[param] if math.isfinite(r.best_score) else None) for r in results
-        ] == searches
-        if searches[0][2] is None:  # no point fits: every rep of both units records the one reason
-            assert len(summary.failures) == summary.total == 6
-            assert {f.reason for f in summary.failures} == {
-                "InvalidParameterError: every candidate configuration failed to score"
-            }
-        else:
-            assert not summary.failures and len(ResultsStore(tmp_path / "r.csv")) == 6
+    def test_lag_parameters_below_one_are_refused_when_the_config_is_built(self, model, param, grid, message) -> None:
+        # before, each such point failed its evaluation inside the task, and
+        # before that degree 0 ended the sweep in a ValueError, k = 0 raised
+        # numpy's empty-mean RuntimeWarning and depth 0 fitted a one-leaf tree
+        key = f"models.{model}.space.{param}"
+        overrides = {"experiment.models": [model], "experiment.repetitions": 3, key: {"grid": grid}}
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{key}: {model}: {param} must be {message}')}$"):
+            build_experiment_config(overrides)
 
 
 def _record_scored(monkeypatch) -> list[np.ndarray]:

@@ -1,8 +1,9 @@
-"""Robustness boundary: every registered model, at its fixed config and at the
-corners of its declared space, on six series shapes, either forecasts and
-scores or raises a ``HefLabError``; no other exception escapes. A sweep over
-seeded overrides of each model's space is either refused when its config is
-built or stores or records every task."""
+"""Robustness boundary: every registered model, at its fixed config, at the
+corners of its declared space and at seeded random points of its legal
+values, on six series shapes, either forecasts and scores or raises a
+``HefLabError``; no other exception escapes. A sweep over seeded overrides of
+each model's space is either refused when its config is built or stores or
+records every task."""
 
 from __future__ import annotations
 
@@ -50,6 +51,30 @@ def _corners(model) -> list[dict]:
     return [dict(combo) for combo in itertools.product(*ends)]
 
 
+# where a legal range has no upper bound, random points are drawn up to this
+LEGAL_CAP = 4
+
+
+def _legal_points(model, rng: np.random.Generator, count: int = 4) -> list[dict]:
+    """``count`` random legal points: each value uniform over its legal range
+    (capped at ``LEGAL_CAP``), an integer where the range holds integers, and
+    ``None`` in a quarter of the draws where it is legal."""
+    points = []
+    for _ in range(count):
+        point = {}
+        for name, legal in model.legal.items():
+            upper = legal.upper if legal.upper < math.inf else LEGAL_CAP
+            if legal.none_ok and rng.random() < 0.25:
+                point[name] = None
+            elif legal.integer:
+                point[name] = int(rng.integers(legal.lower, upper + 1))
+            else:
+                point[name] = float(rng.uniform(legal.lower, upper))
+            assert legal.admits(point[name]), (name, point[name])
+        points.append(point)
+    return points
+
+
 def _attempt(fn, *args):
     """``fn(*args)``, or None when it raises a ``HefLabError``."""
     try:
@@ -61,7 +86,8 @@ def _attempt(fn, *args):
 @pytest.mark.parametrize("name", available_models())
 def test_fit_forecast_and_score_raise_only_hef_lab_errors(name) -> None:
     model = create(name)
-    points = [model.fixed_config(), *_corners(model)]
+    rng = np.random.default_rng(available_models().index(name))
+    points = [model.fixed_config(), *_corners(model), *_legal_points(model, rng)]
     forecasts = 0
     for shape, values in _shapes().items():
         split = temporal_split(make_series(shape, values), SplitRatio.R80_20)
