@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import ConfigError, InvalidParameterError, UnknownModelError
-from .protocol import ExperimentConfig
+from .protocol import ExperimentConfig, _check_override
 from .series import SplitRatio
 from .spaces import Domain, GridDomain, IntervalDomain
 
@@ -166,7 +166,7 @@ def build_experiment_config(
 
     # a settings object's checks may span its fields, so its keys apply together
     nested: dict[str, dict[str, tuple[str, object]]] = {}
-    search: dict[str, tuple[str, object]] = {}  # set together, last, so a refusal names every key given
+    search: dict[str, tuple[str, object]] = {}  # set together, last, so a search's refusal names every key given
     for key, (name, *inner) in _SCALAR_KEYS.items():
         if key not in flat:
             continue
@@ -178,6 +178,12 @@ def build_experiment_config(
             config = _replace(config, {name: (key, flat[key])})
     for name, given in nested.items():
         config = replace(config, **{name: _replace(getattr(config, name), given)})
+    for name, params in space_overrides.items():  # a domain's own refusal is about its key alone
+        for param, domain in params.items():
+            try:
+                _check_override(name, {param: domain})
+            except (InvalidParameterError, UnknownModelError) as exc:
+                raise ConfigError(f"models.{name}.space.{param}: {exc}") from None
     if space_overrides:
         search["space_overrides"] = (", ".join(key for key in flat if key.startswith("models.")), space_overrides)
     config = _replace(config, search)

@@ -23,6 +23,7 @@ from ..spaces import HyperparameterSpace, Legal
 __all__ = [
     "FittedModel",
     "ForecastModel",
+    "TrainingSeries",
     "FittedLagModel",
     "LagModel",
     "lag_window_length",
@@ -43,6 +44,22 @@ class FittedModel(ABC):
     @abstractmethod
     def predict(self, horizon: int) -> np.ndarray:
         """Forecast ``horizon`` values; always finite, never NaN."""
+
+
+class TrainingSeries:
+    """A training series that ``ForecastModel.check`` found one-dimensional,
+    finite and at least its model's ``min_train`` values long, and made; no
+    other code makes one. ``values`` is a read-only float array, so the check
+    stays true, and ``np.asarray`` reads it. A search checks its series once
+    and fits this value at every point."""
+
+    __slots__ = ("values",)
+
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("a TrainingSeries is made by ForecastModel.check")
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 class ForecastModel(ABC):
@@ -66,8 +83,9 @@ class ForecastModel(ABC):
         """A fresh copy of the fixed point, free for the caller to change."""
         return dict(self.fixed_point)
 
-    def fit(self, train: Sequence[float], config: Mapping) -> FittedModel:
-        """Fit a point that ``legal`` admits to ``train``: one-dimensional, finite, ``min_train`` values or more."""
+    def check(self, train: Sequence[float]) -> TrainingSeries:
+        """``train`` checked for this model: one-dimensional, ``min_train``
+        values or more, finite; the one implementation of that check."""
         y = np.asarray(train, dtype=float)
         if y.ndim != 1:
             raise InsufficientDataError(f"{self.name}: train must be one-dimensional")
@@ -75,10 +93,23 @@ class ForecastModel(ABC):
             raise InsufficientDataError(f"{self.name}: needs at least {self.min_train} observations, got {len(y)}")
         if not np.isfinite(y).all():
             raise InsufficientDataError(f"{self.name}: train contains non-finite values")
+        if y.flags.writeable:  # a caller's array could change after the check
+            y = y.copy()
+            y.flags.writeable = False
+        checked = object.__new__(TrainingSeries)
+        checked.values = y
+        return checked
+
+    def fit(self, train: Sequence[float] | TrainingSeries, config: Mapping) -> FittedModel:
+        """Fit a point that ``legal`` admits to ``train``: one-dimensional, finite, ``min_train`` values or more.
+        A ``TrainingSeries`` skips only the array check; one that another model checked may be too short for this
+        one, and then the full check refuses it."""
+        if type(train) is not TrainingSeries or len(train.values) < self.min_train:
+            train = self.check(train)
         for param, legal in self.legal.items():
             if not legal.admits(config[param]):
                 raise InvalidParameterError(f"{self.name}: {param} must be {legal}, got {config[param]!r}")
-        return self._fit(y, config)
+        return self._fit(train.values, config)
 
     @abstractmethod
     def _fit(self, y: np.ndarray, config: Mapping) -> FittedModel: ...

@@ -187,7 +187,7 @@ def pso_minimize(
     tallies = [_Tally() for _ in rngs]
 
     def evaluate_swarms() -> np.ndarray:
-        points = [space.decode_vector(x) for x in positions.reshape(-1, D)]
+        points = space.decode_rows(positions.reshape(-1, D))
         try:
             scores = np.asarray(objective([dict(point) for point in points]), dtype=float).tolist()
         except HefLabError:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import logging
 import math
 import os
@@ -136,16 +137,7 @@ class ExperimentConfig:
             raise InvalidParameterError(f"scs_optimizer must be pso or tpe, got {self.scs_optimizer!r}")
         _check_alpha(self.alpha)
         for name, params in self.space_overrides.items():
-            legal = model_class(name).legal  # an unregistered name raises UnknownModelError
-            if not isinstance(params, Mapping):
-                raise InvalidParameterError(f"{name}'s override must map parameter names to domains, got {params!r}")
-            undeclared = ", ".join(sorted(set(params) - set(legal)))
-            if undeclared:
-                raise InvalidParameterError(f"{name} declares no parameter {undeclared}")
-            for param, domain in HyperparameterSpace(params).params.items():  # which refuses what is not a domain
-                if not legal[param].admits_domain(domain):  # named by its first illegal grid value, if it has one
-                    shown = [v for v in getattr(domain, "values", ()) if not legal[param].admits(v)] or [domain]
-                    raise InvalidParameterError(f"{name}: {param} must be {legal[param]}, got {shown[0]!r}")
+            _check_override(name, params)
         for name in self.models:  # of two distinct conditions, at least one searches, as hef does
             space = self.search_space(name)
             label = optimizer_label(space, "hef", self.scs_optimizer)
@@ -157,6 +149,22 @@ class ExperimentConfig:
     def search_space(self, name: str) -> HyperparameterSpace:
         """Model ``name``'s declared space with the overridden domains replaced."""
         return HyperparameterSpace({**model_class(name).declared_space.params, **self.space_overrides.get(name, {})})
+
+
+def _check_override(name: str, params: Mapping[str, Domain]) -> None:
+    """Refuse ``params``, an override of model ``name``'s domains by
+    parameter name, if the model is not registered, a parameter is not
+    declared, or a domain can yield a value the model's ``legal`` refuses."""
+    legal = model_class(name).legal  # an unregistered name raises UnknownModelError
+    if not isinstance(params, Mapping):
+        raise InvalidParameterError(f"{name}'s override must map parameter names to domains, got {params!r}")
+    undeclared = ", ".join(sorted(set(params) - set(legal)))
+    if undeclared:
+        raise InvalidParameterError(f"{name} declares no parameter {undeclared}")
+    for param, domain in HyperparameterSpace(params).params.items():  # which refuses what is not a domain
+        if not legal[param].admits_domain(domain):  # named by its first illegal grid value, if it has one
+            shown = [v for v in getattr(domain, "values", ()) if not legal[param].admits(v)] or [domain]
+            raise InvalidParameterError(f"{name}: {param} must be {legal[param]}, got {shown[0]!r}")
 
 
 @dataclass(frozen=True)
@@ -356,12 +364,13 @@ class ResultsStore:
     def append(self, key: TaskKey, optimizer: str, values: Mapping[str, float]) -> None:
         if self._fh is None:
             self._open()
-        writer = csv.writer(self._fh)
-        for metric in required_metrics(key.condition):
-            value = float(values[metric])
-            writer.writerow(
-                [key.series_id, key.model, key.condition, optimizer, key.split, key.rep, metric, repr(value)]
-            )
+        # the fields every row of the task shares, through the csv module's quoting once; metric names
+        # and float reprs never need quoting, so each row is that prefix and two plain fields
+        fields = io.StringIO()
+        csv.writer(fields).writerow((key.series_id, key.model, key.condition, optimizer, key.split, key.rep))
+        prefix = fields.getvalue()[:-2]  # less the writer's \r\n
+        metrics = required_metrics(key.condition)
+        self._fh.write("".join(f"{prefix},{metric},{float(values[metric])!r}\r\n" for metric in metrics))
         self._fh.flush()  # a crash leaves whole task blocks and at most one torn one
         self._size = self._fh.tell()
         self._completed.add(key.as_tuple())
@@ -391,13 +400,15 @@ _BLOCK_ROWS = 256
 
 class _Objective:
     """Fit -> predict -> the condition's score: ``maef`` scores the MAE alone,
-    ``hef`` scores r2, MAE and RMSE. The test window is the unit's, and the
-    hef thresholds of the training series are built once, when the objective
-    is made. ``batch`` scores many points as calling it scores each one."""
+    ``hef`` scores r2, MAE and RMSE. The test window is the unit's; the model's
+    check of the training series, which every point's fit then skips, and the
+    series' hef thresholds run once, when the objective is made, so a series
+    the model refuses fails there. ``batch`` scores many points as calling it
+    scores each one."""
 
     def __init__(self, model: ForecastModel, train: np.ndarray, window: TargetWindow, condition: str) -> None:
         self._model = model
-        self._train = train
+        self._train = model.check(train)
         self._window = window
         self._hef = None if condition == "maef" else evaluation.hef_scorer(train)
 

@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -72,12 +72,28 @@ class IntervalDomain:
         return self._bounds
 
     def decode(self, internal: float) -> float | int:
+        """The value of one internal-scale coordinate: ``decode_list`` of one."""
+        return self.decode_list((internal,))[0]
+
+    def decode_list(self, internal: Iterable[float]) -> list[float | int]:
+        """The value of each internal-scale coordinate, in order: clamped to
+        the internal bounds, scaled back, then rounded to the interval's
+        integers or clamped to the interval. Each clamp is ``min(max(x, lo),
+        hi)`` written out, so a tie keeps ``x``: -0.0 at a 0.0 bound stays -0.0."""
         lo, hi = self._bounds
-        x = min(max(float(internal), lo), hi)
-        value = 10.0**x if self.scale == "log" else x
-        if self.integer:
-            return int(min(max(round(value), math.ceil(self.lower)), math.floor(self.upper)))
-        return float(min(max(value, self.lower), self.upper))
+        log, integer = self.scale == "log", self.integer
+        lower, upper = (math.ceil(self.lower), math.floor(self.upper)) if integer else (self.lower, self.upper)
+        values = []
+        for x in internal:
+            x = float(x)
+            x = lo if lo > x else x
+            x = hi if hi < x else x
+            value = 10.0**x if log else x
+            value = round(value) if integer else value
+            value = lower if lower > value else value
+            value = upper if upper < value else value
+            values.append(int(value) if integer else float(value))
+        return values
 
     def sample(self, rng: np.random.Generator) -> float | int:
         lo, hi = self.internal_bounds()
@@ -190,8 +206,14 @@ class HyperparameterSpace:
             highs.append(hi)
         return np.asarray(lows, dtype=float), np.asarray(highs, dtype=float)
 
-    def decode_vector(self, internal: np.ndarray) -> dict:
-        """Map an internal-scale vector over the interval dims to a point."""
-        if len(self._intervals) != len(internal):
-            raise InvalidParameterError("vector length does not match interval dimensions")
-        return {name: domain.decode(x) for (name, domain), x in zip(self._intervals.items(), internal)}
+    def decode_rows(self, internal: np.ndarray) -> list[dict]:
+        """The point of each row of an internal-scale ``(points, interval
+        dims)`` matrix, each interval dim decoded as one column."""
+        internal = np.asarray(internal, dtype=float)
+        if internal.ndim != 2 or internal.shape[1] != len(self._intervals):
+            raise InvalidParameterError("matrix columns do not match interval dimensions")
+        points: list[dict] = [{} for _ in range(len(internal))]
+        for (name, domain), column in zip(self._intervals.items(), internal.T.tolist()):
+            for point, value in zip(points, domain.decode_list(column)):
+                point[name] = value
+        return points

@@ -386,7 +386,8 @@ class TestRun:
     def test_override_outside_the_legal_values_exits_1(self, workdir, capsys, override, got) -> None:
         key, _ = override.split("=", 1)
         _, model, _, param = key.split(".")
-        assert self._run_with(workdir, f'experiment.models=["{model}"]', override) == 1
+        legal_override = 'models.rr.space.alpha={"grid": [0.1, 1.0]}'  # another model's key stays unnamed
+        assert self._run_with(workdir, f'experiment.models=["{model}"]', legal_override, override) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}: {model}: {param} must be {LEGAL[model, param]}, got {got}")
         assert err.count("\n") == 1

@@ -196,10 +196,14 @@ class TestInterface:
 
 
 class _Replay:
-    """A model whose fit ignores its data and forecasts ``forecasts[point["i"]]``."""
+    """A model whose check passes its data through and whose fit ignores it
+    and forecasts ``forecasts[point["i"]]``."""
 
     def __init__(self, forecasts: list[np.ndarray]) -> None:
         self.forecasts = forecasts
+
+    def check(self, train):
+        return train
 
     def fit(self, train, point):
         forecast = self.forecasts[point["i"]]

@@ -178,6 +178,72 @@ class TestIntervalDomain:
                 assert domain.decode(domain.encode(value)) == value
 
 
+def per_value_decode(domain: IntervalDomain, internal: float) -> float | int:
+    """One coordinate decoded on its own: the formula every list decode must equal."""
+    lo, hi = domain.internal_bounds()
+    x = min(max(float(internal), lo), hi)
+    value = 10.0**x if domain.scale == "log" else x
+    if domain.integer:
+        return int(min(max(round(value), math.ceil(domain.lower)), math.floor(domain.upper)))
+    return float(min(max(value, domain.lower), domain.upper))
+
+
+def bits(values) -> list[tuple[type, str]]:
+    """Type and repr of each value, so -0.0 and 0.0, or 2 and 2.0, differ."""
+    return [(type(v), repr(v)) for v in values]
+
+
+class TestListDecode:
+    """``decode_list`` and ``decode_rows`` equal a per-value decode bit for
+    bit: at the bounds, outside the box, on signed zeros and between."""
+
+    DOMAINS = [
+        IntervalDomain(-2.5, 4.0),
+        IntervalDomain(-1.0, 0.0),
+        IntervalDomain(-0.0, 1.0),
+        IntervalDomain(1e-4, 10.0, scale="log"),
+        IntervalDomain(1.0, 1000.0, scale="log"),
+        IntervalDomain(1, 12, integer=True),
+        IntervalDomain(0.5, 9.5, integer=True),
+        IntervalDomain(-3, 0, integer=True),
+        IntervalDomain(1, 1000, scale="log", integer=True),
+        IntervalDomain(2, 2),
+    ]
+
+    @staticmethod
+    def coordinates(domain: IntervalDomain, rng: np.random.Generator) -> list[float]:
+        lo, hi = domain.internal_bounds()
+        edges = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), lo - 1.0, hi + 1.0]
+        signed = [0.0, -0.0, math.inf, -math.inf, 0.5, -0.5, 1.5, 2.5]  # .5s: round() ties to even
+        return edges + signed + rng.uniform(lo - 1.0, hi + 1.0, 50).tolist()
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=repr)
+    def test_list_decode_equals_per_value_decode(self, domain) -> None:
+        xs = self.coordinates(domain, np.random.default_rng(29))
+        expected = bits(per_value_decode(domain, x) for x in xs)
+        assert bits(domain.decode_list(xs)) == expected
+        assert bits(domain.decode_list(np.array(xs))) == expected  # numpy floats as well
+        assert bits(domain.decode(x) for x in xs) == expected
+        assert domain.decode_list([]) == []
+
+    def test_decode_rows_equals_per_value_decode_column_by_column(self) -> None:
+        rng = np.random.default_rng(29)
+        space = HyperparameterSpace({f"p{i}": domain for i, domain in enumerate(self.DOMAINS)})
+        matrix = np.column_stack([self.coordinates(domain, rng) for domain in self.DOMAINS])
+        points = space.decode_rows(matrix)
+        assert len(points) == len(matrix)
+        for point, row in zip(points, matrix):
+            assert list(point) == list(space.names)
+            assert bits(point.values()) == bits(per_value_decode(d, x) for d, x in zip(self.DOMAINS, row))
+
+    def test_decode_rows_refuses_a_matrix_of_other_columns(self) -> None:
+        space = HyperparameterSpace({"a": IntervalDomain(0.0, 1.0), "b": GridDomain((1, 2))})
+        assert space.decode_rows(np.zeros((3, 1))) == [{"a": 0.0}] * 3
+        for shape in ((3, 2), (3,)):
+            with pytest.raises(InvalidParameterError, match="interval dimensions"):
+                space.decode_rows(np.zeros(shape))
+
+
 class TestLegal:
     @pytest.mark.parametrize(
         ("legal", "admitted", "refused"),
@@ -410,7 +476,8 @@ def reference_pso(space, objective, config, seed):
         return value
 
     def evaluate_swarm() -> np.ndarray:
-        return np.array([score(space.decode_vector(x)) for x in positions])
+        names = space.interval_names()
+        return np.array([score({n: space[n].decode(v) for n, v in zip(names, x)}) for x in positions])
 
     pbest_pos = positions.copy()
     pbest_score = evaluate_swarm()

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import itertools
+import math
 import multiprocessing
 import re
 import tracemalloc
@@ -286,6 +288,34 @@ class TestRunExperiment:
         assert reopened.is_complete(first) and reopened.is_complete(second)
         assert len(reopened.rows) == 2 * len(required_metrics("hef"))
 
+    def test_append_writes_what_a_csv_writer_row_per_metric_writes(self, tmp_path) -> None:
+        # the key fields are quoted once per task, and each row is still the line csv.writer makes of it
+        series_id = 'a,"b" c'
+        tasks = [
+            (protocol.TaskKey(series_id, "ses", "hef", "80:20", 0), "pso"),
+            (protocol.TaskKey(series_id, "ses", "baseline", "80:20", 0), "fixed"),
+        ]
+        expected = io.StringIO()
+        writer = csv.writer(expected)
+        writer.writerow(protocol.STORE_COLUMNS)
+        store = ResultsStore(tmp_path / "r.csv")
+        for key, label in tasks:
+            samples = itertools.cycle([-0.0, 0.1, 1e300, 2.5e-07, 3, 1 / 3])
+            values = dict(zip(required_metrics(key.condition), samples))
+            store.append(key, label, values)
+            for metric, value in values.items():
+                writer.writerow([*key.as_tuple()[:3], label, key.split, key.rep, metric, repr(float(value))])
+        store.close()
+        assert (tmp_path / "r.csv").read_bytes() == expected.getvalue().encode()
+        reopened = ResultsStore(tmp_path / "r.csv")
+        assert all(reopened.is_complete(key) for key, _ in tasks)
+        rows = list(reopened.rows)
+        assert [(row["series_id"], row["optimizer"]) for row in rows] == [
+            (series_id, label) for key, label in tasks for _ in required_metrics(key.condition)
+        ]
+        first = rows[0]
+        assert first["value"] == 0.0 and math.copysign(1.0, first["value"]) == -1.0
+
     def test_zero_byte_store_gets_its_header(self, tmp_path) -> None:
         # a store file created but never written, e.g. by a crash before the
         # first append, must resume like an absent one
@@ -312,6 +342,19 @@ class TestRunExperiment:
         assert all(f.key.series_id == "tiny" for f in summary.failures)
         store = ResultsStore(tmp_path / "r.csv")
         assert len(store) == 6
+
+    @pytest.mark.parametrize("optimizer", ["pso", "tpe"])
+    def test_a_series_the_model_refuses_fails_every_rep_with_the_checks_reason(self, tmp_path, optimizer) -> None:
+        # the objective checks the training series when it is made, so the searched conditions fail with the
+        # check's reason, as the baseline's final fit does, and not with "every candidate configuration failed"
+        dataset = Dataset("d", (make_series("tiny", [1.0, 2.0, 3.0, 4.0]),))  # 3 training values
+        config = tiny_config(models=("lr", "rr"), conditions=protocol.CONDITIONS, scs_optimizer=optimizer)
+        summary = run_experiment(dataset, config, tmp_path / "r.csv")
+        assert len(summary.failures) == summary.total == 2 * 3 * 3
+        for model in ("lr", "rr"):  # lr on its grid, rr under the swarm or Parzen search
+            reasons = {f.key.condition: f.reason for f in summary.failures if f.key.model == model}
+            reason = f"InsufficientDataError: {model}: needs at least 4 observations, got 3"
+            assert reasons == dict.fromkeys(protocol.CONDITIONS, reason)
 
     @pytest.mark.parametrize("optimizer", ["pso", "tpe"])
     def test_a_unit_makes_its_split_once(self, tmp_path, monkeypatch, optimizer) -> None:
@@ -731,11 +774,11 @@ class TestSearchInputs:
             "models.arima.space.p": {"grid": [-1, 0]},
             "models.arima.space.d": {"grid": [0]},
         }
-        keys = "models.arima.space.p, models.arima.space.d"
-        with pytest.raises(ConfigError, match=f"^{keys}: arima: p must be an integer >= 0, got -1$"):
+        # each refusal names the one key at fault, not every models.* key given
+        with pytest.raises(ConfigError, match="^models.arima.space.p: arima: p must be an integer >= 0, got -1$"):
             build_experiment_config(overrides)
         overrides["models.arima.space.d"] = {"grid": [-1]}
-        with pytest.raises(ConfigError, match=f"^{keys}: arima: d must be an integer >= 0, got -1$"):
+        with pytest.raises(ConfigError, match="^models.arima.space.d: arima: d must be an integer >= 0, got -1$"):
             build_experiment_config({**overrides, "models.arima.space.p": {"grid": [0]}})
 
     @pytest.mark.parametrize(

@@ -5,7 +5,8 @@ look up (``protocol.pso_minimize``, ``protocol._execute_task``,
 ``_Objective.__call__``, each model's ``fit``, ...). A rename breaks only the
 traced benchmark rounds, so this test installs the tracer in a fresh process,
 runs a traced one-series sweep per search (swarm, grid and Parzen), and checks
-that each completes with the untraced store's digest and records its spans.
+that each completes with the untraced store's digest and records its spans,
+each model's fit spans exactly as many as the fits its sweep makes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+from hef_lab.models import model_class
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,14 +84,19 @@ def test_traced_sweeps_complete_with_the_untraced_digest(tmp_path) -> None:
         "optimizers.grid",
         "optimizers.tpe",
         "protocol.objective",
-        "models.fit.ses",
-        "models.fit.knn",
-        "models.fit.rr",
         "models.predict",
         "series.split",
         "protocol.store_append",
     ):
         assert spans.get(name, 0) > 0, name
     assert report["layers"]["protocol.tasks"] == 2 * 2 * 3 + 2 * 3
+    # every fit a sweep makes passes through its class's fit, per condition: each swarm rep's 4 x 3 points
+    # and its final fit, knn's 15-point grid once and one final fit, each Parzen rep's 4 trials and its final fit
+    knn_grid = model_class("knn").declared_space.grid_size()
+    assert (spans["models.fit.ses"], spans["models.fit.knn"], spans["models.fit.rr"]) == (
+        2 * 3 * (4 * 3 + 1),
+        2 * (knn_grid + 1),
+        2 * 3 * (4 + 1),
+    )
     # one lockstep swarm search per (cell, condition), one grid search per unit, one Parzen search per rep
     assert (spans["optimizers.pso"], spans["optimizers.grid"], spans["optimizers.tpe"]) == (2, 2, 6)
