@@ -1,7 +1,8 @@
 """Flat dotted-key experiment configuration.
 
-Files hold one ``key = value`` pair per line; values are JSON (so strings
-need quotes inside lists, bare words stay strings). ``#`` starts a comment.
+Files are UTF-8 text and hold one ``key = value`` pair per line; values are
+JSON (so strings need quotes inside lists, bare words stay strings). ``#``
+starts a comment.
 Example::
 
     experiment.models = ["ses", "lr", "knn"]
@@ -62,8 +63,14 @@ def _parse_value(raw: str):
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read ``key = value`` lines into a flat dict; raises with line numbers."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{line}: not {exc.encoding} text ({exc.reason})") from None
     flat: dict[str, object] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -217,8 +217,11 @@ class MetricBundle:
 class BundleScorer:
     """The metric bundle of any number of forecasts of one (train, test)
     split. The test ``window`` and the training series' naive errors are
-    computed once; each forecast is validated and scored, and refused in the
-    order ``compute_bundle`` refuses it, or when a metric is not finite."""
+    computed once; each forecast is validated and scored. A forecast is
+    refused, first to last: when it is not a one-dimensional, non-empty, finite
+    vector; when its length is not the window's; when the window is constant;
+    when the training series is not such a vector of at least 2 values, or is
+    flat; and when a metric is not finite."""
 
     def __init__(self, train: Sequence[float], actual_test: Sequence[float]) -> None:
         self.window = TargetWindow(actual_test)

@@ -6,12 +6,16 @@ tree-structured Parzen estimator for boxes or mixed spaces. Grid and Parzen
 searches score one point per objective call. The swarm search runs one
 swarm per seed, all in lockstep, and scores each step's points, every swarm's
 at once, in one call of a batch objective: the ask/tell shape of Hansen's
-CMA-ES reference code and of Optuna, by design only. Failed objective
-evaluations are scored +inf, counted, and never abort a run.
+CMA-ES reference code and of Optuna, by design only.
+
+Every search reports by one rule. A failed evaluation (a ``HefLabError``, or
+a NaN or infinite score) scores +inf, is counted in ``failed_evals`` and never
+aborts a run; the best point is the first one evaluated with the lowest score.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -103,39 +107,19 @@ class TpeConfig:
             raise InvalidParameterError("startup must lie in [1, trials]")
 
 
-@dataclass
-class _Tally:
-    """Counts the scored points of one search and keeps the running best.
-
-    A non-finite score counts as a failed evaluation and scores +inf. The
-    first evaluation sets the best and only a strictly lower score replaces
-    it, so ties go to the earliest point.
-    """
-
-    evals: int = 0
-    failed_evals: int = 0
-    best_point: dict = field(default_factory=dict)
-    best_score: float = math.inf
-
-    def add(self, point: dict, score: float) -> float:
-        if not math.isfinite(score):
-            score = math.inf
-            self.failed_evals += 1
-        if self.evals == 0 or score < self.best_score:
-            self.best_point, self.best_score = point, score
-        self.evals += 1
-        return score
-
-    def result(self) -> OptimizationResult:
-        return OptimizationResult(self.best_point, self.best_score, self.evals, self.failed_evals)
-
-
 def _score(objective: Objective, point: dict) -> float:
-    """The objective's score of a copy of ``point``; a ``HefLabError`` scores +inf."""
+    """The objective's score of a copy of ``point``; a failure scores +inf."""
     try:
-        return float(objective(dict(point)))
+        score = float(objective(dict(point)))
     except HefLabError:
         return math.inf
+    return score if math.isfinite(score) else math.inf
+
+
+def _result(scores: list[float], point_at: Callable[[int], dict]) -> OptimizationResult:
+    """The first lowest of a search's scores, with the point ``point_at`` gives for its index."""
+    best = scores.index(min(scores))
+    return OptimizationResult(point_at(best), scores[best], len(scores), scores.count(math.inf))
 
 
 def grid_search(space: HyperparameterSpace, objective: Objective) -> OptimizationResult:
@@ -148,10 +132,8 @@ def grid_search(space: HyperparameterSpace, objective: Objective) -> Optimizatio
     size = space.grid_size()
     if size > GRID_CAP:
         raise GridTooLargeError(f"grid has {size} points, cap is {GRID_CAP}")
-    tally = _Tally()
-    for point in space.grid_points():
-        tally.add(point, _score(objective, point))
-    return tally.result()
+    scores = [_score(objective, point) for point in space.grid_points()]
+    return _result(scores, lambda i: next(itertools.islice(space.grid_points(), i, None)))
 
 
 def pso_minimize(
@@ -170,7 +152,8 @@ def pso_minimize(
     other seeds. Each step scores every swarm's particles, swarm by swarm, in
     one call of ``objective``: a non-finite score is a failed evaluation, and
     a ``HefLabError`` fails every point of the call. Each swarm makes exactly
-    swarm_size * iterations evaluations, and its global best never worsens.
+    swarm_size * iterations evaluations, and its result is its global best,
+    which never worsens.
     """
     if len(space) == 0 or len(space.interval_names()) != len(space):
         raise EmptySpaceError("pso_minimize needs a space of interval domains only")
@@ -184,16 +167,18 @@ def pso_minimize(
 
     positions = np.stack([rng.uniform(lo, hi, size=(S, D)) for rng in rngs])
     velocities = np.zeros((R, S, D))
-    tallies = [_Tally() for _ in rngs]
+    failed = np.zeros(R, dtype=int)
 
     def evaluate_swarms() -> np.ndarray:
-        points = space.decode_rows(positions.reshape(-1, D))
+        """Each swarm's scores, one row per swarm, +inf where a point failed; adds the failures to ``failed``."""
         try:
-            scores = np.asarray(objective([dict(point) for point in points]), dtype=float).tolist()
+            scores = np.asarray(objective(space.decode_rows(positions.reshape(-1, D))), dtype=float)
         except HefLabError:
-            scores = [math.inf] * len(points)
-        tallied = [tallies[i // S].add(point, score) for i, (point, score) in enumerate(zip(points, scores))]
-        return np.reshape(tallied, (R, S))
+            scores = np.full(R * S, math.inf)
+        scores = scores.reshape(R, S)
+        ok = np.isfinite(scores)
+        failed[:] += S - ok.sum(axis=1)
+        return np.where(ok, scores, math.inf)
 
     pbest_pos = positions.copy()
     pbest_score = evaluate_swarms()
@@ -201,8 +186,7 @@ def pso_minimize(
     gbest_pos, gbest_score = pbest_pos[swarms, g], pbest_score[swarms, g]
 
     for _ in range(config.iterations - 1):
-        r1 = np.stack([rng.uniform(size=(S, D)) for rng in rngs])
-        r2 = np.stack([rng.uniform(size=(S, D)) for rng in rngs])
+        r1, r2 = np.stack([rng.uniform(size=(2, S, D)) for rng in rngs], axis=1)
         velocities = (
             _INERTIA * velocities
             + _COGNITIVE * r1 * (pbest_pos - positions)
@@ -219,7 +203,11 @@ def pso_minimize(
         gbest_pos[better] = pbest_pos[swarms[better], g[better]]
         gbest_score[better] = pbest_score[swarms[better], g[better]]
 
-    return [tally.result() for tally in tallies]
+    points = space.decode_rows(gbest_pos)
+    return [
+        OptimizationResult(point, score, S * config.iterations, fails)
+        for point, score, fails in zip(points, gbest_score.tolist(), failed.tolist())
+    ]
 
 
 # --- TPE internals ----------------------------------------------------------
@@ -321,7 +309,6 @@ def tpe_minimize(
     if len(space) == 0:
         raise EmptySpaceError("tpe_minimize needs at least one parameter")
     rng = np.random.default_rng(seed)
-    tally = _Tally()
     points: list[dict] = []
     scores: list[float] = []
 
@@ -344,6 +331,6 @@ def tpe_minimize(
             ratios = [sum(l_logs) - sum(g_logs) for l_logs, g_logs in zip(zip(*l_rows), zip(*g_rows))]
             point = candidates[int(np.argmax(ratios))]
         points.append(point)
-        scores.append(tally.add(point, _score(objective, point)))
+        scores.append(_score(objective, point))
 
-    return tally.result()
+    return _result(scores, points.__getitem__)

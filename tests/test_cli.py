@@ -216,6 +216,17 @@ class TestRun:
         )
         assert code == 1
 
+    def test_config_that_is_not_utf8_exits_1(self, workdir, capsys) -> None:
+        config = workdir / "latin1.cfg"
+        config.write_bytes(CONFIG_TEXT.encode() + b"# caf\xe9\n")
+        code = run_cli("run", "--config", str(config), "--data", str(workdir / "data.csv"), "--out", str(workdir / "out"))
+        assert code == 1
+        line = CONFIG_TEXT.count("\n") + 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {config}:{line}: not utf-8 text (invalid continuation byte)\n"
+        assert not (workdir / "out").exists()
+
     def test_misspelled_override_exits_1(self, workdir, capsys) -> None:
         assert self._run_with(workdir, "opt.pso.swarmsize=3") == 1
         assert "opt.pso.swarmsize" in capsys.readouterr().err

@@ -37,7 +37,9 @@ def table_objective(seed: int):
 
 
 class Recording:
-    """An objective that records the points it is called with, in order."""
+    """An objective that records the points it is called with, in order, and
+    the score a search must take for each: +inf where the call raises a
+    ``HefLabError`` or returns a non-finite score."""
 
     def __init__(self, fn) -> None:
         self.fn = fn
@@ -46,8 +48,10 @@ class Recording:
 
     def __call__(self, point):
         self.points.append(dict(point))
+        self.scores.append(math.inf)  # kept if fn raises
         score = self.fn(point)
-        self.scores.append(score)
+        if math.isfinite(score):
+            self.scores[-1] = score
         return score
 
 
@@ -283,6 +287,22 @@ def each(fn):
     return lambda points: [fn(point) for point in points]
 
 
+def each_or_nan(fn):
+    """The batch objective that scores each point with ``fn``, NaN where
+    ``fn`` raises a ``HefLabError``, as a unit's batch objective does."""
+
+    def batch(points):
+        scores = []
+        for point in points:
+            try:
+                scores.append(fn(point))
+            except HefLabError:
+                scores.append(math.nan)
+        return scores
+
+    return batch
+
+
 class TestPso:
     def test_sphere_convergence_default_config(self) -> None:
         [result] = pso_minimize(SPHERE_SPACE, each(sphere), seeds=[42])
@@ -314,23 +334,53 @@ class TestPso:
         assert a.points != c.points
 
     def test_best_equals_trace_minimum(self) -> None:
-        def check(result, objective) -> None:
-            best = min(range(len(objective.scores)), key=objective.scores.__getitem__)
-            assert result.best_score == objective.scores[best]
-            assert result.best_point == objective.points[best]
+        # each search's best is the first lowest point of its trace, failures
+        # included, and it counts every failure: on a smooth objective, on
+        # ties (a constant and a step function), on a failure of each kind
+        # beside a step function's ties, and where every point fails
+        def failing(point):
+            x = point["x"]
+            if x < 0.2:
+                raise InsufficientDataError("fails")
+            if x < 0.5:
+                return (math.nan, -math.inf, math.inf)[int(10 * x) - 2]
+            return float(math.floor(2 * point["y"]))
 
-        objective = Recording(sphere)
-        check(pso_minimize(SPHERE_SPACE, each(objective), PsoConfig(iterations=10), seeds=[3])[0], objective)
-        objective = Recording(lambda p: -p["a"])
-        check(grid_search(HyperparameterSpace({"a": GridDomain((1, 2, 3))}), objective), objective)
-        objective = Recording(lambda p: p["x"])
-        result = tpe_minimize(
-            HyperparameterSpace({"x": IntervalDomain(0.0, 1.0)}),
-            objective,
-            TpeConfig(trials=25, startup=5),
-            seed=8,
-        )
-        check(result, objective)
+        def fails(point):
+            raise InsufficientDataError("fails")
+
+        box = HyperparameterSpace({"x": IntervalDomain(0.0, 1.0), "y": IntervalDomain(0.0, 1.0)})
+        grid = HyperparameterSpace({"x": GridDomain(tuple(i / 10 for i in range(11))), "y": GridDomain((0.0, 0.5, 1.0))})
+        searches = {
+            "grid": lambda objective: grid_search(grid, objective),
+            "pso": lambda objective: pso_minimize(
+                box, each_or_nan(objective), PsoConfig(swarm_size=5, iterations=8), seeds=[3]
+            )[0],
+            "tpe": lambda objective: tpe_minimize(box, objective, TpeConfig(trials=30, startup=5), seed=8),
+        }
+        objectives = {
+            "smooth": lambda p: (p["x"] - 0.3) ** 2 + p["y"],
+            "constant": lambda p: 0.0,
+            "step": lambda p: float(math.floor(4 * p["x"]) + math.floor(2 * p["y"])),
+            "failing": failing,
+            "every point fails": fails,
+        }
+        for (search_name, search), (name, fn) in itertools.product(searches.items(), objectives.items()):
+            objective = Recording(fn)
+            result = search(objective)
+            best = objective.scores.index(min(objective.scores))
+            assert result.best_point == objective.points[best], (search_name, name)
+            assert result.best_score == objective.scores[best], (search_name, name)
+            assert result.evals == len(objective.points), (search_name, name)
+            assert result.failed_evals == objective.scores.count(math.inf), (search_name, name)
+            if name != "smooth":  # the tie-break is at work
+                assert objective.scores.count(result.best_score) > 1, (search_name, name)
+            if name in ("failing", "every point fails"):
+                assert result.failed_evals > 0, (search_name, name)
+        # the grid meets a failure of each kind, and its best is a tie's first point
+        objective = Recording(failing)
+        result = grid_search(grid, objective)
+        assert result.failed_evals == 5 * 3 and result.best_point == {"x": 0.5, "y": 0.0}
 
     def test_positions_stay_in_box(self) -> None:
         objective = Recording(sphere)
@@ -400,15 +450,7 @@ class TestPso:
                 raise InsufficientDataError("right third fails")
             return (point["x"] - 1.3) ** 2 + (math.log10(point["alpha"]) - 0.2) ** 2
 
-        def batch(points):
-            scores = []
-            for point in points:
-                try:
-                    scores.append(objective(point))
-                except InsufficientDataError:
-                    scores.append(math.nan)
-            return scores
-
+        batch = each_or_nan(objective)
         config = PsoConfig(swarm_size=6, iterations=7)
         seeds = [3, 1, 4, 1, 5]
         together = pso_minimize(space, batch, config, seeds)

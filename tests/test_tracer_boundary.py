@@ -83,7 +83,6 @@ def test_traced_sweeps_complete_with_the_untraced_digest(tmp_path) -> None:
         "optimizers.pso",
         "optimizers.grid",
         "optimizers.tpe",
-        "protocol.objective",
         "models.predict",
         "series.split",
         "protocol.store_append",
@@ -100,3 +99,6 @@ def test_traced_sweeps_complete_with_the_untraced_digest(tmp_path) -> None:
     )
     # one lockstep swarm search per (cell, condition), one grid search per unit, one Parzen search per rep
     assert (spans["optimizers.pso"], spans["optimizers.grid"], spans["optimizers.tpe"]) == (2, 2, 6)
+    # grid and Parzen points are scored one by one through the objective, which the traced
+    # optimizers.evals counts: knn's grid per condition and each Parzen rep's 4 trials
+    assert spans["protocol.objective"] == 2 * knn_grid + 2 * 3 * 4
